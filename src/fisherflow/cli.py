@@ -15,14 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nets, tasks, training, transport, validate
+from . import tasks, training, transport, validate
 from .config import RunConfig, parse_set_overrides
 from .errors import NumericError
+from .training import load_checkpoint, save_checkpoint
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
-
-CHECKPOINT_FORMAT_VERSION = 1
 
 
 def main(argv=None) -> int:
@@ -58,7 +57,7 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-        p.add_argument("--seed", type=int, default=None, help="override the seed list")
+        p.add_argument("--seed", type=int, default=None, help="single seed (excludes --seeds)")
         p.add_argument("--seeds", default=None, help="comma-separated seed list")
         p.add_argument("--out", default=None)
         p.set_defaults(handler=handler)
@@ -81,6 +80,8 @@ def load_run_config(args) -> RunConfig:
     overrides = parse_set_overrides(args.set)
     if args.out is not None:
         overrides["out"] = args.out
+    if args.seed is not None and args.seeds is not None:
+        raise ValueError("--seed and --seeds are mutually exclusive")
     if args.seeds is not None:
         overrides["seeds"] = args.seeds
     if args.seed is not None:
@@ -158,39 +159,6 @@ def _prepare_out(cfg: RunConfig, default_name) -> Path:
     cfg.out = str(out)
     (out / "config.txt").write_text(cfg.to_text())
     return out
-
-
-def save_checkpoint(result: training.RunResult, task_name, path):
-    payload = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "task": task_name,
-        "flow_net": result.policy.field.net.to_dict(),
-        "flow_integration_steps": result.policy.steps,
-        "residual_net": result.transport_map.residual_net.to_dict(),
-        "max_displacement": result.transport_map.max_displacement,
-        "critic_nets": [n.to_dict() for n in result.critic.online] if result.critic else None,
-        "dual": {"lam": result.dual.lam, "epsilon": result.dual.epsilon,
-                 "eta": result.dual.eta, "use_log": result.dual.use_log},
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-    from .flow import FlowPolicy, VelocityField
-    from .transport import TransportMap
-
-    task = tasks.make_task(payload["task"])
-    flow_net = nets.DenseNet.from_dict(payload["flow_net"])
-    field = VelocityField(flow_net, task.state_dim, task.action_dim)
-    policy = FlowPolicy(field, steps=payload["flow_integration_steps"])
-    tmap = TransportMap(nets.DenseNet.from_dict(payload["residual_net"]), policy,
-                        payload["max_displacement"])
-    return task, tmap
 
 
 def cmd_train(args) -> int:

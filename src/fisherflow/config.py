@@ -61,29 +61,13 @@ class RunConfig:
 
     @classmethod
     def from_entries(cls, entries: dict) -> "RunConfig":
-        entries = dict(entries)
         cfg = cls()
         train_kwargs = {}
         train_fields = {f: type(getattr(cfg.train, f)) for f in asdict(cfg.train)}
         for key, value in entries.items():
-            if key == "task":
-                cfg.task = value
-            elif key == "out":
-                cfg.out = value
-            elif key == "seeds":
-                cfg.seeds = [int(v) for v in _split_list(value)]
-            elif key == "data.size":
-                cfg.data_size = int(value)
-            elif key == "data.seed":
-                cfg.data_seed = int(value)
-            elif key == "data.mode":
-                cfg.data_mode = value
-            elif key == "data.noise":
-                cfg.data_noise = float(value)
-            elif key == "data.file":
-                cfg.data_file = value
-            elif key == "sweep.t_eps":
-                cfg.sweep_t_eps = [float(v) for v in _split_list(value)]
+            if key in _KEYS:
+                attr, parse, _ = _KEYS[key]
+                setattr(cfg, attr, parse(value))
             elif key.startswith("train."):
                 name = key[len("train."):]
                 if name not in train_fields:
@@ -95,27 +79,9 @@ class RunConfig:
         return cfg
 
     def to_entries(self) -> dict:
-        entries = {
-            "task": self.task,
-            "out": self.out,
-            "seeds": ",".join(str(s) for s in self.seeds),
-            "data.size": str(self.data_size),
-            "data.seed": str(self.data_seed),
-            "data.mode": self.data_mode,
-            "data.noise": repr(float(self.data_noise)),
-            "data.file": self.data_file,
-            "sweep.t_eps": ",".join(repr(float(t)) for t in self.sweep_t_eps),
-        }
+        entries = {key: fmt(getattr(self, attr)) for key, (attr, _, fmt) in _KEYS.items()}
         for name, value in asdict(self.train).items():
-            if isinstance(value, tuple):
-                text = ",".join(str(v) for v in value)
-            elif isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, float):
-                text = repr(value)
-            else:
-                text = str(value)
-            entries[f"train.{name}"] = text
+            entries[f"train.{name}"] = _format(value)
         return entries
 
     def to_text(self) -> str:
@@ -131,6 +97,40 @@ class RunConfig:
 
 def _split_list(value):
     return [v for v in (tok.strip() for tok in value.split(",")) if v]
+
+
+def _list_of(cast, fmt=str):
+    """(parse, format) for a comma-separated list."""
+    return (lambda text: [cast(v) for v in _split_list(text)],
+            lambda values: ",".join(fmt(v) for v in values))
+
+
+def _float_text(value):
+    return repr(float(value))
+
+
+# config key -> (RunConfig attribute, parse, format); train.* keys follow RefineConfig
+_KEYS = {
+    "task": ("task", str, str),
+    "out": ("out", str, str),
+    "seeds": ("seeds", *_list_of(int)),
+    "data.size": ("data_size", int, str),
+    "data.seed": ("data_seed", int, str),
+    "data.mode": ("data_mode", str, str),
+    "data.noise": ("data_noise", float, _float_text),
+    "data.file": ("data_file", str, str),
+    "sweep.t_eps": ("sweep_t_eps", *_list_of(float, _float_text)),
+}
+
+
+def _format(value):
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def _coerce(value, target_type):

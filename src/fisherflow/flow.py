@@ -13,8 +13,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nets
-from .densities import GaussianMixture
 from .errors import NumericError
+
+
+def state_action_input(s, a, state_dim, t=None) -> np.ndarray:
+    """Net input [s, a] (then a time column t, when given) for one action (d,) or a batch (B, d).
+
+    `s` is None (a zero state), one state broadcast against every action, or a
+    batch with one row per action. Without state columns or a time, `a`
+    itself is returned.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    s = np.zeros(state_dim) if s is None else np.asarray(s, dtype=np.float64)
+    if s.shape[-1] != state_dim:
+        raise ValueError(f"state dimension {s.shape[-1]} != expected {state_dim}")
+    if s.ndim == 2 and a.ndim == 2 and s.shape[0] != a.shape[0]:
+        raise ValueError("state batch does not match action batch")
+    parts = [a]
+    if state_dim:
+        parts.insert(0, np.broadcast_to(s, a.shape[:-1] + (state_dim,)))
+    if t is not None:
+        parts.append(np.broadcast_to(np.asarray(t, dtype=np.float64), a.shape[:-1] + (1,)))
+    return np.concatenate(parts, axis=-1) if len(parts) > 1 else a
 
 
 @dataclass
@@ -30,16 +50,8 @@ class VelocityField:
         sizes = [state_dim + action_dim + 1, *hidden, action_dim]
         return cls(nets.DenseNet.create(sizes, activation, rng), state_dim, action_dim)
 
-    def assemble_input(self, t, s, a):
-        a = np.asarray(a, dtype=np.float64)
-        s = _match_state(s, a, self.state_dim)
-        if a.ndim == 1:
-            return np.concatenate([s, a, [float(t)]])
-        tt = np.full((a.shape[0], 1), float(t))
-        return np.concatenate([s, a, tt], axis=1)
-
     def __call__(self, t, s, a):
-        return nets.forward(self.net, self.assemble_input(t, s, a))
+        return nets.forward(self.net, state_action_input(s, a, self.state_dim, t))
 
     def clone(self):
         return VelocityField(self.net.clone(), self.state_dim, self.action_dim)
@@ -123,18 +135,6 @@ def gaussian_oracle_velocity(mu, sigma, t, a) -> np.ndarray:
     return (posterior - a) / (1.0 - t)
 
 
-class GaussianOracleField:
-    """gaussian_oracle_velocity wrapped with the (t, s, a) field call shape."""
-
-    def __init__(self, mu, sigma):
-        self.mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
-        self.sigma = float(sigma)
-        self.action_dim = self.mu.size
-
-    def __call__(self, t, s, a):
-        return gaussian_oracle_velocity(self.mu, self.sigma, t, a)
-
-
 def flow_matching_loss(field: VelocityField, states, actions, rng):
     """Sampled conditional flow-matching loss and its parameter gradients.
 
@@ -148,12 +148,11 @@ def flow_matching_loss(field: VelocityField, states, actions, rng):
     if not np.isfinite(actions).all():
         raise ValueError("actions must be finite")
     b, d = actions.shape
-    states = _match_state(states, actions, field.state_dim)
     t = rng.uniform(0.0, 1.0, size=(b, 1))
     x0 = rng.standard_normal((b, d))
     xt = (1.0 - t) * x0 + t * actions
     target = actions - x0
-    inp = np.concatenate([states, xt, t], axis=1)
+    inp = state_action_input(states, xt, field.state_dim, t)
     pred = nets.forward(field.net, inp)
     resid = pred - target
     loss = float(np.sum(resid * resid) / b)
@@ -184,7 +183,9 @@ def train_flow(policy: FlowPolicy, states, actions, config: FlowTrainConfig, rng
     n = actions.shape[0]
     if n == 0:
         raise ValueError("empty dataset")
-    states = _match_state(states, actions, policy.field.state_dim)
+    n_state = policy.field.state_dim
+    # one (N, n) state row per action, so minibatches can index states and actions alike
+    states = state_action_input(states, actions, n_state)[:, :n_state]
     net = policy.field.net
     adam = nets.AdamState.for_net(net, config.learning_rate)
     shadow = [p.copy() for p in net.parameters()] if config.ema_decay > 0 else None
@@ -207,24 +208,3 @@ def train_flow(policy: FlowPolicy, states, actions, config: FlowTrainConfig, rng
         for p, avg in zip(net.parameters(), shadow):
             p[:] = avg
     return curve
-
-
-def behavioral_dataset(mixture: GaussianMixture, count, rng):
-    """Stateless (s, a) pairs from a mixture target, for quick flow fitting."""
-    actions = mixture.sample(rng, count)
-    return np.zeros((count, 0)), actions
-
-
-def _match_state(s, a, state_dim):
-    """Broadcast a state vector/batch against an action vector/batch."""
-    a = np.asarray(a, dtype=np.float64)
-    if s is None:
-        s = np.zeros(state_dim)
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim == 1 and a.ndim == 2:
-        s = np.broadcast_to(s, (a.shape[0], state_dim)).copy() if state_dim else np.zeros((a.shape[0], 0))
-    if s.ndim == 2 and s.shape[0] != a.shape[0]:
-        raise ValueError("state batch does not match action batch")
-    if s.shape[-1] != state_dim:
-        raise ValueError(f"state dimension {s.shape[-1]} != expected {state_dim}")
-    return s

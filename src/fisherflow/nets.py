@@ -202,11 +202,15 @@ class AdamState:
 
 
 def adam_step(net: DenseNet, tape: GradientTape, state: AdamState):
-    """One Adam update in place; returns (net, state) for chaining."""
-    state.step += 1
-    t = state.step
+    """One Adam update in place; returns (net, state) for chaining.
+
+    Atomic: every new moment and parameter is computed and checked before
+    any is written, so a raise leaves the net and the state untouched.
+    """
+    t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     scale = state.learning_rate * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+    updates = []
     for params, grads, ms, vs in (
         (net.weights, tape.d_weights, state.m_w, state.v_w),
         (net.biases, tape.d_biases, state.m_b, state.v_b),
@@ -215,13 +219,15 @@ def adam_step(net: DenseNet, tape: GradientTape, state: AdamState):
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
             with np.errstate(invalid="ignore", over="ignore"):
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * g * g
-                p -= scale * m / (np.sqrt(v) + state.eps)
-            if not np.isfinite(p).all():
+                m_new = m * b1 + (1.0 - b1) * g
+                v_new = v * b2 + (1.0 - b2) * g * g
+                p_new = p - scale * m_new / (np.sqrt(v_new) + state.eps)
+            if not np.isfinite(p_new).all():
                 raise NumericError("non-finite parameter after optimizer step")
+            updates += [(m, m_new), (v, v_new), (p, p_new)]
+    for old, new in updates:
+        old[...] = new
+    state.step = t
     return net, state
 
 

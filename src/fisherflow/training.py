@@ -11,16 +11,17 @@ metric choice (fisher vs isotropic) that the ablations compare.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import nets
 from .errors import NumericError
-from .flow import FlowPolicy, FlowTrainConfig, VelocityField, flow_matching_loss, train_flow
-from .score import (batched_scores, damped_inverse_apply, fisher_matrix,
-                    fisher_penalty_batch, isotropic_metric)
-from .tasks import OfflineDataset, SyntheticTask
+from .flow import (FlowPolicy, FlowTrainConfig, VelocityField, flow_matching_loss,
+                   state_action_input, train_flow)
+from .score import batched_scores, damped_inverse_apply, fisher_penalty_batch
+from .tasks import OfflineDataset, SyntheticTask, make_task
 from .transport import TransportMap
 
 
@@ -28,6 +29,7 @@ from .transport import TransportMap
 class Critic:
     """Double critic with target-network trails (pessimistic min combiner)."""
 
+    state_dim: int
     online: tuple
     target: tuple
     adams: tuple
@@ -42,38 +44,30 @@ class Critic:
         online = tuple(nets.DenseNet.create(sizes, activation, rng) for _ in range(2))
         target = tuple(net.clone() for net in online)
         adams = tuple(nets.AdamState.for_net(net, learning_rate) for net in online)
-        return cls(online, target, adams, tau, gamma)
+        return cls(state_dim, online, target, adams, tau, gamma)
 
-    @staticmethod
-    def _stack(s, a):
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        if s is None or (hasattr(s, "shape") and np.asarray(s).shape[-1] == 0):
-            return a
-        s = np.asarray(s, dtype=np.float64)
-        if s.ndim == 1:
-            s = np.broadcast_to(s, (a.shape[0], s.shape[0]))
-        return np.concatenate([s, a], axis=1)
+    def net_input(self, s, a):
+        return state_action_input(s, np.atleast_2d(a), self.state_dim)
 
     def values(self, s, a):
         """Per-net online values, shape (2, B)."""
-        x = self._stack(s, a)
+        x = self.net_input(s, a)
         return np.stack([nets.forward(net, x)[:, 0] for net in self.online])
 
     def value(self, s, a):
         return self.values(s, a).min(axis=0)
 
     def target_values(self, s, a):
-        x = self._stack(s, a)
+        x = self.net_input(s, a)
         return np.stack([nets.forward(net, x)[:, 0] for net in self.target])
 
     def value_and_action_grad(self, s, a):
         """Pessimistic value and its gradient in the action (per sample)."""
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        x = self._stack(s, a)
+        x = self.net_input(s, a)
         outs = [nets.forward(net, x)[:, 0] for net in self.online]
-        n_state = x.shape[1] - a.shape[1]
         upstream = np.ones((x.shape[0], 1))
-        grads = [nets.backward(net, x, upstream).d_input[:, n_state:] for net in self.online]
+        grads = [nets.backward(net, x, upstream).d_input[:, self.state_dim:]
+                 for net in self.online]
         first_wins = (outs[0] <= outs[1])[:, None]
         return np.minimum(*outs), np.where(first_wins, grads[0], grads[1])
 
@@ -110,54 +104,20 @@ def dual_update(dual: DualState, constraint_value: float) -> DualState:
     return replace(dual, lam=lam)
 
 
-class FisherMetricSource:
-    """Per-sample rank-1 metric estimated from the flow's perturbed score."""
+def trust_region_penalty(velocity_field, metric="fisher", t_eps=0.8, normalize=True,
+                         damping=1e-3):
+    """penalty(s, base, delta) -> (values, delta-gradients) of 0.5 delta^T M delta per row.
 
-    def __init__(self, velocity_field, t_eps=0.8, normalize=True, damping=1e-3):
-        self.field = velocity_field
-        self.t_eps = float(t_eps)
-        self.normalize = bool(normalize)
-        self.damping = float(damping)
-
-    def penalty_and_grad(self, s, base_actions, deltas):
-        scores = batched_scores(self.field, s, base_actions, self.t_eps)
-        return fisher_penalty_batch(scores, deltas, self.normalize, self.damping)
-
-    def metric_at(self, s, a):
-        scores = batched_scores(self.field, s, np.atleast_2d(a), self.t_eps)
-        return fisher_matrix(scores[0], normalize=self.normalize, damping=self.damping)
-
-
-class IsotropicMetricSource:
-    """Identity metric: the L2 baseline arm with the same interfaces."""
-
-    def __init__(self, action_dim):
-        self.action_dim = int(action_dim)
-
-    def penalty_and_grad(self, s, base_actions, deltas):
-        deltas = np.atleast_2d(deltas)
-        return 0.5 * np.sum(deltas * deltas, axis=1), deltas.copy()
-
-    def metric_at(self, s, a):
-        return isotropic_metric(self.action_dim)
-
-
-class AnalyticQSource:
-    """Ground-truth landscape values and exact gradients from a synthetic task."""
-
-    def __init__(self, task: SyntheticTask):
-        self.task = task
-
-    def value_and_grad(self, s, a):
-        return self.task.q_value(s, a)
-
-
-class CriticQSource:
-    def __init__(self, critic: Critic):
-        self.critic = critic
-
-    def value_and_grad(self, s, a):
-        return self.critic.value_and_action_grad(s, a)
+    "fisher" takes M from the velocity field's perturbed score at the base
+    action. "isotropic" is the same form with zero scores and unit damping,
+    i.e. the L2 baseline 0.5 |delta|^2; negative-zero scores make its
+    gradient exactly delta, signed zeros included.
+    """
+    if metric == "isotropic":
+        return lambda s, base, delta: fisher_penalty_batch(
+            np.full_like(delta, -0.0), delta, normalize=False, damping=1.0)
+    return lambda s, base, delta: fisher_penalty_batch(
+        batched_scores(velocity_field, s, base, t_eps), delta, normalize, damping)
 
 
 @dataclass(frozen=True)
@@ -167,14 +127,17 @@ class ActorStats:
     constraint: float
 
 
-def actor_update(tmap: TransportMap, q_source, metric_source, dual: DualState,
+def actor_update(tmap: TransportMap, q_fn, penalty_fn, dual: DualState,
                  states, rng, adam: nets.AdamState, q_normalization=True,
                  grad_clip=5.0) -> ActorStats:
     """One ascent step on the residual net against the Lagrangian.
 
-    The base action comes from the frozen flow (no gradients reach the
-    velocity field); the metric is evaluated at the base action. Q values
-    are normalized by their batch mean absolute value when enabled.
+    `q_fn(s, a)` returns Q values and their action gradients (a task's
+    q_value or a critic's value_and_action_grad); `penalty_fn(s, base,
+    delta)` is a trust_region_penalty. The base action comes from the frozen
+    flow (no gradients reach the velocity field); the metric is evaluated at
+    the base action. Q values are normalized by their batch mean absolute
+    value when enabled.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     b = states.shape[0]
@@ -183,10 +146,10 @@ def actor_update(tmap: TransportMap, q_source, metric_source, dual: DualState,
     base = tmap.base_policy.sample(states, z)
     delta = tmap.residual(states, base)
     refined = base + delta
-    q, dq = q_source.value_and_grad(states, refined)
+    q, dq = q_fn(states, refined)
     q = np.atleast_1d(q)
     scale = 1.0 / max(float(np.mean(np.abs(q))), 1e-8) if q_normalization else 1.0
-    pen, pen_grad = metric_source.penalty_and_grad(states, base, delta)
+    pen, pen_grad = penalty_fn(states, base, delta)
     constraint = float(pen.mean())
     objective = scale * float(q.mean()) - dual.lam * (constraint - dual.epsilon)
     # ascent on the objective = descent on its negation
@@ -214,7 +177,7 @@ def critic_update(critic: Critic, tmap: TransportMap, batch, rng, grad_clip=5.0)
         target = rewards
     if not np.isfinite(target).all():
         raise NumericError("non-finite TD target")
-    x = critic._stack(states, actions)
+    x = critic.net_input(states, actions)
     total = 0.0
     for net, adam in zip(critic.online, critic.adams):
         pred = nets.forward(net, x)[:, 0]
@@ -227,12 +190,12 @@ def critic_update(critic: Critic, tmap: TransportMap, batch, rng, grad_clip=5.0)
     return total / 2.0
 
 
-def closed_form_refine(q_source, metric, dual, s, a) -> np.ndarray:
-    """Pointwise natural-gradient displacement (1/lambda) M^-1 grad_a Q."""
+def closed_form_refine(q_fn, metric, dual, s, a) -> np.ndarray:
+    """Pointwise natural-gradient displacement (1/lambda) M^-1 grad_a Q; q_fn(s, a) -> (Q, grad)."""
     lam = dual.lam if isinstance(dual, DualState) else float(dual)
     if lam <= 0.0:
         raise ValueError("closed-form refinement requires lambda > 0")
-    _, grad = q_source.value_and_grad(s, np.asarray(a, dtype=np.float64))
+    _, grad = q_fn(s, np.asarray(a, dtype=np.float64))
     grad = np.atleast_2d(grad)[0]
     return damped_inverse_apply(metric, grad) / lam
 
@@ -337,6 +300,37 @@ class RunResult:
     flow_loss_curve: np.ndarray | None = field(repr=False, default=None)
 
 
+def save_checkpoint(result: RunResult, task_name, path):
+    payload = {
+        "format_version": nets.CHECKPOINT_FORMAT_VERSION,
+        "task": task_name,
+        "flow_net": result.policy.field.net.to_dict(),
+        "flow_integration_steps": result.policy.steps,
+        "residual_net": result.transport_map.residual_net.to_dict(),
+        "max_displacement": result.transport_map.max_displacement,
+        "critic_nets": [n.to_dict() for n in result.critic.online] if result.critic else None,
+        "dual": {"lam": result.dual.lam, "epsilon": result.dual.epsilon,
+                 "eta": result.dual.eta, "use_log": result.dual.use_log},
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
+def load_checkpoint(path):
+    """(task, transport map) of a checkpoint written by save_checkpoint."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    if payload.get("format_version") != nets.CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
+    task = make_task(payload["task"])
+    flow_net = nets.DenseNet.from_dict(payload["flow_net"])
+    field = VelocityField(flow_net, task.state_dim, task.action_dim)
+    policy = FlowPolicy(field, steps=payload["flow_integration_steps"])
+    tmap = TransportMap(nets.DenseNet.from_dict(payload["residual_net"]), policy,
+                        payload["max_displacement"])
+    return task, tmap
+
+
 def evaluate_policy(tmap: TransportMap, task: SyntheticTask, count, rng):
     """Ground-truth mean landscape value of refined and base samples."""
     states = task.sample_states(rng, count)
@@ -375,16 +369,13 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
 
     critic = None
     if config.analytic_q:
-        q_source = AnalyticQSource(task)
+        q_fn = task.q_value
     else:
         critic = Critic.create(n, d, config.hidden, config.learning_rate,
                                config.tau, gamma, config.activation, rng_critic)
-        q_source = CriticQSource(critic)
-    if config.metric == "fisher":
-        metric_source = FisherMetricSource(policy.field, config.t_eps,
-                                           config.normalize_metric, config.damping)
-    else:
-        metric_source = IsotropicMetricSource(d)
+        q_fn = critic.value_and_action_grad
+    penalty_fn = trust_region_penalty(policy.field, config.metric, config.t_eps,
+                                      config.normalize_metric, config.damping)
     dual = DualState(config.lambda_init, config.epsilon, config.eta, config.dual_log)
     actor_adam = nets.AdamState.for_net(tmap.residual_net, config.learning_rate)
     flow_adam = nets.AdamState.for_net(policy.field.net, config.learning_rate)
@@ -407,7 +398,7 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
                 nets.clip_gradients(tape, config.grad_clip)
                 nets.adam_step(policy.field.net, tape, flow_adam)
                 flow_loss = loss
-            stats = actor_update(tmap, q_source, metric_source, dual, states, rng_loop,
+            stats = actor_update(tmap, q_fn, penalty_fn, dual, states, rng_loop,
                                  actor_adam, config.q_normalization, config.grad_clip)
             dual = dual_update(dual, stats.constraint)
         except NumericError as exc:

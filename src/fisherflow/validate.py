@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from . import nets
 from .densities import GaussianMixture, OracleVelocityField
-from .flow import GaussianOracleField
+from .flow import FlowPolicy, VelocityField
 from .score import batched_scores, fisher_matrix, optimal_epsilon, perturbation_total_error
 from .training import optimality_gap
-from .transport import GridSpec, expected_quadratic_penalty, kl_quadrature_oracle
+from .transport import (GridSpec, TransportMap, expected_quadratic_penalty,
+                        kl_quadrature_oracle, log_det_inverse_approx)
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,16 @@ def suite_score_identity() -> Outcome:
         est = batched_scores(field, None, grid, t_eps)
         exact = mix.marginal(t_eps).score(grid)
         worst = max(worst, float(np.max(np.abs(est - exact) / np.maximum(np.abs(exact), 1e-12))))
-    point = batched_scores(GaussianOracleField([0.0], 1.0), None, np.array([[1.0]]), 0.5)[0, 0]
+    standard = OracleVelocityField(GaussianMixture.single([0.0], 1.0))
+    point = batched_scores(standard, None, np.array([[1.0]]), 0.5)[0, 0]
     ok = worst < 1e-10 and abs(point + 2.0) < 1e-12
     return Outcome(ok, f"max rel err {worst:.2e}; N(0,1) t=0.5 a=1 score {point:+.12f}")
+
+
+def contraction_coefficient(mix, a, h=1e-6) -> float:
+    """First-order mean-contraction error term s(a) + s'(a) a of a 1-D mixture's score."""
+    s = lambda x: float(mix.score(np.array([x]))[0])
+    return s(a) + (s(a + h) - s(a - h)) / (2 * h) * a
 
 
 def rate_probe_point(mix=RATE_MIXTURE) -> float:
@@ -54,11 +63,7 @@ def rate_probe_point(mix=RATE_MIXTURE) -> float:
     masks the quadratic smoothing rate, so the rate is measured where its
     coefficient s(a) + s'(a) a crosses zero.
     """
-    def coeff(a, h=1e-6):
-        s = lambda x: float(mix.score(np.array([x]))[0])
-        return s(a) + (s(a + h) - s(a - h)) / (2 * h) * a
-
-    return float(brentq(coeff, -0.8, -0.3, xtol=1e-13))
+    return float(brentq(lambda a: contraction_coefficient(mix, a), -0.8, -0.3, xtol=1e-13))
 
 
 def suite_perturbation_rate() -> Outcome:
@@ -93,13 +98,17 @@ def suite_kl_quadrature() -> Outcome:
                        f"{abs(quad - kl_mix) / kl_mix:.2%}")
 
 
+def linear_residual_map(c) -> TransportMap:
+    """Stateless 2-D transport map with displacement c * a (the cap is far away)."""
+    net = nets.DenseNet([2, 2], [c * np.eye(2)], [np.zeros(2)], "gelu")
+    policy = FlowPolicy(VelocityField.create(0, 2, hidden=(4,), rng=0), steps=2)
+    return TransportMap(net, policy, max_displacement=1e6)
+
+
 def suite_determinant_expansion() -> Outcome:
     """First-order inverse-determinant expansion has a quadratically small gap."""
-    gaps = []
-    for c in (0.01, 0.005):
-        exact = (1.0 + c) ** -2
-        approx = 1.0 - 2.0 * c
-        gaps.append(abs(exact - approx))
+    gaps = [log_det_inverse_approx(linear_residual_map(c), None, np.zeros(2)).gap
+            for c in (0.01, 0.005)]
     ok = gaps[0] < 3e-4 and gaps[0] / gaps[1] >= 3.5
     return Outcome(ok, f"gap at c=0.01: {gaps[0]:.2e}, halving ratio {gaps[0]/gaps[1]:.2f}")
 

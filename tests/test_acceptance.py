@@ -8,11 +8,11 @@ criteria (7-9) train real runs and dominate the wall time; run
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from fisherflow import flow, score, tasks, training, transport
 from fisherflow.densities import GaussianMixture, OracleVelocityField
-from fisherflow.flow import GaussianOracleField
+from fisherflow.validate import (OVERLAP_MIXTURE, RATE_MIXTURE, linear_residual_map,
+                                 rate_probe_point)
 
 from helpers import loglog_slope
 
@@ -41,7 +41,7 @@ def bimodal_config(seed, metric="fisher", t_eps=0.8, **kw):
 # -- criterion 1: score-identity exactness ------------------------------------
 
 def test_criterion_1_score_identity_exactness():
-    field = GaussianOracleField([0.0], 1.0)
+    field = OracleVelocityField(GaussianMixture.single([0.0], 1.0))
     t_eps = 0.5
     grid = np.linspace(-3.0, 3.0, 61)[:, None]
     grid = grid[np.abs(grid[:, 0]) > 1e-9]  # exclude the origin where both vanish
@@ -57,21 +57,13 @@ def test_criterion_1_score_identity_exactness():
 
 # -- criterion 2: second-order perturbation rate ------------------------------
 
-RATE_MIXTURE = GaussianMixture([0.4, 0.6], [[-1.0], [1.2]], [[0.55**2], [0.7**2]])
-
-
 def test_criterion_2_second_order_perturbation_rate():
     # The rate is probed where the first-order mean-contraction term
     # s(a) + s'(a) a of the exact time-(1-eps) marginal vanishes, which
     # isolates the quadratic smoothing error the bound describes; the
     # curvature constant grad(lap pi / pi) must be nonzero there.
     mix = RATE_MIXTURE
-
-    def contraction(a, h=1e-6):
-        s = lambda x: float(mix.score(np.array([x]))[0])
-        return s(a) + (s(a + h) - s(a - h)) / (2 * h) * a
-
-    probe = brentq(contraction, -0.8, -0.3, xtol=1e-13)
+    probe = rate_probe_point(mix)
     p = lambda x: float(mix.density(np.array([x])))
     h = 1e-4
     lap_over_p = lambda x: (p(x + h) - 2 * p(x) + p(x - h)) / (h * h * p(x))
@@ -95,9 +87,6 @@ def test_criterion_2_second_order_perturbation_rate():
 
 
 # -- criterion 3: KL quadratic form vs quadrature oracle ----------------------
-
-OVERLAP_MIXTURE = GaussianMixture([0.5, 0.5], [[-1.0], [1.0]], [[0.36], [0.36]])
-
 
 def test_criterion_3_kl_quadratic_vs_quadrature():
     gauss = GaussianMixture.single([0.0], 1.0)
@@ -137,16 +126,9 @@ def test_criterion_3_kl_quadratic_vs_quadrature():
 # -- criterion 4: determinant expansion ----------------------------------------
 
 def test_criterion_4_determinant_expansion():
-    def linear_map(c):
-        net_w = c * np.eye(2)
-        from fisherflow import nets
-        net = nets.DenseNet([2, 2], [net_w], [np.zeros(2)], "gelu")
-        policy = flow.FlowPolicy(flow.VelocityField.create(0, 2, hidden=(4,), rng=0), steps=2)
-        return transport.TransportMap(net, policy, max_displacement=1e6)
-
-    res = transport.log_det_inverse_approx(linear_map(0.01), None, np.zeros(2))
+    res = transport.log_det_inverse_approx(linear_residual_map(0.01), None, np.zeros(2))
     assert res.gap < 3e-4
-    res_half = transport.log_det_inverse_approx(linear_map(0.005), None, np.zeros(2))
+    res_half = transport.log_det_inverse_approx(linear_residual_map(0.005), None, np.zeros(2))
     ratio = res.gap / res_half.gap
     assert ratio >= 3.5
     report(f"criterion 4 (determinant expansion): gap {res.gap:.3e} at c=0.01, "
@@ -318,9 +300,9 @@ def test_criterion_10_gradient_hygiene(bimodal_dataset):
     snapshot = [p.tobytes() for p in field.net.parameters()]
     adam = nets.AdamState.for_net(tmap.residual_net)
     for _ in range(10):
-        training.actor_update(tmap, training.AnalyticQSource(BIMODAL),
-                              training.FisherMetricSource(field), training.DualState(),
-                              bimodal_dataset.states[:64], np.random.default_rng(5), adam)
+        training.actor_update(tmap, BIMODAL.q_value, training.trust_region_penalty(field),
+                              training.DualState(), bimodal_dataset.states[:64],
+                              np.random.default_rng(5), adam)
     assert [p.tobytes() for p in field.net.parameters()] == snapshot
     report(f"criterion 10 (gradient hygiene): net FD {worst_net:.2e} (<1e-3), "
            f"score FD {worst_score:.2e} (<1e-4), q FD {worst_q:.2e} (<1e-6), "

@@ -97,6 +97,13 @@ def test_validate_unknown_suite_usage_error():
     assert run_cli("validate", "--suite", "bogus") == 2
 
 
+def test_seed_and_seeds_together_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run_cli("train", "--seed", "4", "--seeds", "0,1", "--out", str(out)) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_plots_requires_run_dir(tmp_path):
     assert run_cli("export-plots", "--run", str(tmp_path / "missing")) == 2
 

@@ -193,6 +193,25 @@ def test_adam_raises_on_nonfinite_parameters():
         nets.adam_step(net, tape, state)
 
 
+def test_adam_failure_leaves_net_and_state_untouched():
+    rng = np.random.default_rng(7)
+    net = nets.DenseNet.create([3, 4, 2], rng=rng)
+    state = nets.AdamState.for_net(net, learning_rate=1e-2)
+    nets.adam_step(net, nets.backward(net, rng.standard_normal((5, 3)),
+                                      rng.standard_normal((5, 2))), state)
+    tape = nets.backward(net, rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+    tape.d_weights[1][0, 0] = np.inf  # a later layer: weights[0] would already be updated
+
+    def snapshot():
+        arrays = net.parameters() + state.m_w + state.v_w + state.m_b + state.v_b
+        return [a.tobytes() for a in arrays], state.step
+
+    before = snapshot()
+    with pytest.raises(NumericError):
+        nets.adam_step(net, tape, state)
+    assert snapshot() == before
+
+
 def test_checkpoint_roundtrip(tmp_path):
     net = nets.DenseNet.create([3, 8, 2], activation="relu", rng=6)
     path = tmp_path / "net.json"

@@ -1,0 +1,130 @@
+"""Property tests for equivalences the library relies on.
+
+Each one pins a merged or simplified path to the form it replaced, inlined
+here as the reference.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fisherflow import flow, training, transport
+from fisherflow.config import RunConfig, parse_config_text
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# --- isotropic penalty -------------------------------------------------------
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)), elements=finite))
+@example(np.array([[-0.0, 1.0], [-0.0, -0.0], [0.0, -0.0], [-2.0, 0.0]]))
+def test_isotropic_penalty_is_half_squared_norm_bit_for_bit(delta):
+    with np.errstate(over="ignore"):
+        values, grads = training.trust_region_penalty(None, "isotropic")(None, delta, delta)
+        # the L2 arm as a formula: 0.5 |delta|^2 with gradient delta
+        expected = 0.5 * np.sum(delta * delta, axis=1)
+    assert values.tobytes() == expected.tobytes()
+    assert grads.tobytes() == delta.tobytes()
+
+
+# --- divergence ----------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), state_dim=st.integers(0, 2))
+def test_vjp_divergence_is_jacobian_trace_and_matches_fd(seed, d, state_dim):
+    rng = np.random.default_rng(seed)
+    policy = flow.FlowPolicy(flow.VelocityField.create(state_dim, d, hidden=(4,), rng=rng))
+    tmap = transport.TransportMap.create(state_dim, d, policy, hidden=(8, 8), rng=rng)
+    last = tmap.residual_net.weights[-1]
+    last[:] = 0.5 * rng.standard_normal(last.shape)
+    s = rng.standard_normal(state_dim) if state_dim else None
+    a = rng.standard_normal(d)
+    vjp = transport.divergence(tmap, s, a, "vjp")
+    assert vjp == float(np.trace(transport.displacement_jacobian(tmap, s, a)))
+    assert abs(vjp - transport.divergence(tmap, s, a, "fd")) < 1e-4
+
+
+# --- state/action input builder ---------------------------------------------------
+
+def _match_state_reference(s, a, state_dim):
+    a = np.asarray(a, dtype=np.float64)
+    if s is None:
+        s = np.zeros(state_dim)
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim == 1 and a.ndim == 2:
+        s = (np.broadcast_to(s, (a.shape[0], state_dim)).copy() if state_dim
+             else np.zeros((a.shape[0], 0)))
+    return s
+
+
+def _velocity_input_reference(t, s, a, state_dim):
+    a = np.asarray(a, dtype=np.float64)
+    s = _match_state_reference(s, a, state_dim)
+    if a.ndim == 1:
+        return np.concatenate([s, a, [float(t)]])
+    return np.concatenate([s, a, np.full((a.shape[0], 1), float(t))], axis=1)
+
+
+def _transport_input_reference(s, a, state_dim):
+    a = np.asarray(a, dtype=np.float64)
+    return np.concatenate([_match_state_reference(s, a, state_dim), a], axis=-1)
+
+
+def _critic_input_reference(s, a):
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    if s is None or np.asarray(s).shape[-1] == 0:
+        return a
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim == 1:
+        s = np.broadcast_to(s, (a.shape[0], s.shape[0]))
+    return np.concatenate([s, a], axis=1)
+
+
+def _same(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1), state_dim=st.integers(0, 3), d=st.integers(1, 3),
+       rows=st.none() | st.integers(1, 5), state=st.sampled_from(["none", "single", "batch"]),
+       t=st.floats(0.0, 1.0))
+def test_state_action_input_matches_former_concatenations(seed, state_dim, d, rows, state, t):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(d if rows is None else (rows, d))
+    if state == "batch" and rows is None:
+        state = "single"
+    s = {"none": None,
+         "single": rng.standard_normal(state_dim),
+         "batch": rng.standard_normal((rows or 1, state_dim))}[state]
+    assert _same(flow.state_action_input(s, a, state_dim, t),
+                 _velocity_input_reference(t, s, a, state_dim))
+    assert _same(flow.state_action_input(s, a, state_dim),
+                 _transport_input_reference(s, a, state_dim))
+    if s is not None or state_dim == 0:  # the critic never ran on a missing nonempty state
+        assert _same(flow.state_action_input(s, np.atleast_2d(a), state_dim),
+                     _critic_input_reference(s, a))
+
+
+# --- config text -------------------------------------------------------------------
+
+words = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=12)
+paths = st.text("abc/._-0123456789", max_size=12)
+
+run_configs = st.builds(
+    RunConfig, task=words, out=paths, seeds=st.lists(st.integers(-5, 2**31), max_size=4),
+    data_size=st.integers(0, 10**6), data_seed=st.integers(0, 2**31),
+    data_mode=st.sampled_from(["bandit", "chain"]), data_noise=finite, data_file=paths,
+    sweep_t_eps=st.lists(finite, max_size=4),
+    train=st.builds(
+        training.RefineConfig, seed=st.integers(0, 2**31), steps=st.integers(0, 10**5),
+        hidden=st.lists(st.integers(1, 512), min_size=1, max_size=3).map(tuple),
+        activation=st.sampled_from(["gelu", "relu", "tanh"]),
+        metric=st.sampled_from(["fisher", "isotropic"]), t_eps=finite,
+        normalize_metric=st.booleans(), damping=finite, dual_log=st.booleans(),
+        mode=st.sampled_from(["bandit", "td"]), analytic_q=st.booleans()))
+
+
+@given(run_configs)
+def test_run_config_text_roundtrips_bytes(cfg):
+    text = cfg.to_text()
+    assert RunConfig.from_entries(parse_config_text(text)).to_text() == text

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from fisherflow import score
 from fisherflow.densities import GaussianMixture, OracleVelocityField
 from fisherflow.errors import NumericError
-from fisherflow.flow import GaussianOracleField
+from fisherflow.validate import RATE_MIXTURE, contraction_coefficient, rate_probe_point
 
 from helpers import loglog_slope
 
 
 def test_perturbed_score_gaussian_oracle_exact():
     # N(0,1) target, t = 0.5: marginal is N(0, 0.5), score at a=1 is exactly -2
-    field = GaussianOracleField([0.0], 1.0)
+    field = OracleVelocityField(GaussianMixture.single([0.0], 1.0))
     est = score.perturbed_score(field, None, np.array([1.0]), t_eps=0.5)
     assert abs(est.score[0] + 2.0) < 1e-12
     assert est.t_eps == 0.5
@@ -28,14 +27,14 @@ def test_perturbed_score_zero_when_tv_equals_a():
 
 
 def test_perturbed_score_rejects_degenerate_time():
-    field = GaussianOracleField([0.0], 1.0)
+    field = OracleVelocityField(GaussianMixture.single([0.0], 1.0))
     for bad in (1.0, 1.5, 0.0, -0.2):
         with pytest.raises(ValueError):
             score.perturbed_score(field, None, np.array([0.0]), t_eps=bad)
 
 
 def test_perturbed_score_grid_matches_marginal_score():
-    mix = GaussianMixture([0.4, 0.6], [[-1.0], [1.2]], [[0.55**2], [0.7**2]])
+    mix = RATE_MIXTURE
     field = OracleVelocityField(mix)
     for t_eps in (0.5, 0.8, 0.95):
         marg = mix.marginal(t_eps)
@@ -209,19 +208,12 @@ def test_perturbed_score_from_trained_field_tracks_exact_marginal():
 
 # --- perturbation-rate studies on exact mixture marginals -------------------
 
-RATE_MIXTURE = GaussianMixture([0.4, 0.6], [[-1.0], [1.2]], [[0.55**2], [0.7**2]])
 EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
 
 
 def marginal_score_error(mix, a, eps):
     a = np.atleast_1d(a)
     return float(np.linalg.norm(mix.marginal_score(1.0 - eps, a) - mix.score(a)))
-
-
-def contraction_coefficient(mix, a, h=1e-6):
-    """Leading first-order error term s1(a) + s1'(a) a of the raw fixed-point error."""
-    s = lambda x: float(mix.score(np.array([x]))[0])
-    return s(a) + (s(a + h) - s(a - h)) / (2 * h) * a
 
 
 def grad_curvature_ratio(mix, a, h=1e-4):
@@ -240,7 +232,7 @@ def test_raw_score_error_is_first_order_at_generic_points():
 
 
 def test_second_order_rate_where_contraction_term_vanishes():
-    root = brentq(lambda x: contraction_coefficient(RATE_MIXTURE, x), -0.8, -0.3, xtol=1e-13)
+    root = rate_probe_point(RATE_MIXTURE)
     assert abs(contraction_coefficient(RATE_MIXTURE, root)) < 1e-9
     assert abs(grad_curvature_ratio(RATE_MIXTURE, root)) > 1.0
     errs = [marginal_score_error(RATE_MIXTURE, root, e) for e in EPS_LADDER]

@@ -65,36 +65,24 @@ def test_dual_state_validation():
 
 def test_closed_form_refine_isotropic():
     metric = score.isotropic_metric(2)
-
-    class Grad:
-        def value_and_grad(self, s, a):
-            return 0.0, np.array([1.0, 0.0])
-
-    out = training.closed_form_refine(Grad(), metric, 2.0, None, np.zeros(2))
+    q_fn = lambda s, a: (0.0, np.array([1.0, 0.0]))
+    out = training.closed_form_refine(q_fn, metric, 2.0, None, np.zeros(2))
     np.testing.assert_allclose(out, [0.5, 0.0], rtol=1e-12)
 
 
 def test_closed_form_refine_sherman_morrison_case():
     s = np.array([1.0, 0.0])
     metric = score.fisher_matrix(s, damping=1.0)
-
-    class Grad:
-        def value_and_grad(self, _, a):
-            return 0.0, s
-
-    out = training.closed_form_refine(Grad(), metric, training.DualState(lam=1.0), None, np.zeros(2))
+    q_fn = lambda _, a: (0.0, s)
+    out = training.closed_form_refine(q_fn, metric, training.DualState(lam=1.0), None, np.zeros(2))
     np.testing.assert_allclose(out, s / 2.0, rtol=1e-12)
 
 
 def test_closed_form_refine_rejects_zero_lambda():
     metric = score.isotropic_metric(2)
-
-    class Grad:
-        def value_and_grad(self, s, a):
-            return 0.0, np.ones(2)
-
+    q_fn = lambda s, a: (0.0, np.ones(2))
     with pytest.raises(ValueError):
-        training.closed_form_refine(Grad(), metric, 0.0, None, np.zeros(2))
+        training.closed_form_refine(q_fn, metric, 0.0, None, np.zeros(2))
 
 
 def test_closed_form_matches_iterated_update_on_quadratic_surrogates():
@@ -237,9 +225,9 @@ def test_actor_update_leaves_flow_parameters_bit_identical(bimodal_setup):
     tmap = transport_map(policy, 0, 2, seed=13)
     snapshot = [p.tobytes() for p in field.net.parameters()]
     adam = nets.AdamState.for_net(tmap.residual_net)
-    metric = training.FisherMetricSource(field)
+    penalty = training.trust_region_penalty(field)
     for _ in range(5):
-        training.actor_update(tmap, training.AnalyticQSource(task), metric,
+        training.actor_update(tmap, task.q_value, penalty,
                               training.DualState(), dataset.states[:64],
                               np.random.default_rng(14), adam)
     assert [p.tobytes() for p in field.net.parameters()] == snapshot
@@ -253,36 +241,35 @@ def test_actor_update_huge_lambda_drives_penalty_to_zero(bimodal_setup):
     # give the residual something to unlearn
     tmap.residual_net.weights[-1][:] = 0.3
     adam = nets.AdamState.for_net(tmap.residual_net, 3e-3)
-    metric = training.FisherMetricSource(field)
+    penalty = training.trust_region_penalty(field)
     dual = training.DualState(lam=1e6, epsilon=0.1)
     rng = np.random.default_rng(17)
     for _ in range(1000):
-        stats = training.actor_update(tmap, training.AnalyticQSource(task), metric,
+        stats = training.actor_update(tmap, task.q_value, penalty,
                                       dual, dataset.states[:64], rng, adam)
     assert stats.constraint < 1e-3
 
 
 def test_actor_update_zero_lambda_ascends_quadratic_value():
     # analytic concave Q: one unconstrained ascent step increases mean Q
-    class QuadraticQ:
-        def value_and_grad(self, s, a):
-            a = np.atleast_2d(a)
-            return -np.sum(a * a, axis=1), -2.0 * a
+    def quadratic_q(s, a):
+        a = np.atleast_2d(a)
+        return -np.sum(a * a, axis=1), -2.0 * a
 
     field = flow.VelocityField.create(0, 2, hidden=(16, 16), rng=18)
     policy = flow.FlowPolicy(field, steps=5)
     tmap = transport_map(policy, 0, 2, seed=19)
-    metric = training.IsotropicMetricSource(2)
+    penalty = training.trust_region_penalty(field, "isotropic")
     dual = training.DualState(lam=0.0, epsilon=0.1)
     adam = nets.AdamState.for_net(tmap.residual_net, 1e-3)
     states = np.zeros((128, 0))
     rng = np.random.default_rng(20)
-    q0 = training.actor_update(tmap, QuadraticQ(), metric, dual, states,
+    q0 = training.actor_update(tmap, quadratic_q, penalty, dual, states,
                                np.random.default_rng(21), adam, q_normalization=False).mean_q
     for _ in range(200):
-        training.actor_update(tmap, QuadraticQ(), metric, dual, states,
+        training.actor_update(tmap, quadratic_q, penalty, dual, states,
                               np.random.default_rng(21), adam, q_normalization=False)
-    q1 = training.actor_update(tmap, QuadraticQ(), metric, dual, states,
+    q1 = training.actor_update(tmap, quadratic_q, penalty, dual, states,
                                np.random.default_rng(21), adam, q_normalization=False).mean_q
     assert q1 > q0
 

@@ -4,6 +4,7 @@ import pytest
 from fisherflow import flow, nets, transport
 from fisherflow.densities import GaussianMixture
 from fisherflow.errors import ConvergenceError
+from fisherflow.validate import OVERLAP_MIXTURE
 
 from helpers import loglog_slope
 
@@ -188,7 +189,6 @@ def test_inversion_recovers_preimages():
     np.testing.assert_allclose(pre, targets - np.array([0.2, -0.3]), atol=1e-10)
 
 
-OVERLAP_MIXTURE = GaussianMixture([0.5, 0.5], [[-1.0], [1.0]], [[0.36], [0.36]])
 SEPARATED_MIXTURE = GaussianMixture([0.5, 0.5], [[-2.0], [2.0]], [[0.09], [0.09]])
 
 
