@@ -1,7 +1,7 @@
 """End-to-end refinement: anisotropic vs isotropic trust regions.
 
-Trains the behavioral flow on an asymmetric two-mode task, then refines it
-twice with identical seeds and budgets: once under the Fisher (score
+Trains the behavioral flow on an asymmetric two-mode task once, then refines
+it twice with identical seeds, budgets and base actions: once under the Fisher (score
 outer-product) metric and once under the isotropic identity metric. The
 anisotropic arm moves mass along the support toward value and leaves the
 low-density corridor alone; the isotropic arm pays the same price in every
@@ -10,6 +10,8 @@ direction and lands lower.
 Takes a few minutes. Run:  python3 demos/04_policy_refinement.py
 """
 
+from dataclasses import replace
+
 from fisherflow import tasks, training, transport
 
 task = tasks.make_task("bimodal_asymmetric")
@@ -17,11 +19,13 @@ dataset = tasks.make_dataset(task, 8192, seed=100)
 print(f"task: two modes at (-2, 0) / (+2, 0), value favors the right mode,")
 print(f"      a low-value saddle sits in the corridor between them")
 
+cfg = training.RefineConfig(seed=0, steps=2500, flow_steps=1500, epsilon=0.1, eta=0.2,
+                            log_interval=500)
+# both arms replay one base stream: the same pretrained flow and base actions
+stream = training.BaseStream.record(cfg, dataset, task)
 results = {}
 for metric in ("fisher", "isotropic"):
-    cfg = training.RefineConfig(seed=0, metric=metric, steps=2500, flow_steps=1500,
-                                epsilon=0.1, eta=0.2, log_interval=500)
-    res = training.run_refinement(cfg, dataset, task)
+    res = training.run_refinement(replace(cfg, metric=metric), dataset, task, base=stream)
     results[metric] = res
     print(f"\n{metric} arm:")
     print(f"  base policy value    {res.final['mean_base_value']:.4f}")

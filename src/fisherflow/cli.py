@@ -86,9 +86,17 @@ def load_run_config(args) -> RunConfig:
         overrides["seeds"] = args.seeds
     if args.seed is not None:
         overrides["seeds"] = str(args.seed)
-    if args.config:
-        return RunConfig.load(args.config, overrides)
-    return RunConfig.from_entries(overrides)
+    cfg = RunConfig.load(args.config, overrides) if args.config else RunConfig.from_entries(overrides)
+    if not cfg.seeds:
+        raise ValueError("no seeds given")
+    return cfg
+
+
+def check_fisher_t_eps(values):
+    """Every perturbed time the fisher metric will run at must lie inside (0, 1)."""
+    bad = [t for t in values if not 0.0 < t < 1.0]
+    if bad:
+        raise ValueError(f"t_eps must lie strictly inside (0, 1), got {', '.join(map(repr, bad))}")
 
 
 def resolve_dataset(cfg: RunConfig, task):
@@ -148,9 +156,16 @@ def _aggregate(rows, key_fields):
     return out
 
 
-def _run_one(cfg: RunConfig, task, dataset, seed, **train_overrides):
-    train = replace(cfg.train, seed=int(seed), **train_overrides)
-    return training.run_refinement(train, dataset, task)
+def _run_arms(cfg: RunConfig, task, dataset, seed, arms):
+    """Yield one run per arm (training overrides) of one seed, in order.
+
+    Analytic-Q arms replay one base stream recorded for the seed; learned-
+    critic arms sample live.
+    """
+    train = replace(cfg.train, seed=int(seed))
+    base = training.BaseStream.record(train, dataset, task) if train.analytic_q else None
+    for overrides in arms:
+        yield training.run_refinement(replace(train, **overrides), dataset, task, base=base)
 
 
 def _prepare_out(cfg: RunConfig, default_name) -> Path:
@@ -163,11 +178,12 @@ def _prepare_out(cfg: RunConfig, default_name) -> Path:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args)
+    check_fisher_t_eps([cfg.train.t_eps] if cfg.train.metric == "fisher" else [])
     task = tasks.make_task(cfg.task)
     dataset = resolve_dataset(cfg, task)
     out = _prepare_out(cfg, "run")
     seed = cfg.seeds[0]
-    result = _run_one(cfg, task, dataset, seed)
+    [result] = _run_arms(cfg, task, dataset, seed, [{}])
     with open(out / "metrics.jsonl", "w") as fh:
         for row in result.log:
             fh.write(json.dumps(row) + "\n")
@@ -185,15 +201,18 @@ def cmd_train(args) -> int:
 
 def cmd_sweep_teps(args) -> int:
     cfg = load_run_config(args)
+    check_fisher_t_eps(cfg.sweep_t_eps)
     task = tasks.make_task(cfg.task)
     dataset = resolve_dataset(cfg, task)
     out = _prepare_out(cfg, "sweep_teps")
-    rows = []
-    for t_eps in cfg.sweep_t_eps:
-        for seed in cfg.seeds:
-            result = _run_one(cfg, task, dataset, seed, t_eps=float(t_eps), metric="fisher")
-            rows.append(report_row(f"teps_{t_eps:g}", seed, "fisher", t_eps, result.final))
-            print(f"t_eps={t_eps:g} seed={seed}: {rows[-1]['mean_refined_value']:.4f}")
+    done = {}
+    for seed in cfg.seeds:
+        arms = [dict(t_eps=float(t_eps), metric="fisher") for t_eps in cfg.sweep_t_eps]
+        for t_eps, result in zip(cfg.sweep_t_eps, _run_arms(cfg, task, dataset, seed, arms)):
+            done[t_eps, seed] = report_row(f"teps_{t_eps:g}", seed, "fisher", t_eps, result.final)
+            print(f"t_eps={t_eps:g} seed={seed}: {done[t_eps, seed]['mean_refined_value']:.4f}")
+    # seeds run in the outer loop (one base stream at a time); report rows stay t_eps-major
+    rows = [done[t_eps, seed] for t_eps in cfg.sweep_t_eps for seed in cfg.seeds]
     write_report(rows, out / "report.csv")
     agg = _aggregate(rows, ("t_eps",))
     with open(out / "aggregate.csv", "w") as fh:
@@ -208,14 +227,16 @@ def cmd_sweep_teps(args) -> int:
 
 def cmd_ablate_metric(args) -> int:
     cfg = load_run_config(args)
+    check_fisher_t_eps([cfg.train.t_eps])
     task = tasks.make_task(cfg.task)
     dataset = resolve_dataset(cfg, task)
     out = _prepare_out(cfg, "ablate_metric")
     rows, deltas = [], []
+    metrics = ("fisher", "isotropic")
     for seed in cfg.seeds:
         pair = {}
-        for metric in ("fisher", "isotropic"):
-            result = _run_one(cfg, task, dataset, seed, metric=metric)
+        arms = [dict(metric=metric) for metric in metrics]
+        for metric, result in zip(metrics, _run_arms(cfg, task, dataset, seed, arms)):
             rows.append(report_row(f"{metric}_{seed}", seed, metric, cfg.train.t_eps,
                                    result.final))
             pair[metric] = rows[-1]["mean_refined_value"]

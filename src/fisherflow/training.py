@@ -7,10 +7,22 @@ Q - lambda * (penalty - epsilon), and (4) a projected dual update. The
 default synthetic protocol is a bandit: gamma = 0 with an analytic value
 landscape, which freezes steps (1)-(2) after pretraining and isolates the
 metric choice (fisher vs isotropic) that the ablations compare.
+
+With an analytic Q (`analytic_q=True`) the flow is frozen after
+pretraining, so the pretrained flow, every step's minibatch indices and
+Euler base actions, and the evaluation inputs depend only on the seed, the
+dataset and the fields in `STREAM_FIELDS`. A `BaseStream` records them once;
+every arm of one seed (fisher or isotropic metric, any t_eps, epsilon,
+eta, ...) can replay it through `run_refinement(..., base=stream)` and gets
+exactly the run it would have got alone. It holds about
+steps x batch x (8 + 8 d) bytes (int64 indices and float64 base actions).
+Runs with a learned critic train the flow every step and sample their base
+actions live; they take no stream.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
@@ -128,22 +140,22 @@ class ActorStats:
 
 
 def actor_update(tmap: TransportMap, q_fn, penalty_fn, dual: DualState,
-                 states, rng, adam: nets.AdamState, q_normalization=True,
+                 states, base, adam: nets.AdamState, q_normalization=True,
                  grad_clip=5.0) -> ActorStats:
     """One ascent step on the residual net against the Lagrangian.
 
     `q_fn(s, a)` returns Q values and their action gradients (a task's
     q_value or a critic's value_and_action_grad); `penalty_fn(s, base,
-    delta)` is a trust_region_penalty. The base action comes from the frozen
-    flow (no gradients reach the velocity field); the metric is evaluated at
-    the base action. Q values are normalized by their batch mean absolute
-    value when enabled.
+    delta)` is a trust_region_penalty. `base` holds one base action per
+    state, sampled by the caller from the frozen flow (no gradients reach
+    the velocity field); the metric is evaluated at the base action. Q
+    values are normalized by their batch mean absolute value when enabled.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    base = np.atleast_2d(np.asarray(base, dtype=np.float64))
     b = states.shape[0]
-    d = tmap.action_dim
-    z = rng.standard_normal((b, d))
-    base = tmap.base_policy.sample(states, z)
+    if base.shape != (b, tmap.action_dim):
+        raise ValueError(f"base actions of shape {base.shape}, want {(b, tmap.action_dim)}")
     delta = tmap.residual(states, base)
     refined = base + delta
     q, dq = q_fn(states, refined)
@@ -331,39 +343,141 @@ def load_checkpoint(path):
     return task, tmap
 
 
-def evaluate_policy(tmap: TransportMap, task: SyntheticTask, count, rng):
-    """Ground-truth mean landscape value of refined and base samples."""
-    states = task.sample_states(rng, count)
-    z = rng.standard_normal((count, tmap.action_dim))
-    base = tmap.base_policy.sample(states, z)
+def evaluate_policy(tmap: TransportMap, task: SyntheticTask, states, base):
+    """Ground-truth mean landscape value of refined and base samples at (states, base)."""
     refined = base + tmap.residual(states, base)
     v_refined, _ = task.q_value(states, refined)
     v_base, _ = task.q_value(states, base)
     return float(np.mean(v_refined)), float(np.mean(v_base))
 
 
-def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: SyntheticTask) -> RunResult:
-    """Full training pipeline; deterministic given config.seed.
+# RefineConfig fields that, with the seed's dataset and task, fix a run's base stream
+STREAM_FIELDS = ("seed", "flow_steps", "steps", "batch_size", "learning_rate", "grad_clip",
+                 "hidden", "activation", "flow_integration_steps", "eval_samples")
 
-    Any numeric failure aborts with the offending step index attached.
-    """
+
+def _run_rngs(seed):
+    """(flow init, flow training, residual init, critic init, loop, evaluation) generators."""
+    return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6))
+
+
+def _check_dims(dataset: OfflineDataset, task: SyntheticTask):
     if dataset.action_dim != task.action_dim or dataset.state_dim != task.state_dim:
         raise ValueError("dataset and task dimensions disagree")
-    seq = np.random.SeedSequence(config.seed)
-    rng_flow_init, rng_flow, rng_res, rng_critic, rng_loop, rng_eval = (
-        np.random.default_rng(s) for s in seq.spawn(6))
 
-    n, d = task.state_dim, task.action_dim
-    gamma = 0.0 if config.mode == "bandit" else config.gamma
+
+def _pretrained_policy(config: RefineConfig, dataset: OfflineDataset, task: SyntheticTask,
+                       rng_init, rng_flow):
+    """Behavioral flow policy fitted to the dataset, and its loss curve."""
     policy = FlowPolicy(
-        VelocityField.create(n, d, config.hidden, config.activation, rng_flow_init),
+        VelocityField.create(task.state_dim, task.action_dim, config.hidden, config.activation,
+                             rng_init),
         steps=config.flow_integration_steps)
-    flow_curve = np.zeros(0)
+    curve = np.zeros(0)
     if config.flow_steps > 0:
-        flow_curve = train_flow(
+        curve = train_flow(
             policy, dataset.states, dataset.actions,
             FlowTrainConfig(config.flow_steps, config.batch_size,
                             config.learning_rate, config.grad_clip), rng_flow)
+    return policy, curve
+
+
+def _evaluation_inputs(policy: FlowPolicy, task: SyntheticTask, count, rng):
+    """Evaluation states and the policy's base actions at them."""
+    states = task.sample_states(rng, count)
+    z = rng.standard_normal((count, task.action_dim))
+    return states, policy.sample(states, z)
+
+
+def _source_of(dataset: OfflineDataset, task: SyntheticTask):
+    """What a base stream takes from its dataset and task: the task's name and shape, the data."""
+    h = hashlib.blake2b(digest_size=16)
+    for part in (dataset.states, dataset.actions):
+        part = np.ascontiguousarray(part, dtype=np.float64)
+        h.update(repr(part.shape).encode())
+        h.update(part.tobytes())
+    return (task.name, task.state_dim, task.action_dim, h.hexdigest())
+
+
+@dataclass(frozen=True)
+class BaseStream:
+    """Frozen-flow inputs of every analytic-Q run of one seed, dataset and task.
+
+    Holds the pretrained flow policy and its loss curve, each step's
+    minibatch indices (steps, B) and Euler base actions (steps, B, d),
+    drawn in the loop generator's order (indices, then noise), and the
+    evaluation states and base actions. Every run that replays it shares
+    the policy, which no analytic-Q run trains.
+    """
+
+    key: tuple
+    source: tuple
+    policy: FlowPolicy
+    flow_curve: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    actions: np.ndarray = field(repr=False)
+    eval_states: np.ndarray = field(repr=False)
+    eval_actions: np.ndarray = field(repr=False)
+
+    @classmethod
+    def record(cls, config: RefineConfig, dataset: OfflineDataset,
+               task: SyntheticTask) -> "BaseStream":
+        """Pretrain the flow and draw every base action that `config`'s run would draw."""
+        _check_dims(dataset, task)
+        rng_init, rng_flow, _, _, rng_loop, rng_eval = _run_rngs(config.seed)
+        policy, curve = _pretrained_policy(config, dataset, task, rng_init, rng_flow)
+        size, d = len(dataset), task.action_dim
+        b = min(config.batch_size, size)
+        indices = np.empty((config.steps, b), dtype=np.int64)
+        actions = np.empty((config.steps, b, d))
+        for step in range(config.steps):
+            try:
+                indices[step] = rng_loop.integers(0, size, size=b)
+                z = rng_loop.standard_normal((b, d))
+                actions[step] = policy.sample(dataset.states[indices[step]], z)
+            except NumericError as exc:
+                raise NumericError(f"training step {step}: {exc}") from exc
+        eval_states, eval_actions = _evaluation_inputs(policy, task, config.eval_samples, rng_eval)
+        for shared in (curve, indices, actions, eval_states, eval_actions):
+            shared.flags.writeable = False  # every arm reads them; none may change them
+        return cls(tuple(getattr(config, name) for name in STREAM_FIELDS),
+                   _source_of(dataset, task), policy, curve, indices, actions,
+                   eval_states, eval_actions)
+
+    def check(self, config: RefineConfig, dataset: OfflineDataset, task: SyntheticTask):
+        """Raise ValueError unless a run of `config` on (dataset, task) would draw this stream."""
+        if not config.analytic_q:
+            raise ValueError("a base stream replays a frozen flow; learned-critic runs sample live")
+        changed = [name for name, value in zip(STREAM_FIELDS, self.key)
+                   if getattr(config, name) != value]
+        if changed:
+            raise ValueError(f"base stream was recorded with other {', '.join(changed)}")
+        if _source_of(dataset, task) != self.source:
+            raise ValueError("base stream was recorded on another dataset or task")
+
+
+def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: SyntheticTask,
+                   base: BaseStream | None = None) -> RunResult:
+    """Full training pipeline; deterministic given config.seed.
+
+    Analytic-Q runs replay `base` (recorded here when not given, and checked
+    against config, dataset and task before any step when given); learned-
+    critic runs pretrain and sample live and take no stream. Any numeric
+    failure aborts with the offending step index attached.
+    """
+    _check_dims(dataset, task)
+    if base is not None:
+        base.check(config, dataset, task)
+    elif config.analytic_q:
+        base = BaseStream.record(config, dataset, task)
+    rng_flow_init, rng_flow, rng_res, rng_critic, rng_loop, rng_eval = _run_rngs(config.seed)
+
+    n, d = task.state_dim, task.action_dim
+    gamma = 0.0 if config.mode == "bandit" else config.gamma
+    if base is None:
+        policy, flow_curve = _pretrained_policy(config, dataset, task, rng_flow_init, rng_flow)
+    else:
+        policy, flow_curve = base.policy, base.flow_curve
     tmap = TransportMap.create(n, d, policy, config.hidden, config.activation,
                                config.max_displacement, rng_res)
 
@@ -387,9 +501,11 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
     stats = ActorStats(0.0, 0.0, 0.0)
     for step in range(config.steps):
         try:
-            idx = rng_loop.integers(0, size, size=min(config.batch_size, size))
-            states = dataset.states[idx]
-            if critic is not None:
+            if base is not None:
+                states, base_actions = dataset.states[base.indices[step]], base.actions[step]
+            else:
+                idx = rng_loop.integers(0, size, size=min(config.batch_size, size))
+                states = dataset.states[idx]
                 batch = (states, dataset.actions[idx],
                          dataset.rewards[idx] if dataset.rewards is not None else np.zeros(len(idx)),
                          dataset.next_states[idx] if dataset.next_states is not None else None)
@@ -398,7 +514,8 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
                 nets.clip_gradients(tape, config.grad_clip)
                 nets.adam_step(policy.field.net, tape, flow_adam)
                 flow_loss = loss
-            stats = actor_update(tmap, q_fn, penalty_fn, dual, states, rng_loop,
+                base_actions = policy.sample(states, rng_loop.standard_normal((len(idx), d)))
+            stats = actor_update(tmap, q_fn, penalty_fn, dual, states, base_actions,
                                  actor_adam, config.q_normalization, config.grad_clip)
             dual = dual_update(dual, stats.constraint)
         except NumericError as exc:
@@ -408,7 +525,11 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
                          "mean_q": stats.mean_q, "constraint": stats.constraint,
                          "lambda": dual.lam})
 
-    mean_refined, mean_base = evaluate_policy(tmap, task, config.eval_samples, rng_eval)
+    if base is not None:
+        eval_states, eval_actions = base.eval_states, base.eval_actions
+    else:
+        eval_states, eval_actions = _evaluation_inputs(policy, task, config.eval_samples, rng_eval)
+    mean_refined, mean_base = evaluate_policy(tmap, task, eval_states, eval_actions)
     final = {
         "mean_refined_value": mean_refined,
         "mean_base_value": mean_base,

@@ -219,8 +219,12 @@ def test_criterion_8_fisher_beats_isotropic_and_preserves_support(bimodal_datase
     behavioral_mass = transport.region_mass(
         BIMODAL.density().density(ABLATION_GRID.mesh()), ABLATION_GRID, BIMODAL.corridor_mask)
     for seed in range(5):
-        rf = training.run_refinement(bimodal_config(seed, "fisher"), bimodal_dataset, BIMODAL)
-        ri = training.run_refinement(bimodal_config(seed, "isotropic"), bimodal_dataset, BIMODAL)
+        # both arms replay one base stream: same pretrained flow and base actions per step
+        base = training.BaseStream.record(bimodal_config(seed), bimodal_dataset, BIMODAL)
+        rf = training.run_refinement(bimodal_config(seed, "fisher"), bimodal_dataset, BIMODAL,
+                                     base=base)
+        ri = training.run_refinement(bimodal_config(seed, "isotropic"), bimodal_dataset, BIMODAL,
+                                     base=base)
         vf = rf.final["mean_refined_value"]
         vi = ri.final["mean_refined_value"]
         wins += vf >= vi
@@ -237,12 +241,16 @@ def test_criterion_8_fisher_beats_isotropic_and_preserves_support(bimodal_datase
 
 def test_criterion_9_perturbed_time_sweep_shape(bimodal_dataset):
     seeds = (0, 1)
-    means = {}
-    for t_eps in (0.70, 0.75, 0.80, 0.95):
-        vals = [training.run_refinement(bimodal_config(seed, t_eps=t_eps),
-                                        bimodal_dataset, BIMODAL).final["mean_refined_value"]
-                for seed in seeds]
-        means[t_eps] = float(np.mean(vals))
+    t_values = (0.70, 0.75, 0.80, 0.95)
+    vals = {t_eps: [] for t_eps in t_values}
+    for seed in seeds:
+        # every t_eps of one seed replays the same base stream
+        base = training.BaseStream.record(bimodal_config(seed), bimodal_dataset, BIMODAL)
+        for t_eps in t_values:
+            vals[t_eps].append(training.run_refinement(
+                bimodal_config(seed, t_eps=t_eps), bimodal_dataset, BIMODAL,
+                base=base).final["mean_refined_value"])
+    means = {t_eps: float(np.mean(v)) for t_eps, v in vals.items()}
     low_band = np.mean([means[0.70], means[0.75], means[0.80]])
     assert low_band >= means[0.95]
     assert all(means[t] >= means[0.95] for t in (0.70, 0.75, 0.80))
@@ -299,10 +307,11 @@ def test_criterion_10_gradient_hygiene(bimodal_dataset):
     tmap = transport.TransportMap.create(0, 2, policy, hidden=(16, 16), rng=4)
     snapshot = [p.tobytes() for p in field.net.parameters()]
     adam = nets.AdamState.for_net(tmap.residual_net)
+    states = bimodal_dataset.states[:64]
     for _ in range(10):
+        base = policy.sample(states, np.random.default_rng(5).standard_normal((64, 2)))
         training.actor_update(tmap, BIMODAL.q_value, training.trust_region_penalty(field),
-                              training.DualState(), bimodal_dataset.states[:64],
-                              np.random.default_rng(5), adam)
+                              training.DualState(), states, base, adam)
     assert [p.tobytes() for p in field.net.parameters()] == snapshot
     report(f"criterion 10 (gradient hygiene): net FD {worst_net:.2e} (<1e-3), "
            f"score FD {worst_score:.2e} (<1e-4), q FD {worst_q:.2e} (<1e-6), "

@@ -104,6 +104,41 @@ def test_seed_and_seeds_together_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ("train", "ablate-metric", "sweep-teps"))
+@pytest.mark.parametrize("seeds", ("", ",", "config"))
+def test_empty_seed_list_is_usage_error(tmp_path, capsys, command, seeds):
+    out = tmp_path / "r"
+    if seeds == "config":
+        conf = tmp_path / "c.txt"
+        conf.write_text("seeds =\n")
+        args = ["--config", str(conf)]
+    else:
+        args = ["--seeds", seeds]
+    assert run_cli(command, *args, "--out", str(out), *FAST_TRAIN) == 2
+    assert "no seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("train", "train.t_eps=1.0"),
+    ("train", "train.t_eps=0"),
+    ("train", "train.t_eps=nan"),
+    ("ablate-metric", "train.t_eps=1.5"),
+    ("sweep-teps", "sweep.t_eps=0.8,1.0"),
+])
+def test_fisher_t_eps_outside_unit_interval_is_usage_error(tmp_path, capsys, command, setting):
+    out = tmp_path / "r"
+    assert run_cli(command, "--out", str(out), *FAST_TRAIN, "--set", setting) == 2
+    assert "t_eps" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any output or training
+
+
+def test_isotropic_train_ignores_t_eps(tmp_path):
+    out = tmp_path / "r"
+    assert run_cli("train", "--out", str(out), *FAST_TRAIN, "--set", "train.metric=isotropic",
+                   "--set", "train.t_eps=1.0") == 0
+
+
 def test_export_plots_requires_run_dir(tmp_path):
     assert run_cli("export-plots", "--run", str(tmp_path / "missing")) == 2
 
@@ -174,6 +209,27 @@ def test_sweep_teps_grid_and_determinism(tmp_path):
         outs.append((out / "report.csv").read_text())
     assert outs[0] == outs[1]
     assert len(outs[0].strip().splitlines()) == 2  # single t_eps -> single row
+
+
+def test_sweep_teps_rows_are_t_eps_major_and_match_fresh_runs(tmp_path):
+    from dataclasses import replace
+
+    from fisherflow import tasks, training
+
+    out = tmp_path / "s"
+    assert run_cli("sweep-teps", "--seeds", "3,1", "--out", str(out),
+                   "--set", "sweep.t_eps=0.9,0.7", *FAST_TRAIN) == 0
+    lines = (out / "report.csv").read_text().strip().splitlines()[1:]
+    cells = [line.split(",") for line in lines]
+    assert [(c[0], c[1]) for c in cells] == [
+        ("teps_0.9", "3"), ("teps_0.9", "1"), ("teps_0.7", "3"), ("teps_0.7", "1")]
+    cfg = RunConfig.load(out / "config.txt")
+    task = tasks.make_task(cfg.task)
+    dataset = tasks.make_dataset(task, cfg.data_size, cfg.data_seed)
+    for c in cells:
+        train = replace(cfg.train, seed=int(c[1]), t_eps=float(c[3]), metric="fisher")
+        fresh = training.run_refinement(train, dataset, task)
+        assert c[4] == repr(fresh.final["mean_refined_value"])
 
 
 def test_train_5k_steps_completes_in_budget(tmp_path):

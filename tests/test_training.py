@@ -157,6 +157,11 @@ def transport_map(policy, state_dim, action_dim, seed):
     return TransportMap.create(state_dim, action_dim, policy, hidden=(16, 16), rng=seed)
 
 
+def sampled_base(policy, states, rng):
+    """Base actions of the policy at `states` from fresh Euler noise."""
+    return policy.sample(states, rng.standard_normal((len(states), policy.field.action_dim)))
+
+
 def test_critic_bandit_regresses_to_rewards():
     rng = np.random.default_rng(3)
     critic = training.Critic.create(0, 2, hidden=(32, 32), learning_rate=3e-3,
@@ -226,10 +231,11 @@ def test_actor_update_leaves_flow_parameters_bit_identical(bimodal_setup):
     snapshot = [p.tobytes() for p in field.net.parameters()]
     adam = nets.AdamState.for_net(tmap.residual_net)
     penalty = training.trust_region_penalty(field)
+    states = dataset.states[:64]
     for _ in range(5):
+        base = sampled_base(policy, states, np.random.default_rng(14))
         training.actor_update(tmap, task.q_value, penalty,
-                              training.DualState(), dataset.states[:64],
-                              np.random.default_rng(14), adam)
+                              training.DualState(), states, base, adam)
     assert [p.tobytes() for p in field.net.parameters()] == snapshot
 
 
@@ -244,9 +250,10 @@ def test_actor_update_huge_lambda_drives_penalty_to_zero(bimodal_setup):
     penalty = training.trust_region_penalty(field)
     dual = training.DualState(lam=1e6, epsilon=0.1)
     rng = np.random.default_rng(17)
+    states = dataset.states[:64]
     for _ in range(1000):
-        stats = training.actor_update(tmap, task.q_value, penalty,
-                                      dual, dataset.states[:64], rng, adam)
+        stats = training.actor_update(tmap, task.q_value, penalty, dual, states,
+                                      sampled_base(policy, states, rng), adam)
     assert stats.constraint < 1e-3
 
 
@@ -263,14 +270,14 @@ def test_actor_update_zero_lambda_ascends_quadratic_value():
     dual = training.DualState(lam=0.0, epsilon=0.1)
     adam = nets.AdamState.for_net(tmap.residual_net, 1e-3)
     states = np.zeros((128, 0))
-    rng = np.random.default_rng(20)
-    q0 = training.actor_update(tmap, quadratic_q, penalty, dual, states,
-                               np.random.default_rng(21), adam, q_normalization=False).mean_q
+    base = sampled_base(policy, states, np.random.default_rng(21))
+    q0 = training.actor_update(tmap, quadratic_q, penalty, dual, states, base, adam,
+                               q_normalization=False).mean_q
     for _ in range(200):
-        training.actor_update(tmap, quadratic_q, penalty, dual, states,
-                              np.random.default_rng(21), adam, q_normalization=False)
-    q1 = training.actor_update(tmap, quadratic_q, penalty, dual, states,
-                               np.random.default_rng(21), adam, q_normalization=False).mean_q
+        training.actor_update(tmap, quadratic_q, penalty, dual, states, base, adam,
+                              q_normalization=False)
+    q1 = training.actor_update(tmap, quadratic_q, penalty, dual, states, base, adam,
+                               q_normalization=False).mean_q
     assert q1 > q0
 
 
@@ -309,6 +316,75 @@ def test_run_refinement_dimension_mismatch_rejected():
     dataset = tasks.make_dataset(other, 64, seed=2)
     with pytest.raises(ValueError):
         training.run_refinement(small_config(), dataset, task)
+
+
+# --- shared base streams ------------------------------------------------------
+
+STREAM_CONFIG = dict(seed=11, log_interval=1)
+
+
+@pytest.fixture(scope="module")
+def small_stream(bimodal_setup):
+    task, dataset = bimodal_setup
+    return training.BaseStream.record(small_config(**STREAM_CONFIG), dataset, task)
+
+
+def run_fingerprint(result):
+    return (json.dumps(result.log), result.final,
+            [p.tobytes() for p in result.transport_map.residual_net.parameters()],
+            result.flow_loss_curve.tobytes())
+
+
+def test_base_stream_draws_in_loop_order(bimodal_setup, small_stream):
+    # the loop generator (fifth child of the seed) yields indices, then Euler noise, per step
+    task, dataset = bimodal_setup
+    cfg = small_config(**STREAM_CONFIG)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(6)[4])
+    for step in range(cfg.steps):
+        idx = rng.integers(0, len(dataset), size=cfg.batch_size)
+        z = rng.standard_normal((cfg.batch_size, task.action_dim))
+        np.testing.assert_array_equal(small_stream.indices[step], idx)
+        np.testing.assert_array_equal(
+            small_stream.actions[step], small_stream.policy.sample(dataset.states[idx], z))
+    assert small_stream.eval_actions.shape == (cfg.eval_samples, task.action_dim)
+    assert not small_stream.actions.flags.writeable  # shared by every arm
+
+
+def test_shared_base_stream_reproduces_fresh_runs(bimodal_setup, small_stream):
+    task, dataset = bimodal_setup
+    arms = (dict(metric="fisher"), dict(metric="isotropic"), dict(t_eps=0.7),
+            dict(t_eps=0.95, epsilon=0.05, eta=0.01))
+    shared = [training.run_refinement(small_config(**STREAM_CONFIG, **arm), dataset, task,
+                                      base=small_stream) for arm in arms]
+    for arm, result in zip(arms, shared):
+        fresh = training.run_refinement(small_config(**STREAM_CONFIG, **arm), dataset, task)
+        assert run_fingerprint(result) == run_fingerprint(fresh), arm
+    assert shared[0].final != shared[1].final  # the arms really differ
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=12), dict(flow_steps=100), dict(batch_size=32), dict(steps=50),
+    dict(hidden=(8, 8)), dict(eval_samples=100), dict(analytic_q=False),
+])
+def test_base_stream_rejects_a_run_it_does_not_fit(bimodal_setup, small_stream, monkeypatch,
+                                                   change):
+    task, dataset = bimodal_setup
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the stream was checked")
+
+    monkeypatch.setattr(training, "train_flow", no_training)
+    monkeypatch.setattr(training, "actor_update", no_training)
+    with pytest.raises(ValueError):
+        training.run_refinement(small_config(**{**STREAM_CONFIG, **change}), dataset, task,
+                                base=small_stream)
+
+
+def test_base_stream_rejects_another_dataset(bimodal_setup, small_stream):
+    task, _ = bimodal_setup
+    other = tasks.make_dataset(task, 1024, seed=1)
+    with pytest.raises(ValueError, match="dataset"):
+        training.run_refinement(small_config(**STREAM_CONFIG), other, task, base=small_stream)
 
 
 def test_config_validation():
