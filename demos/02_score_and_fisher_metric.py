@@ -13,7 +13,7 @@ import numpy as np
 
 from fisherflow import score
 from fisherflow.densities import GaussianMixture, OracleVelocityField
-from fisherflow.validate import rate_probe_point
+from fisherflow.validate import EPS_LADDER, RATE_MIXTURE, rate_probe_point
 
 # -- 1. the identity is exact for an exact velocity ---------------------------
 gauss = GaussianMixture.single([0.0], 1.0)
@@ -23,13 +23,13 @@ print(f"N(0,1) target, t=0.5, a=1: estimated score {est.score[0]:+.12f} "
       f"(exact marginal score is -2)")
 
 # -- 2. perturbation error vs epsilon ------------------------------------------
-mix = GaussianMixture([0.4, 0.6], [[-1.0], [1.2]], [[0.55**2], [0.7**2]])
-probe = rate_probe_point(mix)
+mix = RATE_MIXTURE
+probe = rate_probe_point()
 ofield = OracleVelocityField(mix)
 print(f"\ntwo-mode mixture, probe a={probe:+.6f} "
       f"(where the mean-contraction term vanishes):")
 prev = None
-for eps in (0.2, 0.1, 0.05, 0.025):
+for eps in EPS_LADDER:
     s_eps = score.perturbed_score(ofield, None, np.array([probe]), 1.0 - eps).score
     err = float(abs(s_eps[0] - mix.score(np.array([probe]))[0]))
     note = f"  ratio vs previous {prev / err:.2f}" if prev else ""

@@ -178,11 +178,14 @@ def _prepare_out(cfg: RunConfig, default_name) -> Path:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args)
+    if len(cfg.seeds) > 1:
+        raise ValueError(f"train runs one seed, got {len(cfg.seeds)}; "
+                         "ablate-metric and sweep-teps take several")
     check_fisher_t_eps([cfg.train.t_eps] if cfg.train.metric == "fisher" else [])
     task = tasks.make_task(cfg.task)
     dataset = resolve_dataset(cfg, task)
     out = _prepare_out(cfg, "run")
-    seed = cfg.seeds[0]
+    [seed] = cfg.seeds
     [result] = _run_arms(cfg, task, dataset, seed, [{}])
     with open(out / "metrics.jsonl", "w") as fh:
         for row in result.log:
@@ -201,6 +204,8 @@ def cmd_train(args) -> int:
 
 def cmd_sweep_teps(args) -> int:
     cfg = load_run_config(args)
+    if not cfg.sweep_t_eps:
+        raise ValueError("sweep.t_eps lists no values")
     check_fisher_t_eps(cfg.sweep_t_eps)
     task = tasks.make_task(cfg.task)
     dataset = resolve_dataset(cfg, task)

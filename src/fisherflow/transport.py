@@ -63,11 +63,6 @@ class TransportMap:
         """Refined action T_s(a) = a + delta(s, a)."""
         return np.asarray(a, dtype=np.float64) + self.residual(s, a)
 
-    def refine(self, s, z):
-        """Sample the base flow and transport it: returns (base, refined)."""
-        base = self.base_policy.sample(s, z)
-        return base, base + self.residual(s, base)
-
     def residual_backward(self, s, a, upstream):
         """VJP of the capped residual: net tape plus gradient w.r.t. the action."""
         inp = state_action_input(s, a, self.state_dim)
@@ -278,7 +273,6 @@ class QuadratureKL:
 
     value: float
     grid: GridSpec
-    max_inversion_iter: int = 100
 
 
 def kl_quadrature_oracle(density: GaussianMixture, transport, s, grid: GridSpec,

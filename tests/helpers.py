@@ -38,7 +38,3 @@ def rel_error(a, b, floor=1e-12):
     scale = np.maximum(scale, floor)
     return float(np.max(np.abs(a - b) / scale))
 
-
-def loglog_slope(xs, ys):
-    return float(np.polyfit(np.log(np.asarray(xs, dtype=float)),
-                            np.log(np.asarray(ys, dtype=float)), 1)[0])

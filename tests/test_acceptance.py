@@ -9,16 +9,18 @@ criteria (7-9) train real runs and dominate the wall time; run
 import numpy as np
 import pytest
 
-from fisherflow import flow, score, tasks, training, transport
-from fisherflow.densities import GaussianMixture, OracleVelocityField
-from fisherflow.validate import (OVERLAP_MIXTURE, RATE_MIXTURE, linear_residual_map,
-                                 rate_probe_point)
-
-from helpers import loglog_slope
+from fisherflow import flow, score, tasks, training, transport, validate
 
 
 def report(line):
     print(f"\n[PASS] {line}")
+
+
+def check_suite(label, suite):
+    """Assert on a `validate` suite, the one source of criteria 1-4, 6 and eps* of 9."""
+    outcome = suite()
+    assert outcome.passed, outcome.detail
+    report(f"{label}: {outcome.detail}")
 
 
 # -- shared fixtures ----------------------------------------------------------
@@ -41,98 +43,25 @@ def bimodal_config(seed, metric="fisher", t_eps=0.8, **kw):
 # -- criterion 1: score-identity exactness ------------------------------------
 
 def test_criterion_1_score_identity_exactness():
-    field = OracleVelocityField(GaussianMixture.single([0.0], 1.0))
-    t_eps = 0.5
-    grid = np.linspace(-3.0, 3.0, 61)[:, None]
-    grid = grid[np.abs(grid[:, 0]) > 1e-9]  # exclude the origin where both vanish
-    est = score.batched_scores(field, None, grid, t_eps)
-    exact = -grid / (t_eps**2 + (1 - t_eps) ** 2)  # marginal N(0, t^2 + (1-t)^2)
-    rel = float(np.max(np.abs(est - exact) / np.abs(exact)))
-    assert rel < 1e-10
-    point = score.perturbed_score(field, None, np.array([1.0]), t_eps).score[0]
-    assert point == pytest.approx(-2.0, abs=1e-12)
-    report(f"criterion 1 (score identity): max rel err {rel:.2e}, "
-           f"score at a=1 is {point:+.12f}")
+    check_suite("criterion 1 (score identity)", validate.suite_score_identity)
 
 
 # -- criterion 2: second-order perturbation rate ------------------------------
 
 def test_criterion_2_second_order_perturbation_rate():
-    # The rate is probed where the first-order mean-contraction term
-    # s(a) + s'(a) a of the exact time-(1-eps) marginal vanishes, which
-    # isolates the quadratic smoothing error the bound describes; the
-    # curvature constant grad(lap pi / pi) must be nonzero there.
-    mix = RATE_MIXTURE
-    probe = rate_probe_point(mix)
-    p = lambda x: float(mix.density(np.array([x])))
-    h = 1e-4
-    lap_over_p = lambda x: (p(x + h) - 2 * p(x) + p(x - h)) / (h * h * p(x))
-    curvature = (lap_over_p(probe + h) - lap_over_p(probe - h)) / (2 * h)
-    assert abs(curvature) > 1.0  # probe point carries the second-order term
-
-    field = OracleVelocityField(mix)
-    ladder = (0.2, 0.1, 0.05, 0.025)
-    errs = []
-    target = mix.score(np.array([probe]))
-    for eps in ladder:
-        est = score.perturbed_score(field, None, np.array([probe]), 1.0 - eps).score
-        # the estimator is exactly the time-(1-eps) marginal score
-        np.testing.assert_allclose(est, mix.marginal_score(1.0 - eps, np.array([probe])),
-                                   rtol=1e-10)
-        errs.append(float(np.linalg.norm(est - target)))
-    slope = loglog_slope(ladder, errs)
-    assert 1.7 <= slope <= 2.3
-    report(f"criterion 2 (perturbation rate): log-log slope {slope:.3f} "
-           f"at probe a={probe:+.6f} (curvature {curvature:+.2f})")
+    check_suite("criterion 2 (perturbation rate)", validate.suite_perturbation_rate)
 
 
 # -- criterion 3: KL quadratic form vs quadrature oracle ----------------------
 
 def test_criterion_3_kl_quadratic_vs_quadrature():
-    gauss = GaussianMixture.single([0.0], 1.0)
-    grid = transport.GridSpec((-9.0,), (9.0,), (4001,))
-    kl_shift = transport.kl_quadrature_oracle(gauss, lambda a: a + 0.3, None, grid).value
-    assert abs(kl_shift - 0.045) < 1e-4
-
-    samples = gauss.sample(np.random.default_rng(33), 10_000)
-    mc = transport.kl_quadratic(lambda a: np.full_like(a, 0.3), gauss, None, samples)
-    assert abs(mc.value - kl_shift) < 3 * mc.stderr
-
-    # two-mode mixture with enough overlap that the higher-order KL terms sit
-    # far above quadrature noise
-    grid_m = transport.GridSpec((-10.0,), (10.0,), (20001,))
-    kl_mix = transport.kl_quadrature_oracle(
-        OVERLAP_MIXTURE, lambda a: a + 0.05, None, grid_m).value
-    quad = transport.expected_quadratic_penalty(
-        OVERLAP_MIXTURE, lambda a: np.full_like(a, 0.05), grid_m)
-    rel = abs(quad - kl_mix) / kl_mix
-    assert rel < 0.20
-
-    shifts = (0.1, 0.05, 0.025)
-    gaps = []
-    for c in shifts:
-        kl = transport.kl_quadrature_oracle(
-            OVERLAP_MIXTURE, lambda a: a + c, None, grid_m).value
-        q = transport.expected_quadratic_penalty(
-            OVERLAP_MIXTURE, lambda a: np.full_like(a, c), grid_m)
-        gaps.append(abs(kl - q))
-    slope = loglog_slope(shifts, gaps)
-    assert slope >= 2.5
-    report(f"criterion 3 (KL quadratic): shift KL {kl_shift:.6f} (target 0.045), "
-           f"MC within {abs(mc.value-kl_shift)/mc.stderr:.2f} SE, mixture rel gap {rel:.2%}, "
-           f"gap slope {slope:.2f}")
+    check_suite("criterion 3 (KL quadratic)", validate.suite_kl_quadrature)
 
 
 # -- criterion 4: determinant expansion ----------------------------------------
 
 def test_criterion_4_determinant_expansion():
-    res = transport.log_det_inverse_approx(linear_residual_map(0.01), None, np.zeros(2))
-    assert res.gap < 3e-4
-    res_half = transport.log_det_inverse_approx(linear_residual_map(0.005), None, np.zeros(2))
-    ratio = res.gap / res_half.gap
-    assert ratio >= 3.5
-    report(f"criterion 4 (determinant expansion): gap {res.gap:.3e} at c=0.01, "
-           f"halving ratio {ratio:.2f}")
+    check_suite("criterion 4 (determinant expansion)", validate.suite_determinant_expansion)
 
 
 # -- criterion 5: closed-form natural gradient agreement ----------------------
@@ -158,24 +87,7 @@ def test_criterion_5_closed_form_matches_iterated_updates():
 # -- criterion 6: optimality-gap identity --------------------------------------
 
 def test_criterion_6_optimality_gap_identity():
-    rng = np.random.default_rng(66)
-    worst = 0.0
-    for _ in range(50):
-        d = int(rng.integers(1, 5))
-        metric = score.fisher_matrix(rng.normal(size=d), normalize=bool(rng.integers(2)),
-                                     damping=float(rng.uniform(0.01, 1.0)))
-        res = training.optimality_gap(metric, rng.normal(size=d), float(rng.uniform(0.1, 4.0)))
-        worst = max(worst, abs(res.direct - res.eigen))
-    assert worst < 1e-8
-
-    identity = training.optimality_gap(score.isotropic_metric(3), np.array([1.0, -2.0, 0.5]), 1.3)
-    assert abs(identity.direct) < 1e-12
-
-    diag = training.optimality_gap(
-        score.FisherMetric(np.diag([2.0, 0.5]), False, 0.0), np.array([1.0, 1.0]), 1.0)
-    assert diag.direct == pytest.approx(0.25, abs=1e-12)
-    report(f"criterion 6 (optimality gap): max form disagreement {worst:.2e}, "
-           f"identity gap {identity.direct:.1e}, diag example {diag.direct:.4f}")
+    check_suite("criterion 6 (optimality gap)", validate.suite_optimality_gap)
 
 
 # -- criterion 7: dual controller ----------------------------------------------
@@ -255,12 +167,9 @@ def test_criterion_9_perturbed_time_sweep_shape(bimodal_dataset):
     assert low_band >= means[0.95]
     assert all(means[t] >= means[0.95] for t in (0.70, 0.75, 0.80))
 
-    eps_star = score.optimal_epsilon(1.0, 1.0, 1e-6)
-    assert eps_star.epsilon == pytest.approx((5e-7) ** (1 / 6), abs=1e-12)
-    assert 0.03 < eps_star.epsilon < 0.3  # order 1e-1 for FP32-scale precision
     report("criterion 9 (perturbed-time sweep): "
-           + ", ".join(f"t_eps={t}: {v:.4f}" for t, v in sorted(means.items()))
-           + f"; eps* = {eps_star.epsilon:.4f}")
+           + ", ".join(f"t_eps={t}: {v:.4f}" for t, v in sorted(means.items())))
+    check_suite("criterion 9 (optimal perturbation)", validate.suite_optimal_epsilon)
 
 
 # -- criterion 10: gradient hygiene ---------------------------------------------

@@ -86,7 +86,11 @@ def test_train_from_dataset_file(tmp_path):
 def test_validate_list_and_selected_suite(capsys):
     assert run_cli("validate", "--list") == 0
     listing = capsys.readouterr().out
-    assert "score-identity" in listing and "PASS" not in listing
+    # the oracle-audit benchmark runs the suites by these names, in this order
+    assert [line.split(":")[0] for line in listing.splitlines()] == [
+        "score-identity", "perturbation-rate", "kl-quadrature", "determinant-expansion",
+        "optimal-epsilon", "optimality-gap"]
+    assert "PASS" not in listing
     assert run_cli("validate", "--suite", "determinant-expansion",
                    "--suite", "optimal-epsilon") == 0
     out = capsys.readouterr().out
@@ -104,18 +108,23 @@ def test_seed_and_seeds_together_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ("train", "ablate-metric", "sweep-teps"))
-@pytest.mark.parametrize("seeds", ("", ",", "config"))
-def test_empty_seed_list_is_usage_error(tmp_path, capsys, command, seeds):
+@pytest.mark.parametrize("seeds, command", [
+    *((seeds, command) for command in ("train", "ablate-metric", "sweep-teps")
+      for seeds in ("", ",", "config")),
+    # train runs exactly one seed, so a list of two is unusable there too
+    ("0,1", "train"),
+    ("config 0,1", "train"),
+])
+def test_empty_seed_list_is_usage_error(tmp_path, capsys, seeds, command):
     out = tmp_path / "r"
-    if seeds == "config":
+    if seeds.startswith("config"):
         conf = tmp_path / "c.txt"
-        conf.write_text("seeds =\n")
+        conf.write_text(f"seeds ={seeds[len('config'):]}\n")
         args = ["--config", str(conf)]
     else:
         args = ["--seeds", seeds]
     assert run_cli(command, *args, "--out", str(out), *FAST_TRAIN) == 2
-    assert "no seeds" in capsys.readouterr().err
+    assert ("one seed" if "0,1" in seeds else "no seeds") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -125,6 +134,7 @@ def test_empty_seed_list_is_usage_error(tmp_path, capsys, command, seeds):
     ("train", "train.t_eps=nan"),
     ("ablate-metric", "train.t_eps=1.5"),
     ("sweep-teps", "sweep.t_eps=0.8,1.0"),
+    ("sweep-teps", "sweep.t_eps="),
 ])
 def test_fisher_t_eps_outside_unit_interval_is_usage_error(tmp_path, capsys, command, setting):
     out = tmp_path / "r"

@@ -4,9 +4,7 @@ import pytest
 from fisherflow import score
 from fisherflow.densities import GaussianMixture, OracleVelocityField
 from fisherflow.errors import NumericError
-from fisherflow.validate import RATE_MIXTURE, contraction_coefficient, rate_probe_point
-
-from helpers import loglog_slope
+from fisherflow.validate import EPS_LADDER, RATE_MIXTURE, grad_curvature_ratio, loglog_slope
 
 
 def test_perturbed_score_gaussian_oracle_exact():
@@ -31,18 +29,6 @@ def test_perturbed_score_rejects_degenerate_time():
     for bad in (1.0, 1.5, 0.0, -0.2):
         with pytest.raises(ValueError):
             score.perturbed_score(field, None, np.array([0.0]), t_eps=bad)
-
-
-def test_perturbed_score_grid_matches_marginal_score():
-    mix = RATE_MIXTURE
-    field = OracleVelocityField(mix)
-    for t_eps in (0.5, 0.8, 0.95):
-        marg = mix.marginal(t_eps)
-        grid = np.linspace(-2.5, 2.5, 41)[:, None]
-        est = score.batched_scores(field, None, grid, t_eps)
-        exact = marg.score(grid)
-        rel = np.abs(est - exact) / np.maximum(np.abs(exact), 1e-12)
-        assert float(rel.max()) < 1e-10
 
 
 def test_fisher_matrix_outer_product():
@@ -208,19 +194,9 @@ def test_perturbed_score_from_trained_field_tracks_exact_marginal():
 
 # --- perturbation-rate studies on exact mixture marginals -------------------
 
-EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
-
-
 def marginal_score_error(mix, a, eps):
     a = np.atleast_1d(a)
     return float(np.linalg.norm(mix.marginal_score(1.0 - eps, a) - mix.score(a)))
-
-
-def grad_curvature_ratio(mix, a, h=1e-4):
-    """d/da of (lap pi / pi), the constant in the second-order error term."""
-    p = lambda x: float(mix.density(np.array([x])))
-    lap_over_p = lambda x: (p(x + h) - 2 * p(x) + p(x - h)) / (h * h * p(x))
-    return (lap_over_p(a + h) - lap_over_p(a - h)) / (2 * h)
 
 
 def test_raw_score_error_is_first_order_at_generic_points():
@@ -229,15 +205,6 @@ def test_raw_score_error_is_first_order_at_generic_points():
     for a in (0.5, 1.5):
         errs = [marginal_score_error(RATE_MIXTURE, a, e) for e in EPS_LADDER]
         assert 0.6 < loglog_slope(EPS_LADDER, errs) < 1.4
-
-
-def test_second_order_rate_where_contraction_term_vanishes():
-    root = rate_probe_point(RATE_MIXTURE)
-    assert abs(contraction_coefficient(RATE_MIXTURE, root)) < 1e-9
-    assert abs(grad_curvature_ratio(RATE_MIXTURE, root)) > 1.0
-    errs = [marginal_score_error(RATE_MIXTURE, root, e) for e in EPS_LADDER]
-    slope = loglog_slope(EPS_LADDER, errs)
-    assert 1.7 < slope < 2.3
 
 
 def test_smoothing_error_constant_matches_prediction():

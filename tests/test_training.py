@@ -85,20 +85,6 @@ def test_closed_form_refine_rejects_zero_lambda():
         training.closed_form_refine(q_fn, metric, 0.0, None, np.zeros(2))
 
 
-def test_closed_form_matches_iterated_update_on_quadratic_surrogates():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        d = int(rng.integers(1, 5))
-        s = rng.normal(size=d)
-        metric = score.fisher_matrix(s, normalize=bool(rng.integers(2)),
-                                     damping=float(rng.uniform(0.05, 1.0)))
-        g = rng.normal(size=d)
-        lam = float(rng.uniform(0.2, 5.0))
-        closed = score.damped_inverse_apply(metric, g) / lam
-        iterated = training.iterate_quadratic_refine(metric, g, lam)
-        assert np.max(np.abs(closed - iterated)) < 1e-3
-
-
 def test_iterated_update_stationary_point_does_not_move():
     metric = score.fisher_matrix(np.array([0.6, -0.2]), damping=0.3)
     g = np.array([0.5, 1.0])
@@ -108,34 +94,10 @@ def test_iterated_update_stationary_point_does_not_move():
     assert np.linalg.norm(grad) < 1e-10  # zero gradient: the update magnitude vanishes
 
 
-def test_optimality_gap_identity_metric_is_zero():
-    metric = score.isotropic_metric(3)
-    res = training.optimality_gap(metric, np.array([1.0, -2.0, 0.5]), 1.7)
-    assert abs(res.direct) < 1e-12
-    assert abs(res.eigen) < 1e-12
-
-
-def test_optimality_gap_diagonal_example():
-    metric = score.FisherMetric(np.diag([2.0, 0.5]), False, 0.0)
-    res = training.optimality_gap(metric, np.array([1.0, 1.0]), 1.0)
-    assert abs(res.direct - 0.25) < 1e-12
-
-
 def test_optimality_gap_zero_gradient():
     metric = score.fisher_matrix(np.array([1.0, 2.0]), damping=0.5)
     res = training.optimality_gap(metric, np.zeros(2), 1.0)
     assert res.direct == 0.0
-
-
-def test_optimality_gap_forms_agree_on_random_metrics():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        d = int(rng.integers(1, 5))
-        metric = score.fisher_matrix(rng.normal(size=d), normalize=bool(rng.integers(2)),
-                                     damping=float(rng.uniform(0.01, 1.0)))
-        g = rng.normal(size=d)
-        res = training.optimality_gap(metric, g, float(rng.uniform(0.1, 4.0)))
-        assert abs(res.direct - res.eigen) < 1e-8
 
 
 def test_optimality_gap_rejects_singular_metric():

@@ -4,9 +4,7 @@ import pytest
 from fisherflow import flow, nets, transport
 from fisherflow.densities import GaussianMixture
 from fisherflow.errors import ConvergenceError
-from fisherflow.validate import OVERLAP_MIXTURE
-
-from helpers import loglog_slope
+from fisherflow.validate import OVERLAP_MIXTURE, linear_residual_map
 
 
 def make_policy(state_dim=0, action_dim=2, seed=0):
@@ -18,13 +16,6 @@ def make_map(state_dim=0, action_dim=2, seed=0, hidden=(8, 8), cap=1.0):
     return transport.TransportMap.create(
         state_dim, action_dim, make_policy(state_dim, action_dim, seed),
         hidden=hidden, max_displacement=cap, rng=seed)
-
-
-def linear_residual_map(w, cap=1e6):
-    """Transport map whose raw residual is exactly a @ w (huge cap: tanh ~ identity)."""
-    d = w.shape[0]
-    net = nets.DenseNet([d, d], [np.asarray(w, dtype=np.float64)], [np.zeros(d)], "gelu")
-    return transport.TransportMap(net, make_policy(0, d), max_displacement=cap)
 
 
 def constant_residual_map(c, cap=1.0):
@@ -98,15 +89,6 @@ def test_log_det_constant_residual_is_exact():
     assert abs(res.log_approx) < 1e-10 and abs(res.log_exact) < 1e-10
 
 
-def test_log_det_gap_shrinks_quadratically():
-    gaps = []
-    for c in (0.02, 0.01, 0.005):
-        tmap = linear_residual_map(c * np.eye(2))
-        gaps.append(transport.log_det_inverse_approx(tmap, None, np.zeros(2)).gap)
-    assert gaps[0] / gaps[1] >= 3.5
-    assert gaps[1] / gaps[2] >= 3.5
-
-
 def test_log_det_flags_regime_violation():
     tmap = linear_residual_map(2.0 * np.eye(2))  # divergence 4 > 1
     res = transport.log_det_inverse_approx(tmap, None, np.zeros(2))
@@ -145,22 +127,6 @@ def test_quadrature_oracle_identity_map():
     mix = GaussianMixture.single([0.0], 1.0)
     res = transport.kl_quadrature_oracle(mix, lambda a: a, None, GRID_1D)
     assert abs(res.value) < 1e-6
-
-
-def test_quadrature_oracle_gaussian_shift():
-    mix = GaussianMixture.single([0.0], 1.0)
-    res = transport.kl_quadrature_oracle(mix, lambda a: a + 0.3, None, GRID_1D)
-    assert abs(res.value - 0.045) < 1e-4
-
-
-def test_quadrature_oracle_scaling_map():
-    # pushforward of N(0,1) under a -> 1.1a is N(0, 1.21);
-    # KL(N(0,1.21) || N(0,1)) = (1.21 - 1 - ln 1.21)/2
-    mix = GaussianMixture.single([0.0], 1.0)
-    grid = transport.GridSpec((-12.0,), (12.0,), (6001,))
-    res = transport.kl_quadrature_oracle(mix, lambda a: 1.1 * a, None, grid)
-    closed = 0.5 * (1.21 - 1.0 - np.log(1.21))
-    assert abs(res.value - closed) < 1e-4
 
 
 def test_quadrature_oracle_requires_coverage():
@@ -205,21 +171,6 @@ def test_quadratic_form_agrees_with_quadrature_on_two_mode_mixture():
     samples = SEPARATED_MIXTURE.sample(np.random.default_rng(2), 20_000)
     est = transport.kl_quadratic(lambda a: np.full_like(a, 0.05), SEPARATED_MIXTURE, None, samples)
     assert abs(est.value - kl) / kl < 0.20
-
-
-def test_quadratic_kl_gap_scales_cubically_or_better():
-    # overlapping modes keep the higher-order KL terms well above quadrature
-    # noise; the gap between exact KL and the quadratic form decays ~c^4 here
-    grid = transport.GridSpec((-10.0,), (10.0,), (20001,))
-    shifts = (0.1, 0.05, 0.025)
-    gaps = []
-    for c in shifts:
-        kl = transport.kl_quadrature_oracle(OVERLAP_MIXTURE, lambda a: a + c, None, grid).value
-        quad = transport.expected_quadratic_penalty(
-            OVERLAP_MIXTURE, lambda a: np.full_like(a, c), grid)
-        assert abs(quad - kl) / kl < 0.20
-        gaps.append(abs(kl - quad))
-    assert loglog_slope(shifts, gaps) >= 2.5
 
 
 def test_curvature_term_cancels_for_constant_shifts():
