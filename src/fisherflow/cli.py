@@ -89,7 +89,15 @@ def load_run_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config, overrides) if args.config else RunConfig.from_entries(overrides)
     if not cfg.seeds:
         raise ValueError("no seeds given")
+    check_no_repeats("seeds", cfg.seeds)
     return cfg
+
+
+def check_no_repeats(name, values):
+    """A repeated seed or arm value would train the same run twice and count it as two."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{name} repeats {', '.join(map(repr, repeated))}")
 
 
 def check_fisher_t_eps(values):
@@ -206,6 +214,7 @@ def cmd_sweep_teps(args) -> int:
     cfg = load_run_config(args)
     if not cfg.sweep_t_eps:
         raise ValueError("sweep.t_eps lists no values")
+    check_no_repeats("sweep.t_eps", cfg.sweep_t_eps)
     check_fisher_t_eps(cfg.sweep_t_eps)
     task = tasks.make_task(cfg.task)
     dataset = resolve_dataset(cfg, task)

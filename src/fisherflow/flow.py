@@ -153,10 +153,11 @@ def flow_matching_loss(field: VelocityField, states, actions, rng):
     xt = (1.0 - t) * x0 + t * actions
     target = actions - x0
     inp = state_action_input(states, xt, field.state_dim, t)
-    pred = nets.forward(field.net, inp)
+    cache = []
+    pred = nets.forward(field.net, inp, cache)
     resid = pred - target
     loss = float(np.sum(resid * resid) / b)
-    tape = nets.backward(field.net, inp, (2.0 / b) * resid)
+    tape = nets.backward(field.net, inp, (2.0 / b) * resid, cache)
     return loss, tape
 
 

@@ -1,15 +1,21 @@
 """Dense networks with hand-rolled reverse-mode gradients and Adam.
 
 Everything here is plain float64 numpy. Networks are value-like: `clone()`
-gives an independent copy, and `forward` is a pure function of
+gives an independent copy, and the output of `forward` depends only on
 (parameters, input). Inputs may be a single vector ``(in,)`` or a batch
 ``(B, in)``; parameter gradients are summed over the batch, so callers that
 want a mean-reduced loss fold the ``1/B`` factor into ``upstream``.
+
+Gradients take a single pass. Given an empty list as `cache`, `forward`
+fills it with one (layer input, activation derivative) pair per layer, the
+derivative computed from values the forward already holds (for the GELU,
+from the erf of its own value); the output layer is linear and stores None.
+`backward` consumes that cache and runs no forward of its own; without one,
+it runs `forward` itself.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,20 +29,28 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+# Each activation maps a pre-activation z to (value, derivative at z), the
+# derivative only when asked for and otherwise None.
 
 
-def _gelu_grad(x):
-    phi = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
+def _gelu(z, with_grad):
+    if not with_grad:  # one expression, so no temporary outlives its use on large batches
+        return 0.5 * z * (1.0 + erf(z * _INV_SQRT2)), None
+    e = erf(z * _INV_SQRT2)
+    # d/dz z Phi(z) = Phi(z) + z phi(z), with Phi(z) = (1 + e) / 2 from the erf above
+    return 0.5 * z * (1.0 + e), 0.5 * (1.0 + e) + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z))
 
 
-_ACTIVATIONS = {
-    "gelu": (_gelu, _gelu_grad),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(np.float64)),
-    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
-}
+def _relu(z, with_grad):
+    return np.maximum(z, 0.0), ((z > 0.0).astype(np.float64) if with_grad else None)
+
+
+def _tanh(z, with_grad):
+    value = np.tanh(z)
+    return value, (1.0 - value**2 if with_grad else None)
+
+
+_ACTIVATIONS = {"gelu": _gelu, "relu": _relu, "tanh": _tanh}
 
 
 @dataclass
@@ -124,23 +138,37 @@ class GradientTape:
     d_input: np.ndarray
 
 
-def forward(net: DenseNet, x) -> np.ndarray:
-    """Evaluate the network on a vector (in,) or batch (B, in)."""
+def forward(net: DenseNet, x, cache=None) -> np.ndarray:
+    """Evaluate the network on a vector (in,) or batch (B, in).
+
+    When `cache` is given (an empty list), it receives one (layer input,
+    activation derivative) pair per layer for `backward` to consume.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != net.in_size:
         raise ValueError(f"input size {x.shape[-1]} != expected {net.in_size}")
-    act, _ = _ACTIVATIONS[net.activation]
+    act = _ACTIVATIONS[net.activation]
+    with_grad = cache is not None
     h = x
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        layer_input = h if with_grad else None
+        # rebinding h frees the layer input before the activation runs, unless it is cached
         h = h @ w + b
+        grad = None
         if k != last:
-            h = act(h)
+            h, grad = act(h, with_grad)
+        if with_grad:
+            cache.append((layer_input, grad))
     return h
 
 
-def backward(net: DenseNet, x, upstream) -> GradientTape:
-    """Vector-Jacobian product: gradients of <upstream, net(x)> in params and x."""
+def backward(net: DenseNet, x, upstream, cache=None) -> GradientTape:
+    """Vector-Jacobian product: gradients of <upstream, net(x)> in params and x.
+
+    `cache` is the list a `forward(net, x, cache)` call filled; without one,
+    backward runs that forward itself.
+    """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     single = x.ndim == 1
@@ -148,28 +176,21 @@ def backward(net: DenseNet, x, upstream) -> GradientTape:
     ub = upstream[None, :] if single else upstream
     if ub.shape != (xb.shape[0], net.out_size):
         raise ValueError(f"upstream shape {upstream.shape} does not match output size {net.out_size}")
-
-    act, act_grad = _ACTIVATIONS[net.activation]
-    last = len(net.weights) - 1
-    pre = []  # pre-activation per layer
-    post = [xb]  # layer inputs
-    h = xb
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = act(z) if k != last else z
-        if k != last:
-            post.append(h)
+    if cache is None:
+        cache = []
+        forward(net, xb, cache)
+    elif len(cache) != len(net.weights):
+        raise ValueError(f"cache holds {len(cache)} layers, the net has {len(net.weights)}")
 
     d_weights = [None] * len(net.weights)
     d_biases = [None] * len(net.biases)
     delta = ub
-    for k in range(last, -1, -1):
-        d_weights[k] = post[k].T @ delta
+    for k in range(len(cache) - 1, -1, -1):
+        d_weights[k] = np.atleast_2d(cache[k][0]).T @ delta
         d_biases[k] = delta.sum(axis=0)
         delta = delta @ net.weights[k].T
         if k > 0:
-            delta = delta * act_grad(pre[k - 1])
+            delta = delta * cache[k - 1][1]
     if not np.isfinite(delta).all():
         raise NumericError("non-finite intermediate in backward pass")
     d_input = delta[0] if single else delta
@@ -240,13 +261,3 @@ def clip_gradients(tape: GradientTape, max_norm: float) -> float:
         for g in tape.d_weights + tape.d_biases:
             g *= factor
     return norm
-
-
-def save_net(net: DenseNet, path):
-    with open(path, "w") as fh:
-        json.dump(net.to_dict(), fh)
-
-
-def load_net(path) -> DenseNet:
-    with open(path) as fh:
-        return DenseNet.from_dict(json.load(fh))

@@ -76,10 +76,11 @@ class Critic:
     def value_and_action_grad(self, s, a):
         """Pessimistic value and its gradient in the action (per sample)."""
         x = self.net_input(s, a)
-        outs = [nets.forward(net, x)[:, 0] for net in self.online]
+        caches = [[] for _ in self.online]
+        outs = [nets.forward(net, x, cache)[:, 0] for net, cache in zip(self.online, caches)]
         upstream = np.ones((x.shape[0], 1))
-        grads = [nets.backward(net, x, upstream).d_input[:, self.state_dim:]
-                 for net in self.online]
+        grads = [nets.backward(net, x, upstream, cache).d_input[:, self.state_dim:]
+                 for net, cache in zip(self.online, caches)]
         first_wins = (outs[0] <= outs[1])[:, None]
         return np.minimum(*outs), np.where(first_wins, grads[0], grads[1])
 
@@ -156,7 +157,8 @@ def actor_update(tmap: TransportMap, q_fn, penalty_fn, dual: DualState,
     b = states.shape[0]
     if base.shape != (b, tmap.action_dim):
         raise ValueError(f"base actions of shape {base.shape}, want {(b, tmap.action_dim)}")
-    delta = tmap.residual(states, base)
+    saved = []
+    delta = tmap.residual(states, base, saved)
     refined = base + delta
     q, dq = q_fn(states, refined)
     q = np.atleast_1d(q)
@@ -166,7 +168,7 @@ def actor_update(tmap: TransportMap, q_fn, penalty_fn, dual: DualState,
     objective = scale * float(q.mean()) - dual.lam * (constraint - dual.epsilon)
     # ascent on the objective = descent on its negation
     upstream = -(scale * dq - dual.lam * pen_grad) / b
-    tape, _ = tmap.residual_backward(states, base, upstream)
+    tape, _ = tmap.residual_backward(states, base, upstream, saved)
     nets.clip_gradients(tape, grad_clip)
     nets.adam_step(tmap.residual_net, tape, adam)
     return ActorStats(objective, float(q.mean()), constraint)
@@ -192,10 +194,11 @@ def critic_update(critic: Critic, tmap: TransportMap, batch, rng, grad_clip=5.0)
     x = critic.net_input(states, actions)
     total = 0.0
     for net, adam in zip(critic.online, critic.adams):
-        pred = nets.forward(net, x)[:, 0]
+        cache = []
+        pred = nets.forward(net, x, cache)[:, 0]
         resid = pred - target
         total += float(np.mean(resid**2))
-        tape = nets.backward(net, x, (2.0 / b) * resid[:, None])
+        tape = nets.backward(net, x, (2.0 / b) * resid[:, None], cache)
         nets.clip_gradients(tape, grad_clip)
         nets.adam_step(net, tape, adam)
     critic.soft_update()

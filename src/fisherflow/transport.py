@@ -54,22 +54,38 @@ class TransportMap:
     def action_dim(self):
         return self.base_policy.field.action_dim
 
-    def residual(self, s, a):
-        raw = nets.forward(self.residual_net, state_action_input(s, a, self.state_dim))
+    def residual(self, s, a, saved=None):
+        """delta(s, a) = cap * tanh(raw / cap) of the residual net's raw output.
+
+        When `saved` is given (an empty list), it receives this pass as
+        (net input, tanh(raw / cap), the net's forward cache) for
+        residual_backward to consume.
+        """
+        inp = state_action_input(s, a, self.state_dim)
+        cache = None if saved is None else []
+        raw = nets.forward(self.residual_net, inp, cache)
         cap = self.max_displacement
-        return cap * np.tanh(raw / cap)
+        squashed = np.tanh(raw / cap)
+        if saved is not None:
+            saved.append((inp, squashed, cache))
+        return cap * squashed
 
     def apply(self, s, a):
         """Refined action T_s(a) = a + delta(s, a)."""
         return np.asarray(a, dtype=np.float64) + self.residual(s, a)
 
-    def residual_backward(self, s, a, upstream):
-        """VJP of the capped residual: net tape plus gradient w.r.t. the action."""
-        inp = state_action_input(s, a, self.state_dim)
-        raw = nets.forward(self.residual_net, inp)
-        cap = self.max_displacement
-        chain = 1.0 - np.tanh(raw / cap) ** 2
-        tape = nets.backward(self.residual_net, inp, np.asarray(upstream) * chain)
+    def residual_backward(self, s, a, upstream, saved=None):
+        """VJP of the capped residual: net tape plus gradient w.r.t. the action.
+
+        `saved` is the list a `residual(s, a, saved)` call filled; without
+        one, this runs that pass itself.
+        """
+        if saved is None:
+            saved = []
+            self.residual(s, a, saved)
+        [(inp, squashed, cache)] = saved
+        chain = 1.0 - squashed ** 2
+        tape = nets.backward(self.residual_net, inp, np.asarray(upstream) * chain, cache)
         return tape, tape.d_input[..., self.state_dim:]
 
     def action_map(self, s):

@@ -114,6 +114,10 @@ def test_seed_and_seeds_together_is_usage_error(tmp_path, capsys):
     # train runs exactly one seed, so a list of two is unusable there too
     ("0,1", "train"),
     ("config 0,1", "train"),
+    # a repeated seed would train the same run twice and count it as two
+    ("1,1", "ablate-metric"),
+    ("1,1", "sweep-teps"),
+    ("config 1,1", "ablate-metric"),
 ])
 def test_empty_seed_list_is_usage_error(tmp_path, capsys, seeds, command):
     out = tmp_path / "r"
@@ -124,7 +128,8 @@ def test_empty_seed_list_is_usage_error(tmp_path, capsys, seeds, command):
     else:
         args = ["--seeds", seeds]
     assert run_cli(command, *args, "--out", str(out), *FAST_TRAIN) == 2
-    assert ("one seed" if "0,1" in seeds else "no seeds") in capsys.readouterr().err
+    expected = "repeats 1" if "1,1" in seeds else "one seed" if "0,1" in seeds else "no seeds"
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -135,6 +140,7 @@ def test_empty_seed_list_is_usage_error(tmp_path, capsys, seeds, command):
     ("ablate-metric", "train.t_eps=1.5"),
     ("sweep-teps", "sweep.t_eps=0.8,1.0"),
     ("sweep-teps", "sweep.t_eps="),
+    ("sweep-teps", "sweep.t_eps=0.8,0.8"),
 ])
 def test_fisher_t_eps_outside_unit_interval_is_usage_error(tmp_path, capsys, command, setting):
     out = tmp_path / "r"

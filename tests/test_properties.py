@@ -8,8 +8,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import erf
 
-from fisherflow import flow, training, transport
+from fisherflow import flow, nets, training, transport
 from fisherflow.config import RunConfig, parse_config_text
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -103,6 +104,62 @@ def test_state_action_input_matches_former_concatenations(seed, state_dim, d, ro
     if s is not None or state_dim == 0:  # the critic never ran on a missing nonempty state
         assert _same(flow.state_action_input(s, np.atleast_2d(a), state_dim),
                      _critic_input_reference(s, a))
+
+
+# --- single-pass backward -----------------------------------------------------------
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+_REFERENCE_ACTIVATIONS = {  # (value, derivative), each from the pre-activation alone
+    "gelu": (lambda x: 0.5 * x * (1.0 + erf(x * _INV_SQRT2)),
+             lambda x: (0.5 * (1.0 + erf(x * _INV_SQRT2))
+                        + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x)))),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
+}
+
+
+def _two_pass_backward_reference(net, x, upstream):
+    """The former backward: re-runs the forward, then evaluates each derivative (and erf) anew."""
+    act, act_grad = _REFERENCE_ACTIVATIONS[net.activation]
+    xb, ub = np.atleast_2d(x), np.atleast_2d(upstream)
+    last = len(net.weights) - 1
+    pre, post, h = [], [xb], xb
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w + b
+        pre.append(z)
+        h = act(z) if k != last else z
+        if k != last:
+            post.append(h)
+    d_weights, d_biases, delta = [], [], ub
+    for k in range(last, -1, -1):
+        d_weights.insert(0, post[k].T @ delta)
+        d_biases.insert(0, delta.sum(axis=0))
+        delta = delta @ net.weights[k].T
+        if k > 0:
+            delta = delta * act_grad(pre[k - 1])
+    return d_weights + d_biases + [delta[0] if np.ndim(x) == 1 else delta]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), activation=st.sampled_from(["gelu", "relu", "tanh"]),
+       sizes=st.lists(st.integers(1, 8), min_size=2, max_size=5),
+       rows=st.none() | st.integers(1, 6))
+def test_cached_backward_matches_recomputed_bit_for_bit(seed, activation, sizes, rows):
+    rng = np.random.default_rng(seed)
+    net = nets.DenseNet.create(sizes, activation, rng)
+    for b in net.biases:
+        b[:] = rng.standard_normal(b.shape)
+    x = 2.0 * rng.standard_normal(sizes[0] if rows is None else (rows, sizes[0]))
+    upstream = rng.standard_normal(x.shape[:-1] + (sizes[-1],))
+    cache = []
+    assert _same(nets.forward(net, x, cache), nets.forward(net, x))
+    reference = _two_pass_backward_reference(net, x, upstream)
+    for tape in (nets.backward(net, x, upstream, cache), nets.backward(net, x, upstream)):
+        got = tape.d_weights + tape.d_biases + [tape.d_input]
+        assert len(got) == len(reference)
+        assert all(_same(g, r) for g, r in zip(got, reference))
 
 
 # --- config text -------------------------------------------------------------------
