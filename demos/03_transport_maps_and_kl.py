@@ -28,7 +28,7 @@ grid = transport.GridSpec((-9.0,), (9.0,), (4001,))
 c = 0.3
 kl = transport.kl_quadrature_oracle(gauss, lambda a: a + c, None, grid).value
 samples = gauss.sample(np.random.default_rng(1), 10_000)
-mc = transport.kl_quadratic(lambda a: np.full_like(a, c), gauss, None, samples)
+mc = transport.kl_quadratic(lambda a: np.full_like(a, c), gauss, samples)
 print(f"\nunit Gaussian, constant shift {c}:")
 print(f"  quadrature KL          {kl:.6f} (closed form c^2/2 = {c*c/2:.6f})")
 print(f"  Fisher quadratic form  {mc.value:.6f} +- {mc.stderr:.6f} (Monte Carlo)")

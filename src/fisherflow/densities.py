@@ -147,11 +147,6 @@ class GaussianMixture:
         """Score of the time-t marginal, directly from the mixture form."""
         return self.marginal(t).score(x)
 
-    def shift(self, c):
-        """Mixture translated by the constant vector c."""
-        c = np.atleast_1d(np.asarray(c, dtype=np.float64))
-        return GaussianMixture(self.weights.copy(), self.means + c[None, :], self.variances.copy())
-
 
 class OracleVelocityField:
     """Adapter exposing a mixture's exact velocity with the (t, s, a) call shape.

@@ -2,13 +2,12 @@
 
 The velocity net takes (state, interpolant, time) concatenated and returns a
 velocity in action space. Sampling is fixed-grid explicit Euler from noise,
-matching the training-time linear interpolation path. An analytic
-Gaussian-target velocity is provided as a test oracle.
+matching the training-time linear interpolation path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +52,6 @@ class VelocityField:
     def __call__(self, t, s, a):
         return nets.forward(self.net, state_action_input(s, a, self.state_dim, t))
 
-    def clone(self):
-        return VelocityField(self.net.clone(), self.state_dim, self.action_dim)
-
 
 @dataclass
 class FlowPolicy:
@@ -63,7 +59,6 @@ class FlowPolicy:
 
     field: VelocityField
     steps: int = 10
-    bounds: tuple | None = None  # optional per-coordinate (lo, hi) clamp
 
     def __post_init__(self):
         if self.steps < 1:
@@ -86,53 +81,7 @@ def sample_action(policy: FlowPolicy, s, z) -> np.ndarray:
         z = z + v / m
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite action trajectory at Euler step {k}")
-    if policy.bounds is not None:
-        lo, hi = policy.bounds
-        z = np.clip(z, lo, hi)
     return z
-
-
-@dataclass(frozen=True)
-class InterpolantSample:
-    """One point on the linear noise-to-data path: xt = (1 - t) x0 + t x1."""
-
-    t: float
-    x0: np.ndarray
-    x1: np.ndarray
-    xt: np.ndarray
-
-    @property
-    def regression_target(self):
-        return self.x1 - self.x0
-
-
-def make_interpolant(t, x0, x1) -> InterpolantSample:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("interpolation time must lie in [0, 1]")
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    return InterpolantSample(t, x0, x1, (1.0 - t) * x0 + t * x1)
-
-
-def gaussian_oracle_velocity(mu, sigma, t, a) -> np.ndarray:
-    """Exact conditional-expectation velocity for an isotropic Gaussian target.
-
-    For target N(mu, sigma^2 I) under the linear path, the time-t marginal is
-    N(t mu, (t^2 sigma^2 + (1-t)^2) I) and E[x1 | x_t] is the usual jointly
-    Gaussian conditioning, so the velocity (E[x1 | x_t] - x_t)/(1 - t) is
-    available in closed form. Rejected at t = 1 where the marginal degenerates.
-    """
-    t = float(t)
-    if not 0.0 <= t < 1.0:
-        raise ValueError("t must lie in [0, 1); the path degenerates at t = 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
-    a = np.asarray(a, dtype=np.float64)
-    m_t = t * t * sigma * sigma + (1.0 - t) ** 2
-    posterior = mu + t * sigma * sigma * (a - t * mu) / m_t
-    return (posterior - a) / (1.0 - t)
 
 
 def flow_matching_loss(field: VelocityField, states, actions, rng):
@@ -161,24 +110,26 @@ def flow_matching_loss(field: VelocityField, states, actions, rng):
     return loss, tape
 
 
+# the sampled regression target has large irreducible variance, so raw SGD
+# iterates bounce around the optimum; a weight average fixes that
+EMA_DECAY = 0.999
+
+
 @dataclass
 class FlowTrainConfig:
     steps: int = 2000
     batch_size: int = 256
     learning_rate: float = 3e-4
     grad_clip: float = 5.0
-    # the sampled regression target has large irreducible variance, so raw
-    # SGD iterates bounce around the optimum; a weight average fixes that
-    ema_decay: float = 0.999
 
 
 def train_flow(policy: FlowPolicy, states, actions, config: FlowTrainConfig, rng) -> np.ndarray:
     """Train the policy's velocity field in place; returns the loss curve.
 
-    Keeps an exponential moving average of the weights (when ema_decay > 0)
-    and installs it at the end. Raises NumericError if the loss goes
-    non-finite; the loss curve of a healthy run trends down (median of the
-    last tenth below the first tenth).
+    Keeps an exponential moving average of the weights and installs it at
+    the end. Raises NumericError if the loss goes non-finite; the loss curve
+    of a healthy run trends down (median of the last tenth below the first
+    tenth).
     """
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     n = actions.shape[0]
@@ -189,7 +140,7 @@ def train_flow(policy: FlowPolicy, states, actions, config: FlowTrainConfig, rng
     states = state_action_input(states, actions, n_state)[:, :n_state]
     net = policy.field.net
     adam = nets.AdamState.for_net(net, config.learning_rate)
-    shadow = [p.copy() for p in net.parameters()] if config.ema_decay > 0 else None
+    shadow = [p.copy() for p in net.parameters()]
     curve = np.empty(config.steps)
     for step in range(config.steps):
         idx = rng.integers(0, n, size=min(config.batch_size, n))
@@ -198,14 +149,12 @@ def train_flow(policy: FlowPolicy, states, actions, config: FlowTrainConfig, rng
             raise NumericError(f"flow loss diverged at step {step}")
         nets.clip_gradients(tape, config.grad_clip)
         nets.adam_step(net, tape, adam)
-        if shadow is not None:
-            # warm up the average fast, then settle at the configured decay
-            decay = min(config.ema_decay, (step + 1.0) / (step + 10.0))
-            for avg, p in zip(shadow, net.parameters()):
-                avg *= decay
-                avg += (1.0 - decay) * p
+        # warm up the average fast, then settle at EMA_DECAY
+        decay = min(EMA_DECAY, (step + 1.0) / (step + 10.0))
+        for avg, p in zip(shadow, net.parameters()):
+            avg *= decay
+            avg += (1.0 - decay) * p
         curve[step] = loss
-    if shadow is not None:
-        for p, avg in zip(net.parameters(), shadow):
-            p[:] = avg
+    for p, avg in zip(net.parameters(), shadow):
+        p[:] = avg
     return curve

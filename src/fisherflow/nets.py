@@ -223,7 +223,7 @@ class AdamState:
 
 
 def adam_step(net: DenseNet, tape: GradientTape, state: AdamState):
-    """One Adam update in place; returns (net, state) for chaining.
+    """One Adam update of the net and the state, in place.
 
     Atomic: every new moment and parameter is computed and checked before
     any is written, so a raise leaves the net and the state untouched.
@@ -249,7 +249,6 @@ def adam_step(net: DenseNet, tape: GradientTape, state: AdamState):
     for old, new in updates:
         old[...] = new
     state.step = t
-    return net, state
 
 
 def clip_gradients(tape: GradientTape, max_norm: float) -> float:

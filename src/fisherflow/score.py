@@ -15,15 +15,7 @@ import numpy as np
 
 from .errors import NumericError
 
-DEFAULT_PERTURBED_TIME = 0.8
-
 _DEGENERATE_TRACE = 1e-24
-
-
-@dataclass(frozen=True)
-class ScoreEstimate:
-    score: np.ndarray
-    t_eps: float
 
 
 @dataclass(frozen=True)
@@ -48,7 +40,7 @@ class FisherMetric:
         return self.matrix.shape[0]
 
 
-def perturbed_score(field, s, a, t_eps=DEFAULT_PERTURBED_TIME) -> ScoreEstimate:
+def perturbed_score(field, s, a, t_eps) -> np.ndarray:
     """Score of the time-t_eps marginal: (t_eps v(t_eps, s, a) - a) / (1 - t_eps)."""
     t_eps = float(t_eps)
     if not 0.0 < t_eps < 1.0:
@@ -58,12 +50,12 @@ def perturbed_score(field, s, a, t_eps=DEFAULT_PERTURBED_TIME) -> ScoreEstimate:
     score = (t_eps * v - a) / (1.0 - t_eps)
     if not np.isfinite(score).all():
         raise NumericError("non-finite score estimate")
-    return ScoreEstimate(score, t_eps)
+    return score
 
 
-def batched_scores(field, s, a, t_eps=DEFAULT_PERTURBED_TIME) -> np.ndarray:
+def batched_scores(field, s, a, t_eps) -> np.ndarray:
     """perturbed_score over a batch of actions (B, d) -> (B, d)."""
-    return perturbed_score(field, s, np.atleast_2d(a), t_eps).score
+    return perturbed_score(field, s, np.atleast_2d(a), t_eps)
 
 
 def fisher_matrix(score, normalize=False, damping=0.0) -> FisherMetric:
@@ -74,8 +66,6 @@ def fisher_matrix(score, normalize=False, damping=0.0) -> FisherMetric:
     """
     if damping < 0:
         raise ValueError("damping must be >= 0")
-    if isinstance(score, ScoreEstimate):
-        score = score.score
     s = np.atleast_1d(np.asarray(score, dtype=np.float64))
     d = s.shape[0]
     sq = float(s @ s)
@@ -93,10 +83,9 @@ def fisher_matrix(score, normalize=False, damping=0.0) -> FisherMetric:
     return FisherMetric(m, normalize, float(damping), score=s, rank1_scale=scale, degenerate=degenerate)
 
 
-def isotropic_metric(dim, damping=0.0) -> FisherMetric:
-    """Identity metric of the ablation baseline (optionally inflated by damping)."""
-    return FisherMetric((1.0 + damping) * np.eye(dim), False, float(damping),
-                        score=np.zeros(dim), rank1_scale=0.0)
+def isotropic_metric(dim) -> FisherMetric:
+    """Identity metric of the ablation baseline."""
+    return FisherMetric(np.eye(dim), False, 0.0, score=np.zeros(dim), rank1_scale=0.0)
 
 
 def quadratic_penalty(metric: FisherMetric, delta) -> float:

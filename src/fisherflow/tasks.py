@@ -94,9 +94,6 @@ class SyntheticTask:
             return np.zeros((count, 0))
         return np.random.default_rng(rng).standard_normal((count, self.state_dim))
 
-    def analytic_score(self, s, a):
-        return self.density(s).score(a)
-
     def sample_behavioral(self, s, rng, count):
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -148,8 +145,8 @@ def _bimodal_task(name, barrier_amp, state_dim=0, weight_gate=None):
     )
 
 
-def make_task(name, **overrides) -> SyntheticTask:
-    """Build a catalog task by name; keyword overrides replace whole fields."""
+def make_task(name) -> SyntheticTask:
+    """Build a catalog task by name."""
     if name == "bimodal_asymmetric":
         task = _bimodal_task(name, barrier_amp=0.7)
     elif name == "saddle_barrier":
@@ -188,12 +185,6 @@ def make_task(name, **overrides) -> SyntheticTask:
         task = _bimodal_task(name, barrier_amp=0.7, state_dim=2, weight_gate=gate)
     else:
         raise ValueError(f"unknown task {name!r}")
-    if overrides:
-        fields = {f: getattr(task, f) for f in (
-            "name", "behavioral", "landscape", "state_dim", "corridor",
-            "corridor_density_ceiling", "weight_gate")}
-        fields.update(overrides)
-        task = SyntheticTask(**fields)
     return task
 
 

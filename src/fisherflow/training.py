@@ -98,7 +98,6 @@ class DualState:
     lam: float = 10.0
     epsilon: float = 0.1
     eta: float = 1e-3
-    use_log: bool = False
 
     def __post_init__(self):
         if self.lam < 0:
@@ -108,13 +107,9 @@ class DualState:
 
 
 def dual_update(dual: DualState, constraint_value: float) -> DualState:
-    """lambda <- relu(lambda + eta (constraint - epsilon)); log-space variant optional."""
+    """lambda <- relu(lambda + eta (constraint - epsilon))."""
     violation = float(constraint_value) - dual.epsilon
-    if dual.use_log:
-        lam = dual.lam * float(np.exp(dual.eta * violation))
-    else:
-        lam = max(0.0, dual.lam + dual.eta * violation)
-    return replace(dual, lam=lam)
+    return replace(dual, lam=max(0.0, dual.lam + dual.eta * violation))
 
 
 def trust_region_penalty(velocity_field, metric="fisher", t_eps=0.8, normalize=True,
@@ -205,9 +200,8 @@ def critic_update(critic: Critic, tmap: TransportMap, batch, rng, grad_clip=5.0)
     return total / 2.0
 
 
-def closed_form_refine(q_fn, metric, dual, s, a) -> np.ndarray:
+def closed_form_refine(q_fn, metric, lam: float, s, a) -> np.ndarray:
     """Pointwise natural-gradient displacement (1/lambda) M^-1 grad_a Q; q_fn(s, a) -> (Q, grad)."""
-    lam = dual.lam if isinstance(dual, DualState) else float(dual)
     if lam <= 0.0:
         raise ValueError("closed-form refinement requires lambda > 0")
     _, grad = q_fn(s, np.asarray(a, dtype=np.float64))
@@ -219,10 +213,6 @@ def closed_form_refine(q_fn, metric, dual, s, a) -> np.ndarray:
 class GapResult:
     direct: float
     eigen: float
-
-    @property
-    def value(self):
-        return self.direct
 
 
 def optimality_gap(metric, g, lam) -> GapResult:
@@ -266,6 +256,11 @@ def iterate_quadratic_refine(metric, g, lam, max_steps=200_000, tol=1e-14) -> np
     return d
 
 
+# smallest allowed value of each RefineConfig count
+_LEAST_VALUES = {"steps": 0, "flow_steps": 0, "log_interval": 0, "batch_size": 1,
+                 "eval_samples": 1, "flow_integration_steps": 1}
+
+
 @dataclass
 class RefineConfig:
     """Everything a refinement run needs; fully determined by its fields."""
@@ -287,7 +282,6 @@ class RefineConfig:
     epsilon: float = 0.1
     eta: float = 1e-3
     lambda_init: float = 10.0
-    dual_log: bool = False
     q_normalization: bool = True
     mode: str = "bandit"              # "bandit" (gamma = 0) | "td"
     analytic_q: bool = True
@@ -301,6 +295,11 @@ class RefineConfig:
             raise ValueError(f"unknown metric kind {self.metric!r}")
         if self.mode not in ("bandit", "td"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name, least in _LEAST_VALUES.items():
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        if not self.max_displacement > 0:
+            raise ValueError(f"max_displacement must be > 0, got {self.max_displacement!r}")
         self.hidden = tuple(self.hidden)
 
 
@@ -324,8 +323,7 @@ def save_checkpoint(result: RunResult, task_name, path):
         "residual_net": result.transport_map.residual_net.to_dict(),
         "max_displacement": result.transport_map.max_displacement,
         "critic_nets": [n.to_dict() for n in result.critic.online] if result.critic else None,
-        "dual": {"lam": result.dual.lam, "epsilon": result.dual.epsilon,
-                 "eta": result.dual.eta, "use_log": result.dual.use_log},
+        "dual": {"lam": result.dual.lam, "epsilon": result.dual.epsilon, "eta": result.dual.eta},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -493,7 +491,7 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
         q_fn = critic.value_and_action_grad
     penalty_fn = trust_region_penalty(policy.field, config.metric, config.t_eps,
                                       config.normalize_metric, config.damping)
-    dual = DualState(config.lambda_init, config.epsilon, config.eta, config.dual_log)
+    dual = DualState(config.lambda_init, config.epsilon, config.eta)
     actor_adam = nets.AdamState.for_net(tmap.residual_net, config.learning_rate)
     flow_adam = nets.AdamState.for_net(policy.field.net, config.learning_rate)
 

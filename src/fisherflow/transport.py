@@ -2,12 +2,12 @@
 
 The refined policy is the pushforward of the behavioral policy under
 T_s(a) = a + delta(s, a). This module holds the map itself (a tanh-capped
-residual net over the flow policy), the divergence / log-determinant
-expansion used by the cheap density correction, the Monte-Carlo quadratic
-KL form, and a quadrature oracle that computes the KL exactly (for d <= 2)
-by numerically inverting the map on a grid. The oracle deliberately uses
-finite-difference Jacobians so it stays independent of the analytic path it
-validates.
+residual net over the flow policy), the log-determinant expansion (with
+the divergence of delta) used by the cheap density correction, the
+Monte-Carlo quadratic KL form, and a quadrature oracle that computes the KL
+exactly (for d <= 2) by numerically inverting the map on a grid. The oracle
+deliberately uses finite-difference Jacobians so it stays independent of the
+analytic path it validates.
 """
 
 from __future__ import annotations
@@ -96,36 +96,16 @@ class TransportMap:
         return lambda a: self.residual(s, np.asarray(a))
 
 
-def divergence(tmap: TransportMap, s, a, method="vjp") -> float:
-    """Trace of the action-Jacobian of the displacement field.
-
-    "vjp" takes the trace of displacement_jacobian, "fd" uses central finite
-    differences; the two agree to ~1e-4 on smooth nets and tests pin that
-    down.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    d = tmap.action_dim
-    if method == "vjp":
-        return float(np.trace(displacement_jacobian(tmap, s, a)))
-    if method == "fd":
-        h = 1e-6
-        total = 0.0
-        for i in range(d):
-            step = np.zeros(d)
-            step[i] = h
-            total += float(tmap.residual(s, a + step)[i] - tmap.residual(s, a - step)[i]) / (2 * h)
-        return total
-    raise ValueError(f"unknown divergence method {method!r}")
-
-
 def displacement_jacobian(tmap: TransportMap, s, a) -> np.ndarray:
-    """Full (d, d) Jacobian of delta w.r.t. the action, one VJP per row."""
+    """Full (d, d) Jacobian of delta w.r.t. the action: one residual pass, one VJP per row."""
     d = tmap.action_dim
+    saved = []
+    tmap.residual(s, a, saved)
     rows = []
     for i in range(d):
         e = np.zeros(d)
         e[i] = 1.0
-        _, d_action = tmap.residual_backward(s, a, e)
+        _, d_action = tmap.residual_backward(s, a, e, saved)
         rows.append(d_action)
     return np.stack(rows)
 
@@ -170,21 +150,19 @@ class MCEstimate:
     count: int
 
 
-def kl_quadratic(transport, score_source, s, samples, normalize=False, damping=0.0) -> MCEstimate:
+def kl_quadratic(delta_fn, density: GaussianMixture, samples, normalize=False,
+                 damping=0.0) -> MCEstimate:
     """Monte-Carlo second-order KL: mean of 0.5 delta^T I delta over samples.
 
-    `transport` is a TransportMap or a plain callable a -> delta;
-    `score_source` is a GaussianMixture (exact scores) or a callable
-    a -> scores. Raw outer-product metrics (normalize=False, damping=0)
-    are the ones that approximate the KL.
+    `delta_fn` maps actions (N, d) to displacements; the metric takes the
+    density's exact scores. Raw outer-product metrics (normalize=False,
+    damping=0) are the ones that approximate the KL.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
         raise ValueError("empty sample set")
-    delta_fn = transport.delta_fn(s) if isinstance(transport, TransportMap) else transport
     deltas = np.atleast_2d(delta_fn(samples))
-    score_fn = score_source.score if isinstance(score_source, GaussianMixture) else score_source
-    scores = np.atleast_2d(score_fn(samples))
+    scores = np.atleast_2d(density.score(samples))
     values, _ = fisher_penalty_batch(scores, deltas, normalize=normalize, damping=damping)
     n = values.shape[0]
     return MCEstimate(float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0, n)
@@ -291,8 +269,7 @@ class QuadratureKL:
     grid: GridSpec
 
 
-def kl_quadrature_oracle(density: GaussianMixture, transport, s, grid: GridSpec,
-                         require_coverage=True) -> QuadratureKL:
+def kl_quadrature_oracle(density: GaussianMixture, transport, s, grid: GridSpec) -> QuadratureKL:
     """Grid-exact KL(pi_theta || pi_beta) for d <= 2.
 
     pi_theta on the grid comes from numerically inverting the map per grid
@@ -304,7 +281,7 @@ def kl_quadrature_oracle(density: GaussianMixture, transport, s, grid: GridSpec,
         raise ValueError("quadrature oracle supports d <= 2 only")
     if grid.dim != density.dim:
         raise ValueError("grid and density dimensions disagree")
-    if require_coverage and not grid.covers(density):
+    if not grid.covers(density):
         raise ValueError("grid must cover at least 6 standard deviations per mixture component")
     map_fn = transport.action_map(s) if isinstance(transport, TransportMap) else transport
     pts = grid.mesh()

@@ -115,7 +115,7 @@ def suite_kl_quadrature() -> Outcome:
     grid = GridSpec((-9.0,), (9.0,), (4001,))
     kl_shift = kl_quadrature_oracle(gauss, lambda a: a + 0.3, None, grid).value
     samples = gauss.sample(np.random.default_rng(33), 10_000)
-    mc = kl_quadratic(lambda a: np.full_like(a, 0.3), gauss, None, samples)
+    mc = kl_quadratic(lambda a: np.full_like(a, 0.3), gauss, samples)
     grid_s = GridSpec((-12.0,), (12.0,), (6001,))
     kl_scale = kl_quadrature_oracle(gauss, lambda a: 1.1 * a, None, grid_s).value
     closed = 0.5 * (1.21 - 1.0 - np.log(1.21))

@@ -1,4 +1,4 @@
-"""Shared finite-difference oracles for the test suite."""
+"""Shared finite-difference and closed-form oracles for the test suite."""
 
 import numpy as np
 
@@ -38,3 +38,27 @@ def rel_error(a, b, floor=1e-12):
     scale = np.maximum(scale, floor)
     return float(np.max(np.abs(a - b) / scale))
 
+
+def fd_divergence(tmap, s, a, step=1e-6):
+    """Central-difference trace of the displacement field's action-Jacobian."""
+    a = np.asarray(a, dtype=np.float64)
+    total = 0.0
+    for i in range(a.size):
+        e = np.zeros(a.size)
+        e[i] = step
+        total += float(tmap.residual(s, a + e)[i] - tmap.residual(s, a - e)[i]) / (2 * step)
+    return total
+
+
+def gaussian_oracle_velocity(mu, sigma, t, a):
+    """Closed-form velocity E[x1 - x0 | x_t = a] of the linear path to N(mu, sigma^2 I).
+
+    The time-t marginal is N(t mu, (t^2 sigma^2 + (1-t)^2) I), so E[x1 | x_t]
+    is jointly Gaussian conditioning and the velocity is
+    (E[x1 | x_t] - x_t) / (1 - t), for t in [0, 1).
+    """
+    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
+    a = np.asarray(a, dtype=np.float64)
+    m_t = t * t * sigma * sigma + (1.0 - t) ** 2
+    posterior = mu + t * sigma * sigma * (a - t * mu) / m_t
+    return (posterior - a) / (1.0 - t)

@@ -149,6 +149,23 @@ def test_fisher_t_eps_outside_unit_interval_is_usage_error(tmp_path, capsys, com
     assert not out.exists()  # rejected before any output or training
 
 
+@pytest.mark.parametrize("setting", [
+    "train.eval_samples=0",
+    "train.flow_steps=-1",
+    "train.log_interval=-1",
+    "train.batch_size=0",
+    "train.steps=-3",
+    "train.flow_integration_steps=0",
+    "train.max_displacement=0",
+])
+def test_out_of_range_training_value_is_usage_error(tmp_path, capsys, setting):
+    out = tmp_path / "r"
+    assert run_cli("train", "--out", str(out), *FAST_TRAIN, "--set", setting) == 2
+    key = setting.split("=")[0][len("train."):]
+    assert key in capsys.readouterr().err
+    assert not out.exists()  # rejected before any output or training
+
+
 def test_isotropic_train_ignores_t_eps(tmp_path):
     out = tmp_path / "r"
     assert run_cli("train", "--out", str(out), *FAST_TRAIN, "--set", "train.metric=isotropic",

@@ -139,11 +139,3 @@ def test_oracle_field_adapter_ignores_state():
     field = OracleVelocityField(mix)
     a = np.array([0.5, 0.5])
     np.testing.assert_array_equal(field(0.4, np.zeros(3), a), mix.velocity(0.4, a))
-
-
-def test_shift_translates_means():
-    mix = mixture_2d()
-    shifted = mix.shift([0.5, -1.0])
-    np.testing.assert_allclose(shifted.means, mix.means + np.array([0.5, -1.0]))
-    x = np.array([0.2, 0.9])
-    np.testing.assert_allclose(shifted.density(x), mix.density(x - np.array([0.5, -1.0])), rtol=1e-12)

@@ -7,6 +7,8 @@ from fisherflow import flow, nets
 from fisherflow.densities import GaussianMixture
 from fisherflow.errors import NumericError
 
+from helpers import gaussian_oracle_velocity
+
 
 class ConstantField:
     """Stub velocity field returning a fixed vector."""
@@ -46,12 +48,6 @@ def test_sample_action_reports_bad_step():
         flow.sample_action(policy, None, np.array([0.0]))
 
 
-def test_sample_action_applies_bounds():
-    policy = flow.FlowPolicy(ConstantField([5.0]), steps=1, bounds=(-1.0, 1.0))
-    out = flow.sample_action(policy, None, np.array([0.0]))
-    np.testing.assert_allclose(out, [1.0])
-
-
 def test_euler_matches_high_resolution_reference():
     mix = GaussianMixture.single([1.5], 0.6)
 
@@ -85,27 +81,35 @@ def test_euler_error_decreases_as_steps_double():
 
 def test_gaussian_oracle_velocity_known_points():
     # target N(0, 1), t = 0.5, a = 1: conditioning gives E[x1|x_t]=1 so v = 0
-    v = flow.gaussian_oracle_velocity([0.0], 1.0, 0.5, np.array([1.0]))
+    v = GaussianMixture.single([0.0], 1.0).velocity(0.5, np.array([1.0]))
     np.testing.assert_allclose(v, [0.0], atol=1e-15)
     # at t = 0 the interpolant is pure noise, independent of x1: v = mu - a
-    v = flow.gaussian_oracle_velocity([2.0, -1.0], 0.7, 0.0, np.array([0.5, 0.5]))
+    v = GaussianMixture.single([2.0, -1.0], 0.7).velocity(0.0, np.array([0.5, 0.5]))
     np.testing.assert_allclose(v, [1.5, -1.5], rtol=1e-15)
 
 
 def test_gaussian_oracle_velocity_rejects_bad_inputs():
+    mix = GaussianMixture.single([0.0], 1.0)
+    for t in (1.0, -0.1):
+        with pytest.raises(ValueError):
+            mix.velocity(t, np.array([0.0]))
     with pytest.raises(ValueError):
-        flow.gaussian_oracle_velocity([0.0], 1.0, 1.0, np.array([0.0]))
-    with pytest.raises(ValueError):
-        flow.gaussian_oracle_velocity([0.0], -1.0, 0.5, np.array([0.0]))
+        GaussianMixture.single([0.0], 0.0)
 
 
 def test_gaussian_oracle_velocity_matches_mixture_path():
     mix = GaussianMixture.single([0.3, -0.7], 0.9)
     a = np.array([0.25, 1.0])
     for t in (0.1, 0.5, 0.9):
-        np.testing.assert_allclose(
-            flow.gaussian_oracle_velocity([0.3, -0.7], 0.9, t, a),
-            mix.velocity(t, a), rtol=1e-12)
+        np.testing.assert_allclose(gaussian_oracle_velocity([0.3, -0.7], 0.9, t, a),
+                                   mix.velocity(t, a), rtol=1e-12)
+
+
+def replay_loss_draws(seed, b, d):
+    """The (t, x0) draws flow_matching_loss makes from default_rng(seed) for a (b, d) batch."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 1.0, size=(b, 1))
+    return t, rng.standard_normal((b, d))
 
 
 def test_flow_matching_loss_zero_net_is_mean_squared_target():
@@ -116,11 +120,8 @@ def test_flow_matching_loss_zero_net_is_mean_squared_target():
         b[:] = 0.0
     actions = np.random.default_rng(5).normal(size=(32, 2))
     loss, _ = flow.flow_matching_loss(field, None, actions, np.random.default_rng(7))
-    # replay the same rng stream to recover the sampled (t, x0) pairs
-    rng = np.random.default_rng(7)
-    t = rng.uniform(0.0, 1.0, size=(32, 1))
-    x0 = rng.standard_normal((32, 2))
-    del t
+    # replay the same rng stream to recover the sampled x0
+    _, x0 = replay_loss_draws(7, 32, 2)
     expected = float(np.sum((actions - x0) ** 2) / 32)
     assert abs(loss - expected) < 1e-12
 
@@ -152,22 +153,34 @@ def test_flow_matching_loss_rejects_bad_batches():
 
 
 def test_interpolant_target_independent_of_time():
-    # point mass at 2 with x0 = 0: the regression target x1 - x0 = 2 at any t
-    for t in (0.0, 0.5, 0.9):
-        sample = flow.make_interpolant(t, [0.0], [2.0])
-        np.testing.assert_allclose(sample.regression_target, [2.0])
-        np.testing.assert_allclose(sample.xt, [2.0 * t])
+    # point mass at 2 and a net that outputs 2 everywhere: the residual
+    # pred - (x1 - x0) is x0, whatever time each row drew
+    field = flow.VelocityField.create(0, 1, hidden=(4,), rng=0)
+    for w in field.net.weights:
+        w[:] = 0.0
+    field.net.biases[-1][:] = 2.0
+    loss, _ = flow.flow_matching_loss(field, None, np.full((16, 1), 2.0),
+                                      np.random.default_rng(3))
+    _, x0 = replay_loss_draws(3, 16, 1)
+    assert abs(loss - float(np.sum(x0**2) / 16)) < 1e-12
 
 
-def test_interpolant_is_exact_convex_combination():
-    rng = np.random.default_rng(30)
-    for _ in range(10):
-        t = float(rng.uniform())
-        x0, x1 = rng.normal(size=2), rng.normal(size=2)
-        sample = flow.make_interpolant(t, x0, x1)
-        np.testing.assert_array_equal(sample.xt, (1 - t) * x0 + t * x1)
-    with pytest.raises(ValueError):
-        flow.make_interpolant(1.2, [0.0], [0.0])
+def test_interpolant_is_exact_convex_combination(monkeypatch):
+    seen = []
+    forward = nets.forward
+
+    def recording_forward(net, x, cache=None):
+        seen.append(np.array(x))
+        return forward(net, x, cache)
+
+    monkeypatch.setattr(nets, "forward", recording_forward)
+    field = flow.VelocityField.create(0, 2, hidden=(4,), rng=0)
+    x1 = np.random.default_rng(30).normal(size=(10, 2))
+    flow.flow_matching_loss(field, None, x1, np.random.default_rng(31))
+    t, x0 = replay_loss_draws(31, 10, 2)
+    [inp] = seen
+    np.testing.assert_array_equal(inp[:, :2], (1 - t) * x0 + t * x1)
+    np.testing.assert_array_equal(inp[:, 2:], t)
 
 
 def test_train_flow_point_mass_and_loss_curve():

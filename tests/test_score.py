@@ -11,8 +11,7 @@ def test_perturbed_score_gaussian_oracle_exact():
     # N(0,1) target, t = 0.5: marginal is N(0, 0.5), score at a=1 is exactly -2
     field = OracleVelocityField(GaussianMixture.single([0.0], 1.0))
     est = score.perturbed_score(field, None, np.array([1.0]), t_eps=0.5)
-    assert abs(est.score[0] + 2.0) < 1e-12
-    assert est.t_eps == 0.5
+    assert abs(est[0] + 2.0) < 1e-12
 
 
 def test_perturbed_score_zero_when_tv_equals_a():
@@ -21,7 +20,7 @@ def test_perturbed_score_zero_when_tv_equals_a():
             return np.asarray(a) / t
 
     est = score.perturbed_score(Stub(), None, np.array([0.3, -0.7]), t_eps=0.8)
-    np.testing.assert_allclose(est.score, 0.0, atol=1e-15)
+    np.testing.assert_allclose(est, 0.0, atol=1e-15)
 
 
 def test_perturbed_score_rejects_degenerate_time():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,17 +42,10 @@ def test_dual_update_projection_clamps_at_zero():
 
 def test_dual_update_monotone_in_constraint():
     rng = np.random.default_rng(0)
-    for use_log in (False, True):
-        dual = training.DualState(lam=1.5, epsilon=0.2, eta=0.05, use_log=use_log)
-        values = np.sort(rng.uniform(0, 1, size=20))
-        lams = [training.dual_update(dual, float(v)).lam for v in values]
-        assert all(a <= b + 1e-15 for a, b in zip(lams, lams[1:]))
-
-
-def test_dual_log_parameterization_stays_positive():
-    dual = training.DualState(lam=0.05, epsilon=0.5, eta=2.0, use_log=True)
-    out = training.dual_update(dual, 0.0)
-    assert out.lam > 0.0
+    dual = training.DualState(lam=1.5, epsilon=0.2, eta=0.05)
+    values = np.sort(rng.uniform(0, 1, size=20))
+    lams = [training.dual_update(dual, float(v)).lam for v in values]
+    assert all(a <= b + 1e-15 for a, b in zip(lams, lams[1:]))
 
 
 def test_dual_state_validation():
@@ -74,7 +68,7 @@ def test_closed_form_refine_sherman_morrison_case():
     s = np.array([1.0, 0.0])
     metric = score.fisher_matrix(s, damping=1.0)
     q_fn = lambda _, a: (0.0, s)
-    out = training.closed_form_refine(q_fn, metric, training.DualState(lam=1.0), None, np.zeros(2))
+    out = training.closed_form_refine(q_fn, metric, 1.0, None, np.zeros(2))
     np.testing.assert_allclose(out, s / 2.0, rtol=1e-12)
 
 
@@ -255,8 +249,8 @@ def test_run_refinement_deterministic_logs(bimodal_setup):
 
 def test_run_refinement_zero_value_task_stays_behavioral(bimodal_setup):
     _, dataset = bimodal_setup
-    flat = tasks.make_task("bimodal_asymmetric",
-                           landscape=tasks.QLandscape([0.0], [[0.0, 0.0]], [1.0]))
+    flat = replace(tasks.make_task("bimodal_asymmetric"),
+                   landscape=tasks.QLandscape([0.0], [[0.0, 0.0]], [1.0]))
     res = training.run_refinement(small_config(seed=6, epsilon=0.1), dataset, flat)
     assert all(row["constraint"] < 0.1 for row in res.log)
     assert res.final["final_constraint"] < 0.01

@@ -6,6 +6,8 @@ from fisherflow.densities import GaussianMixture
 from fisherflow.errors import ConvergenceError
 from fisherflow.validate import OVERLAP_MIXTURE, linear_residual_map
 
+from helpers import fd_divergence
+
 
 def make_policy(state_dim=0, action_dim=2, seed=0):
     field = flow.VelocityField.create(state_dim, action_dim, hidden=(8,), rng=seed)
@@ -52,15 +54,15 @@ def test_divergence_linear_field():
     c, d = 0.07, 3
     tmap = linear_residual_map(c * np.eye(d))
     a = np.array([0.4, -0.2, 1.0])
-    assert abs(transport.divergence(tmap, None, a, "vjp") - c * d) < 1e-9
-    assert abs(transport.divergence(tmap, None, a, "fd") - c * d) < 1e-6
+    assert abs(transport.log_det_inverse_approx(tmap, None, a).divergence - c * d) < 1e-9
+    assert abs(fd_divergence(tmap, None, a) - c * d) < 1e-6
 
 
 def test_divergence_rotation_field_is_zero():
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])  # delta = (-a2, a1)
     tmap = linear_residual_map(w, cap=1.0)  # diagonal entries vanish even with the cap
     for a in (np.zeros(2), np.array([0.6, -0.3])):
-        assert abs(transport.divergence(tmap, None, a, "vjp")) < 1e-12
+        assert abs(transport.log_det_inverse_approx(tmap, None, a).divergence) < 1e-12
 
 
 def test_divergence_methods_agree_on_random_nets():
@@ -69,9 +71,22 @@ def test_divergence_methods_agree_on_random_nets():
         tmap = make_map(seed=seed)
         tmap.residual_net.weights[-1][:] = rng.normal(size=tmap.residual_net.weights[-1].shape) * 0.5
         a = rng.normal(size=2)
-        v = transport.divergence(tmap, None, a, "vjp")
-        f = transport.divergence(tmap, None, a, "fd")
-        assert abs(v - f) < 1e-4
+        vjp = transport.log_det_inverse_approx(tmap, None, a).divergence
+        assert abs(vjp - fd_divergence(tmap, None, a)) < 1e-4
+
+
+def test_displacement_jacobian_runs_one_residual_forward(monkeypatch):
+    calls = []
+    forward = nets.forward
+
+    def counting_forward(net, x, cache=None):
+        calls.append(net)
+        return forward(net, x, cache)
+
+    monkeypatch.setattr(nets, "forward", counting_forward)
+    tmap = make_map(seed=6)
+    transport.log_det_inverse_approx(tmap, None, np.array([0.3, -0.4]))
+    assert calls == [tmap.residual_net]
 
 
 def test_log_det_expansion_known_gap():
@@ -98,7 +113,7 @@ def test_log_det_flags_regime_violation():
 
 def test_kl_quadratic_zero_residual():
     mix = GaussianMixture.single([0.0, 0.0], 1.0)
-    est = transport.kl_quadratic(lambda a: np.zeros_like(a), mix, None,
+    est = transport.kl_quadratic(lambda a: np.zeros_like(a), mix,
                                  mix.sample(np.random.default_rng(0), 100))
     assert est.value == 0.0
 
@@ -106,7 +121,7 @@ def test_kl_quadratic_zero_residual():
 def test_kl_quadratic_rejects_empty_samples():
     mix = GaussianMixture.single([0.0], 1.0)
     with pytest.raises(ValueError):
-        transport.kl_quadratic(lambda a: a, mix, None, np.zeros((0, 1)))
+        transport.kl_quadratic(lambda a: a, mix, np.zeros((0, 1)))
 
 
 def test_kl_quadratic_gaussian_shift_matches_closed_form():
@@ -115,7 +130,7 @@ def test_kl_quadratic_gaussian_shift_matches_closed_form():
     mix = GaussianMixture.single([0.0, 0.0], 1.0)
     c = np.array([0.25, -0.15])
     samples = mix.sample(np.random.default_rng(1), 10_000)
-    est = transport.kl_quadratic(lambda a: np.broadcast_to(c, a.shape), mix, None, samples)
+    est = transport.kl_quadratic(lambda a: np.broadcast_to(c, a.shape), mix, samples)
     exact = 0.5 * float(c @ c)
     assert abs(est.value - exact) < 3 * est.stderr
 
@@ -169,7 +184,7 @@ def test_quadratic_form_agrees_with_quadrature_on_two_mode_mixture():
     assert abs(quad - kl) / kl < 0.20
     # Monte-Carlo route agrees too
     samples = SEPARATED_MIXTURE.sample(np.random.default_rng(2), 20_000)
-    est = transport.kl_quadratic(lambda a: np.full_like(a, 0.05), SEPARATED_MIXTURE, None, samples)
+    est = transport.kl_quadratic(lambda a: np.full_like(a, 0.05), SEPARATED_MIXTURE, samples)
     assert abs(est.value - kl) / kl < 0.20
 
 
