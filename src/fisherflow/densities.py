@@ -61,9 +61,13 @@ class GaussianMixture:
     def _component_log_pdf(self, x):
         """log N(x; mu_j, var_j) for every component; x is (B, d) -> (B, k)."""
         diff = x[:, None, :] - self.means[None, :, :]
-        quad = np.sum(diff**2 / self.variances[None, :, :], axis=2)
+        np.square(diff, out=diff)  # in place on the fresh difference, as are the steps below
+        diff /= self.variances[None, :, :]
+        quad = np.sum(diff, axis=2)
         log_norm = 0.5 * np.sum(np.log(2.0 * np.pi * self.variances), axis=1)
-        return -0.5 * quad - log_norm[None, :]
+        quad *= -0.5
+        quad -= log_norm[None, :]
+        return quad
 
     def log_density(self, x):
         x, single = _as_batch(x, self.dim)

@@ -12,6 +12,12 @@ derivative computed from values the forward already holds (for the GELU,
 from the erf of its own value); the output layer is linear and stores None.
 `backward` consumes that cache and runs no forward of its own; without one,
 it runs `forward` itself.
+
+The kernels work in place, but only on arrays the layer itself created: the
+bias is added into the fresh matmul product, an activation overwrites the
+pre-activation it is given (after building its derivative from it), and
+backward scales the fresh `delta @ W.T` by the cached derivative. Nothing
+the caller passes (input, upstream gradient, parameters, cache) is written.
 """
 
 from __future__ import annotations
@@ -29,25 +35,39 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-# Each activation maps a pre-activation z to (value, derivative at z), the
-# derivative only when asked for and otherwise None.
+# Each activation maps a fresh pre-activation z to (value, derivative at z),
+# the derivative only when asked for and otherwise None. The value is written
+# into z, so z is the returned value and the caller must own it.
 
 
 def _gelu(z, with_grad):
-    if not with_grad:  # one expression, so no temporary outlives its use on large batches
-        return 0.5 * z * (1.0 + erf(z * _INV_SQRT2)), None
-    e = erf(z * _INV_SQRT2)
-    # d/dz z Phi(z) = Phi(z) + z phi(z), with Phi(z) = (1 + e) / 2 from the erf above
-    return 0.5 * z * (1.0 + e), 0.5 * (1.0 + e) + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z))
+    e = np.multiply(z, _INV_SQRT2)
+    erf(e, out=e)
+    e += 1.0  # 2 Phi(z)
+    if with_grad:
+        # d/dz z Phi(z) = Phi(z) + z phi(z): z phi(z) here, Phi(z) from e once the value is out
+        z_phi = np.multiply(z, -0.5)
+        z_phi *= z
+        np.exp(z_phi, out=z_phi)
+        z_phi *= _INV_SQRT2PI
+        z_phi *= z
+    z *= 0.5
+    z *= e
+    if not with_grad:
+        return z, None
+    e *= 0.5
+    e += z_phi
+    return z, e
 
 
 def _relu(z, with_grad):
-    return np.maximum(z, 0.0), ((z > 0.0).astype(np.float64) if with_grad else None)
+    grad = (z > 0.0).astype(np.float64) if with_grad else None
+    return np.maximum(z, 0.0, out=z), grad
 
 
 def _tanh(z, with_grad):
-    value = np.tanh(z)
-    return value, (1.0 - value**2 if with_grad else None)
+    np.tanh(z, out=z)
+    return z, (1.0 - z**2 if with_grad else None)
 
 
 _ACTIVATIONS = {"gelu": _gelu, "relu": _relu, "tanh": _tanh}
@@ -154,7 +174,8 @@ def forward(net: DenseNet, x, cache=None) -> np.ndarray:
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         layer_input = h if with_grad else None
         # rebinding h frees the layer input before the activation runs, unless it is cached
-        h = h @ w + b
+        h = h @ w
+        h += b
         grad = None
         if k != last:
             h, grad = act(h, with_grad)
@@ -190,7 +211,7 @@ def backward(net: DenseNet, x, upstream, cache=None) -> GradientTape:
         d_biases[k] = delta.sum(axis=0)
         delta = delta @ net.weights[k].T
         if k > 0:
-            delta = delta * cache[k - 1][1]
+            delta *= cache[k - 1][1]
     if not np.isfinite(delta).all():
         raise NumericError("non-finite intermediate in backward pass")
     d_input = delta[0] if single else delta

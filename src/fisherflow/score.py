@@ -170,6 +170,8 @@ def fisher_penalty_batch(scores, deltas, normalize=True, damping=0.0):
     degenerate zero-score fallback) without materializing d x d matrices.
     Returns (values (B,), gradients (B, d)).
     """
+    if damping < 0:
+        raise ValueError("damping must be >= 0")
     s = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     dl = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
     if s.shape != dl.shape:

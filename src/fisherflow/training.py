@@ -256,9 +256,12 @@ def iterate_quadratic_refine(metric, g, lam, max_steps=200_000, tol=1e-14) -> np
     return d
 
 
-# smallest allowed value of each RefineConfig count
+# smallest allowed value of each RefineConfig count and nonnegative training value
 _LEAST_VALUES = {"steps": 0, "flow_steps": 0, "log_interval": 0, "batch_size": 1,
-                 "eval_samples": 1, "flow_integration_steps": 1}
+                 "eval_samples": 1, "flow_integration_steps": 1,
+                 "damping": 0.0, "eta": 0.0, "lambda_init": 0.0}
+# RefineConfig values that must be strictly positive
+_POSITIVE_VALUES = ("max_displacement", "epsilon", "learning_rate")
 
 
 @dataclass
@@ -298,8 +301,9 @@ class RefineConfig:
         for name, least in _LEAST_VALUES.items():
             if not getattr(self, name) >= least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
-        if not self.max_displacement > 0:
-            raise ValueError(f"max_displacement must be > 0, got {self.max_displacement!r}")
+        for name in _POSITIVE_VALUES:
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         self.hidden = tuple(self.hidden)
 
 

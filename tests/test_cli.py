@@ -157,6 +157,12 @@ def test_fisher_t_eps_outside_unit_interval_is_usage_error(tmp_path, capsys, com
     "train.steps=-3",
     "train.flow_integration_steps=0",
     "train.max_displacement=0",
+    "train.epsilon=0",
+    "train.lambda_init=-1",
+    "train.eta=-1",
+    "train.learning_rate=0",
+    "train.learning_rate=-1",
+    "train.damping=-5",
 ])
 def test_out_of_range_training_value_is_usage_error(tmp_path, capsys, setting):
     out = tmp_path / "r"

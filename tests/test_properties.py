@@ -12,6 +12,7 @@ from scipy.special import erf
 
 from fisherflow import flow, nets, training, transport
 from fisherflow.config import RunConfig, parse_config_text
+from fisherflow.densities import GaussianMixture
 
 from helpers import fd_divergence
 
@@ -122,26 +123,38 @@ _REFERENCE_ACTIVATIONS = {  # (value, derivative), each from the pre-activation 
 }
 
 
-def _two_pass_backward_reference(net, x, upstream):
-    """The former backward: re-runs the forward, then evaluates each derivative (and erf) anew."""
-    act, act_grad = _REFERENCE_ACTIVATIONS[net.activation]
-    xb, ub = np.atleast_2d(x), np.atleast_2d(upstream)
+def _reference_forward(net, x):
+    """Out-of-place forward: (pre-activations, layer inputs, output), every step a new array."""
+    act = _REFERENCE_ACTIVATIONS[net.activation][0]
     last = len(net.weights) - 1
-    pre, post, h = [], [xb], xb
+    pre, inputs, h = [], [], x
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(h)
         z = h @ w + b
         pre.append(z)
         h = act(z) if k != last else z
-        if k != last:
-            post.append(h)
-    d_weights, d_biases, delta = [], [], ub
-    for k in range(last, -1, -1):
-        d_weights.insert(0, post[k].T @ delta)
+    return pre, inputs, h
+
+
+def _two_pass_backward_reference(net, x, upstream):
+    """The former backward: re-runs the forward, then evaluates each derivative (and erf) anew."""
+    act_grad = _REFERENCE_ACTIVATIONS[net.activation][1]
+    pre, inputs, _ = _reference_forward(net, np.atleast_2d(x))
+    d_weights, d_biases, delta = [], [], np.atleast_2d(upstream)
+    for k in range(len(net.weights) - 1, -1, -1):
+        d_weights.insert(0, inputs[k].T @ delta)
         d_biases.insert(0, delta.sum(axis=0))
         delta = delta @ net.weights[k].T
         if k > 0:
             delta = delta * act_grad(pre[k - 1])
     return d_weights + d_biases + [delta[0] if np.ndim(x) == 1 else delta]
+
+
+def _freeze(arrays):
+    """Make every array read-only, so an in-place write into it raises."""
+    for arr in arrays:
+        if arr is not None:
+            arr.flags.writeable = False
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,13 +168,42 @@ def test_cached_backward_matches_recomputed_bit_for_bit(seed, activation, sizes,
         b[:] = rng.standard_normal(b.shape)
     x = 2.0 * rng.standard_normal(sizes[0] if rows is None else (rows, sizes[0]))
     upstream = rng.standard_normal(x.shape[:-1] + (sizes[-1],))
+    _freeze([x, upstream] + net.parameters())
+    pre, inputs, out = _reference_forward(net, x)
+    act_grad = _REFERENCE_ACTIVATIONS[activation][1]
     cache = []
-    assert _same(nets.forward(net, x, cache), nets.forward(net, x))
+    assert _same(nets.forward(net, x, cache), out)
+    assert _same(nets.forward(net, x), out)
+    assert len(cache) == len(pre)
+    for k, (layer_input, grad) in enumerate(cache):
+        assert _same(layer_input, inputs[k])
+        assert grad is None if k == len(pre) - 1 else _same(grad, act_grad(pre[k]))
+        _freeze([layer_input, grad])
     reference = _two_pass_backward_reference(net, x, upstream)
     for tape in (nets.backward(net, x, upstream, cache), nets.backward(net, x, upstream)):
         got = tape.d_weights + tape.d_biases + [tape.d_input]
         assert len(got) == len(reference)
         assert all(_same(g, r) for g, r in zip(got, reference))
+
+
+def _component_log_pdf_reference(mix, x):
+    diff = x[:, None, :] - mix.means[None, :, :]
+    quad = np.sum(diff**2 / mix.variances[None, :, :], axis=2)
+    log_norm = 0.5 * np.sum(np.log(2.0 * np.pi * mix.variances), axis=1)
+    return -0.5 * quad - log_norm[None, :]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), d=st.integers(1, 3),
+       rows=st.integers(1, 6))
+def test_component_log_pdf_matches_out_of_place_reference_bit_for_bit(seed, k, d, rows):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 1.0, k)
+    mix = GaussianMixture(weights / weights.sum(), 2.0 * rng.standard_normal((k, d)),
+                          rng.uniform(0.05, 3.0, (k, d)))
+    x = 3.0 * rng.standard_normal((rows, d))
+    _freeze([x, mix.weights, mix.means, mix.variances])
+    assert _same(mix._component_log_pdf(x), _component_log_pdf_reference(mix, x))
 
 
 # --- config text -------------------------------------------------------------------
@@ -179,7 +221,8 @@ run_configs = st.builds(
         hidden=st.lists(st.integers(1, 512), min_size=1, max_size=3).map(tuple),
         activation=st.sampled_from(["gelu", "relu", "tanh"]),
         metric=st.sampled_from(["fisher", "isotropic"]), t_eps=finite,
-        normalize_metric=st.booleans(), damping=finite,
+        normalize_metric=st.booleans(),
+        damping=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
         mode=st.sampled_from(["bandit", "td"]), analytic_q=st.booleans()))
 
 

@@ -58,6 +58,11 @@ def test_fisher_matrix_rejects_negative_damping():
         score.fisher_matrix(np.ones(2), damping=-1.0)
 
 
+def test_fisher_penalty_batch_rejects_negative_damping():
+    with pytest.raises(ValueError, match="damping must be >= 0"):
+        score.fisher_penalty_batch(np.ones((3, 2)), np.ones((3, 2)), damping=-1.0)
+
+
 def test_fisher_matrix_always_symmetric_psd():
     rng = np.random.default_rng(0)
     for _ in range(50):
