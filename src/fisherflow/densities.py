@@ -9,6 +9,14 @@ ground truth for quadrature KL checks.
 Linear interpolation path: x_t = t * x1 + (1 - t) * x0 with x0 ~ N(0, I)
 and x1 drawn from the mixture. Component j of the time-t marginal is then
 N(t * mu_j, t^2 * var_j + (1 - t)^2).
+
+One component pass serves a whole point set. Given an empty list as
+`saved`, `log_density` (and `density`) put the responsibilities of their
+pass into it; `score` and `log_density_hessian` given that list consume it
+instead of running the component log-pdf and its log-sum-exp again. The
+Hessian never holds per-component (N, k, d, d) tensors: it adds one
+component at a time into a single (N, d, d) array (with d = 1 the terms
+are scalars, one array the size of the responsibilities).
 """
 
 from __future__ import annotations
@@ -69,24 +77,53 @@ class GaussianMixture:
         quad -= log_norm[None, :]
         return quad
 
-    def log_density(self, x):
+    def _log_joint(self, x):
+        """log w_j + log N(x; mu_j, var_j) per component (B, k), and its log-sum-exp (B,)."""
+        logp = self._component_log_pdf(x)
+        logp += np.log(self.weights)[None, :]
+        return logp, logsumexp(logp, axis=1)
+
+    def log_density(self, x, saved=None):
+        """log p(x) per point.
+
+        When `saved` is given (an empty list), it receives the (B, k)
+        responsibilities of this pass for `score` and `log_density_hessian`.
+        """
         x, single = _as_batch(x, self.dim)
-        out = logsumexp(self._component_log_pdf(x) + np.log(self.weights)[None, :], axis=1)
+        logp, out = self._log_joint(x)
+        if saved is not None:
+            saved.append(_normalized(logp, out))
         return out[0] if single else out
 
-    def density(self, x):
-        return np.exp(self.log_density(x))
+    def density(self, x, saved=None):
+        """p(x) per point; `saved` as in `log_density`."""
+        return np.exp(self.log_density(x, saved))
 
     def responsibilities(self, x):
         x, single = _as_batch(x, self.dim)
-        logp = self._component_log_pdf(x) + np.log(self.weights)[None, :]
-        r = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+        r = _normalized(*self._log_joint(x))
         return r[0] if single else r
 
-    def score(self, x):
-        """Exact score sum_j r_j(x) * (mu_j - x) / var_j, via the log-sum-exp path."""
+    def _responsibilities_of(self, x, saved):
+        """Responsibilities for batch x: the ones in `saved` when given, else a fresh pass.
+
+        A single component gets exact ones either way.
+        """
+        if saved is None:
+            return self.responsibilities(x) if self.n_components > 1 else np.ones((x.shape[0], 1))
+        [r] = saved
+        if r.shape[0] != x.shape[0]:
+            raise ValueError(f"saved pass holds {r.shape[0]} rows, got {x.shape[0]} points")
+        return r if self.n_components > 1 else np.ones((x.shape[0], 1))
+
+    def score(self, x, saved=None):
+        """Exact score sum_j r_j(x) * (mu_j - x) / var_j, via the log-sum-exp path.
+
+        `saved` is the list a `log_density(x, saved)` call filled; without
+        one, this runs the responsibilities pass itself.
+        """
         x, single = _as_batch(x, self.dim)
-        r = self.responsibilities(x) if self.n_components > 1 else np.ones((x.shape[0], 1))
+        r = self._responsibilities_of(x, saved)
         comp = (self.means[None, :, :] - x[:, None, :]) / self.variances[None, :, :]
         s = np.sum(r[:, :, None] * comp, axis=1)
         return s[0] if single else s
@@ -98,18 +135,33 @@ class GaussianMixture:
         eps = rng.standard_normal((count, self.dim))
         return self.means[idx] + eps * np.sqrt(self.variances[idx])
 
-    def log_density_hessian(self, x):
-        """Hessian of log density: sum_j r_j (u_j u_j^T - diag(1/var_j)) - s s^T."""
+    def log_density_hessian(self, x, saved=None):
+        """Hessian of log density: sum_j r_j (u_j u_j^T - diag(1/var_j)) - s s^T.
+
+        `saved` works as in `score`. For d >= 2 the component terms are
+        added one at a time into one (N, d, d) array, from zero in component
+        order, which is how np.sum over the component axis adds them; no
+        (N, k, d, d) tensor is held.
+        """
         x, single = _as_batch(x, self.dim)
-        r = self.responsibilities(x) if self.n_components > 1 else np.ones((x.shape[0], 1))
+        r = self._responsibilities_of(x, saved)
         u = (self.means[None, :, :] - x[:, None, :]) / self.variances[None, :, :]
-        outer = u[:, :, :, None] * u[:, :, None, :]
-        inv_var = np.zeros((self.n_components, self.dim, self.dim))
-        idx = np.arange(self.dim)
-        inv_var[:, idx, idx] = 1.0 / self.variances
-        per_comp = outer - inv_var[None, :, :, :]
         s = np.sum(r[:, :, None] * u, axis=1)
-        h = np.sum(r[:, :, None, None] * per_comp, axis=1) - s[:, :, None] * s[:, None, :]
+        inv_var = 1.0 / self.variances
+        if self.dim == 1:
+            # scalar terms, where np.sum adds each row of k pairwise; (N, k) is the
+            # size of r, so they are summed as one array in that order
+            u = u[:, :, 0]
+            h = np.sum(r * (u * u - inv_var[:, 0]), axis=1)[:, None, None]
+        else:
+            h = np.zeros((x.shape[0], self.dim, self.dim))
+            idx = np.arange(self.dim)
+            for j in range(self.n_components):
+                term = u[:, j, :, None] * u[:, j, None, :]
+                term[:, idx, idx] -= inv_var[j]
+                term *= r[:, j, None, None]
+                h += term
+        h -= s[:, :, None] * s[:, None, :]
         return h[0] if single else h
 
     def marginal(self, t):
@@ -165,6 +217,12 @@ class OracleVelocityField:
 
     def __call__(self, t, s, a):
         return self.mixture.velocity(t, a)
+
+
+def _normalized(logp, lse):
+    """exp(logp - lse) per row, written into logp."""
+    logp -= lse[:, None]
+    return np.exp(logp, out=logp)
 
 
 def _as_batch(x, dim):

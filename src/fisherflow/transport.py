@@ -218,25 +218,28 @@ def invert_map(map_fn, targets, max_iter=100, tol=1e-12):
     """Solve T(a) = a' per row by fixed-point iteration a <- a' - delta(a).
 
     Valid while the displacement Jacobian stays below 1 in norm; rows are
-    tracked individually and any row still moving after max_iter raises
-    ConvergenceError.
+    tracked individually (only the rows still moving are iterated, kept in
+    compact arrays with their targets) and any row still moving after
+    max_iter raises ConvergenceError.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    a = targets.copy()
-    active = np.ones(a.shape[0], dtype=bool)
+    out = np.empty_like(targets)
+    rows = np.arange(targets.shape[0])
+    goal, a = targets, targets.copy()
+    step = np.array([np.inf])  # no step taken yet
     for _ in range(max_iter):
-        delta = np.atleast_2d(map_fn(a[active])) - a[active]
-        new = targets[active] - delta
-        moved = np.abs(new - a[active]).max(axis=1)
+        new = goal - (np.atleast_2d(map_fn(a)) - a)
+        step = np.abs(new - a).max(axis=1)
         if not np.isfinite(new).all():
             raise ConvergenceError("map inversion diverged to non-finite values")
-        a[active] = new
-        still = moved >= tol
-        idx = np.flatnonzero(active)
-        active[idx[~still]] = False
-        if not active.any():
-            return a
-    raise ConvergenceError(f"map inversion did not converge within {max_iter} iterations")
+        still = step >= tol
+        out[rows[~still]] = new[~still]
+        rows, goal, a = rows[still], goal[still], new[still]
+        if rows.size == 0:
+            return out
+    raise ConvergenceError(
+        f"map inversion did not converge within {max_iter} iterations: {rows.size} of "
+        f"{targets.shape[0]} rows still moving, largest last step {step.max():.3g}")
 
 
 def _fd_jacobian_det(map_fn, points, step=1e-5):
@@ -298,9 +301,11 @@ def expected_quadratic_penalty(density: GaussianMixture, delta_fn, grid: GridSpe
     """Deterministic counterpart of kl_quadratic: quadrature of 0.5 delta^T I delta."""
     pts = grid.mesh()
     deltas = np.atleast_2d(delta_fn(pts))
-    scores = density.score(pts)
+    saved = []
+    p = density.density(pts, saved)
+    scores = density.score(pts, saved)
     values, _ = fisher_penalty_batch(scores, deltas, normalize=normalize, damping=damping)
-    return grid.integrate(values * density.density(pts))
+    return grid.integrate(values * p)
 
 
 def curvature_term_diagnostic(density: GaussianMixture, delta_fn, grid: GridSpec) -> float:
@@ -312,11 +317,13 @@ def curvature_term_diagnostic(density: GaussianMixture, delta_fn, grid: GridSpec
     """
     pts = grid.mesh()
     deltas = np.atleast_2d(delta_fn(pts))
-    hess_log = density.log_density_hessian(pts)
-    scores = density.score(pts)
+    saved = []
+    p = density.density(pts, saved)
+    scores = density.score(pts, saved)
+    hess_log = density.log_density_hessian(pts, saved)
     hess_over_p = hess_log + scores[:, :, None] * scores[:, None, :]
     quad = np.einsum("bi,bij,bj->b", deltas, hess_over_p, deltas)
-    return -0.5 * grid.integrate(quad * density.density(pts))
+    return -0.5 * grid.integrate(quad * p)
 
 
 def region_mass(density_values, grid: GridSpec, mask) -> float:
@@ -334,12 +341,16 @@ def pushforward_region_mass(density: GaussianMixture, map_fn, grid: GridSpec, ma
     """Mass the pushforward assigns to a region, without inverting the map.
 
     Change of variables: P(T(a) in R) = integral of pi_beta(a) 1[T(a) in R],
-    so the indicator is evaluated at the mapped grid points. Robust even
-    where the displacement Jacobian is large and inversion would fail.
+    so the indicator is evaluated at the mapped grid points. `mask` must
+    therefore be a callable (N, d) -> bool over points; an array over grid
+    points would ignore the map and raises TypeError. Robust even where the
+    displacement Jacobian is large and inversion would fail.
     """
+    if not callable(mask):
+        raise TypeError("pushforward_region_mass takes a callable mask over mapped points")
     pts = grid.mesh()
     mapped = np.atleast_2d(map_fn(pts))
-    ind = mask(mapped) if callable(mask) else np.asarray(mask)
+    ind = mask(mapped)
     vals = density.density(pts)
     vals = np.where(ind, vals, 0.0)
     return grid.integrate(vals)

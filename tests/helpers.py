@@ -1,6 +1,9 @@
 """Shared finite-difference and closed-form oracles for the test suite."""
 
 import numpy as np
+from scipy.special import logsumexp
+
+from fisherflow.errors import ConvergenceError
 
 
 def fd_gradient(f, x, step=1e-4):
@@ -62,3 +65,49 @@ def gaussian_oracle_velocity(mu, sigma, t, a):
     m_t = t * t * sigma * sigma + (1.0 - t) ** 2
     posterior = mu + t * sigma * sigma * (a - t * mu) / m_t
     return (posterior - a) / (1.0 - t)
+
+
+def responsibilities_reference(mix, x):
+    """Out-of-place responsibilities of batch x: exp(log p_j - logsumexp_j log p_j)."""
+    logp = mix._component_log_pdf(x) + np.log(mix.weights)[None, :]
+    return np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+
+
+def log_density_hessian_reference(mix, x):
+    """Hessian of log density of batch x from every component's (d, d) term at once.
+
+    Builds the (N, k, d, d) tensor r_j (u_j u_j^T - diag(1/var_j)) and sums
+    it with np.sum(axis=1), then subtracts s s^T.
+    """
+    r = responsibilities_reference(mix, x) if mix.n_components > 1 else np.ones((x.shape[0], 1))
+    u = (mix.means[None, :, :] - x[:, None, :]) / mix.variances[None, :, :]
+    outer = u[:, :, :, None] * u[:, :, None, :]
+    inv_var = np.zeros((mix.n_components, mix.dim, mix.dim))
+    idx = np.arange(mix.dim)
+    inv_var[:, idx, idx] = 1.0 / mix.variances
+    per_comp = outer - inv_var[None, :, :, :]
+    s = np.sum(r[:, :, None] * u, axis=1)
+    return np.sum(r[:, :, None, None] * per_comp, axis=1) - s[:, :, None] * s[:, None, :]
+
+
+def invert_map_reference(map_fn, targets, max_iter=100, tol=1e-12):
+    """Fixed-point inversion over the full array: gathers the active rows and scatters them back.
+
+    Raises ConvergenceError naming the rows still moving, out of all rows.
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    a = targets.copy()
+    active = np.ones(a.shape[0], dtype=bool)
+    for _ in range(max_iter):
+        delta = np.atleast_2d(map_fn(a[active])) - a[active]
+        new = targets[active] - delta
+        moved = np.abs(new - a[active]).max(axis=1)
+        if not np.isfinite(new).all():
+            raise ConvergenceError("map inversion diverged to non-finite values")
+        a[active] = new
+        still = moved >= tol
+        idx = np.flatnonzero(active)
+        active[idx[~still]] = False
+        if not active.any():
+            return a
+    raise ConvergenceError(f"{int(active.sum())} of {a.shape[0]} rows still moving")

@@ -1,20 +1,25 @@
 """Property tests for equivalences the library relies on.
 
 Each one pins a merged or simplified path to the form it replaced, inlined
-here as the reference.
+here or kept in helpers.py as the reference.
 """
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import erf
+from scipy.special import erf, logsumexp
 
 from fisherflow import flow, nets, training, transport
 from fisherflow.config import RunConfig, parse_config_text
 from fisherflow.densities import GaussianMixture
+from fisherflow.errors import ConvergenceError
 
-from helpers import fd_divergence
+from helpers import (fd_divergence, invert_map_reference, log_density_hessian_reference,
+                     responsibilities_reference)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -204,6 +209,86 @@ def test_component_log_pdf_matches_out_of_place_reference_bit_for_bit(seed, k, d
     x = 3.0 * rng.standard_normal((rows, d))
     _freeze([x, mix.weights, mix.means, mix.variances])
     assert _same(mix._component_log_pdf(x), _component_log_pdf_reference(mix, x))
+
+
+# --- one mixture pass, component-streamed Hessian ---------------------------------
+
+def _random_mixture(rng, k, d):
+    weights = rng.uniform(0.1, 1.0, k)
+    return GaussianMixture(weights / weights.sum(), 2.0 * rng.standard_normal((k, d)),
+                           rng.uniform(0.05, 3.0, (k, d)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 8, 10]), d=st.sampled_from([1, 2]),
+       rows=st.none() | st.integers(1, 7), spread=st.sampled_from([1.0, 30.0]))
+def test_mixture_pass_and_hessian_match_out_of_place_reference_bit_for_bit(seed, k, d, rows, spread):
+    # spread 30 puts points where all but one responsibility underflow to zero,
+    # so signed zeros in the component terms must come out as in the reference
+    rng = np.random.default_rng(seed)
+    mix = _random_mixture(rng, k, d)
+    x = spread * rng.standard_normal(d if rows is None else (rows, d))
+    _freeze([x, mix.weights, mix.means, mix.variances])
+    xb = np.atleast_2d(x)
+    logp = mix._component_log_pdf(xb) + np.log(mix.weights)[None, :]
+    r = responsibilities_reference(mix, xb)
+    comp = (mix.means[None, :, :] - xb[:, None, :]) / mix.variances[None, :, :]
+    score = np.sum((r if k > 1 else np.ones((xb.shape[0], 1)))[:, :, None] * comp, axis=1)
+    expected = {"log_density": logsumexp(logp, axis=1), "responsibilities": r, "score": score,
+                "log_density_hessian": log_density_hessian_reference(mix, xb)}
+    if rows is None:
+        expected = {name: value[0] for name, value in expected.items()}
+    assert _same(mix.responsibilities(x), expected["responsibilities"])
+    for saved in (None, []):
+        assert _same(mix.log_density(x, saved), expected["log_density"])
+        if saved is not None:
+            assert len(saved) == 1 and _same(saved[0], r)
+            _freeze(saved)
+        assert _same(mix.score(x, saved), expected["score"])
+        assert _same(mix.log_density_hessian(x, saved), expected["log_density_hessian"])
+    saved = []
+    assert _same(mix.density(x, saved), np.exp(expected["log_density"]))
+    assert _same(mix.log_density_hessian(x, saved), expected["log_density_hessian"])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_saved_pass_of_another_row_count_is_rejected(k):
+    mix = _random_mixture(np.random.default_rng(k), k, 2)
+    saved = []
+    mix.log_density(np.zeros((3, 2)), saved)
+    for method in (mix.score, mix.log_density_hessian):
+        with pytest.raises(ValueError, match="3 rows"):
+            method(np.zeros((4, 2)), saved)
+        with pytest.raises(ValueError, match="3 rows"):
+            method(np.zeros(2), saved)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), rows=st.integers(1, 40),
+       max_iter=st.sampled_from([3, 12, 100]))
+def test_compacted_inversion_matches_masked_reference_bit_for_bit(seed, d, rows, max_iter):
+    # delta(a) = c sin(a) contracts at rate |c cos(a)|, so rows converge at different iterations
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.05, 0.7, d)
+    targets = 3.0 * rng.standard_normal((rows, d))
+    _freeze([c, targets])
+
+    def recording(calls):
+        def map_fn(a):
+            calls.append(a.tobytes())
+            return a + c * np.sin(a)
+        return map_fn
+
+    outcomes = []
+    for invert in (transport.invert_map, invert_map_reference):
+        calls = []
+        try:
+            outcomes.append((invert(recording(calls), targets, max_iter=max_iter).tobytes(), calls))
+        except ConvergenceError as err:
+            outcomes.append((re.search(r"\d+ of \d+ rows still moving", str(err)).group(), calls))
+    assert outcomes[0] == outcomes[1]
+    if max_iter == 100:
+        assert isinstance(outcomes[0][0], bytes)
 
 
 # --- config text -------------------------------------------------------------------

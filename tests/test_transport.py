@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fisherflow import flow, nets, transport
+from fisherflow import flow, nets, tasks, transport
 from fisherflow.densities import GaussianMixture
 from fisherflow.errors import ConvergenceError
 from fisherflow.validate import OVERLAP_MIXTURE, linear_residual_map
@@ -159,7 +161,7 @@ def test_quadrature_oracle_rejects_high_dims():
 
 
 def test_inversion_diverges_for_expanding_map():
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=r"1 of 1 rows still moving, largest last step"):
         transport.invert_map(lambda a: 3.0 * a, np.array([[1.0]]))
 
 
@@ -242,3 +244,49 @@ def test_residual_backward_matches_finite_differences():
     _, d_action = tmap.residual_backward(None, a, upstream)
     fd = fd_gradient(lambda v: float(upstream @ tmap.residual(None, v)), a, step=1e-5)
     assert rel_error(d_action, fd) < 1e-4
+
+
+BIMODAL_MIXTURE = tasks.make_task("bimodal_asymmetric").density()
+
+
+def test_pushforward_region_mass_evaluates_the_mask_at_mapped_points():
+    grid = transport.GridSpec((-6.0, -6.0), (6.0, 6.0), (61, 61))
+    box = lambda p: np.abs(p[:, 0]) <= 0.5
+    identity = transport.pushforward_region_mass(BIMODAL_MIXTURE, lambda a: a, grid, box)
+    shifted = transport.pushforward_region_mass(BIMODAL_MIXTURE, lambda a: a + 3.0, grid, box)
+    pts = grid.mesh()
+    assert shifted == transport.region_mass(BIMODAL_MIXTURE.density(pts), grid,
+                                            lambda p: box(p + 3.0))
+    assert shifted > 100 * identity
+    with pytest.raises(TypeError):
+        transport.pushforward_region_mass(BIMODAL_MIXTURE, lambda a: a + 3.0, grid, box(pts))
+
+
+@pytest.mark.parametrize("oracle", [transport.curvature_term_diagnostic,
+                                    transport.expected_quadratic_penalty])
+def test_grid_oracles_run_one_component_pass(monkeypatch, oracle):
+    calls = []
+    component_log_pdf = GaussianMixture._component_log_pdf
+
+    def counting(self, x):
+        calls.append(x.shape[0])
+        return component_log_pdf(self, x)
+
+    monkeypatch.setattr(GaussianMixture, "_component_log_pdf", counting)
+    grid = transport.GridSpec((-6.0, -6.0), (6.0, 6.0), (41, 41))
+    oracle(BIMODAL_MIXTURE, lambda a: 0.1 * a, grid)
+    assert calls == [41 * 41]
+
+
+def test_log_density_hessian_holds_no_per_component_tensor():
+    mix = tasks.make_task("crescent").density()
+    pts = transport.GridSpec((-4.5, -4.5), (4.5, 4.5), (181, 181)).mesh()
+    n, k, d = pts.shape[0], mix.n_components, mix.dim
+    tracemalloc.start()
+    try:
+        mix.log_density_hessian(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below the size of two (N, k, d, d) float64 tensors (21.0 MB at k = 10)
+    assert peak < 2 * n * k * d * d * 8
