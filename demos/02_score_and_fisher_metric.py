@@ -51,7 +51,7 @@ metric = score.fisher_matrix(s_vec, normalize=True, damping=1e-3)
 along = np.array([0.5, 0.0])
 across = np.array([0.0, 0.5])
 print(f"\nscore (2, 0), trace-normalized + damped metric:")
-print(f"  penalty of a move along the score : {score.quadratic_penalty(metric, along):.4f}")
-print(f"  penalty of the same move across it: {score.quadratic_penalty(metric, across):.4f}")
+print(f"  penalty of a move along the score : {0.5 * float(along @ metric.matrix @ along):.4f}")
+print(f"  penalty of the same move across it: {0.5 * float(across @ metric.matrix @ across):.4f}")
 print("  displacements off the score direction are nearly free: that is the")
 print("  anisotropy the isotropic baseline cannot express")

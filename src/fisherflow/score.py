@@ -2,9 +2,12 @@
 
 The score of the time-t marginal comes straight out of the velocity field as
 (t v(t, s, a) - a) / (1 - t); evaluating at a perturbed time t_eps < 1 avoids
-the 0/0 limit at t = 1. The local Fisher matrix is the rank-1 outer product
-of that score, optionally trace-normalized to trace = d (so the isotropic
-limit is exactly the identity) and damped for invertibility.
+the 0/0 limit at t = 1. The local Fisher metric is kept in one factored
+form, M = c s s^T + mu I: the rank-1 outer product of that score, optionally
+trace-normalized to trace = d (c = d / |s|^2), plus damping mu for
+invertibility. The isotropic baseline is the same form with c = 0, mu = 1.
+Products with M, 0.5 delta^T M delta and M^-1 g all come in closed form, so
+the dense matrix is only built on request.
 """
 
 from __future__ import annotations
@@ -20,24 +23,20 @@ _DEGENERATE_TRACE = 1e-24
 
 @dataclass(frozen=True)
 class FisherMetric:
-    """Symmetric PSD d x d matrix s s^T, optionally trace-normalized and damped.
+    """The damped rank-1 metric M = scale * score score^T + damping * I."""
 
-    `rank1_scale` and `score` retain the factored form (matrix =
-    rank1_scale * score score^T + damping * I) when one exists, enabling the
-    Sherman-Morrison inverse path. `degenerate` flags the zero-score
-    fallback where the matrix is damping * I only.
-    """
-
-    matrix: np.ndarray
-    normalized: bool
+    score: np.ndarray
+    scale: float
     damping: float
-    score: np.ndarray | None = None
-    rank1_scale: float = 1.0
-    degenerate: bool = False
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return self.score.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense symmetric PSD d x d form of M."""
+        return self.scale * np.outer(self.score, self.score) + self.damping * np.eye(self.dim)
 
 
 def perturbed_score(field, s, a, t_eps) -> np.ndarray:
@@ -58,83 +57,60 @@ def batched_scores(field, s, a, t_eps) -> np.ndarray:
     return perturbed_score(field, s, np.atleast_2d(a), t_eps)
 
 
-def fisher_matrix(score, normalize=False, damping=0.0) -> FisherMetric:
-    """Build s s^T, rescale to trace d if requested, then add damping * I.
+def _rank1_scale(sq, dim, normalize):
+    """Coefficient c of c s s^T given |s|^2: dim / |s|^2 when trace-normalizing, else 1.
 
-    A zero score with normalize=True cannot be rescaled; that case falls back
-    to damping * I and is flagged degenerate.
+    A score with |s|^2 <= _DEGENERATE_TRACE cannot be normalized; it gets c = 0.
+    """
+    if not normalize:
+        return np.ones_like(sq)
+    ok = sq > _DEGENERATE_TRACE
+    return np.where(ok, dim / np.where(ok, sq, 1.0), 0.0)
+
+
+def fisher_matrix(score, normalize=False, damping=0.0) -> FisherMetric:
+    """The metric s s^T, rescaled to trace d if requested, plus damping * I.
+
+    Normalizing a zero score drops the rank-1 term, leaving damping * I.
     """
     if damping < 0:
         raise ValueError("damping must be >= 0")
     s = np.atleast_1d(np.asarray(score, dtype=np.float64))
-    d = s.shape[0]
-    sq = float(s @ s)
-    degenerate = False
-    scale = 1.0
-    if normalize:
-        if sq <= _DEGENERATE_TRACE:
-            degenerate = True
-            s = np.zeros(d)
-            sq = 0.0
-        else:
-            scale = d / sq
-    m = scale * np.outer(s, s) + damping * np.eye(d)
-    m = 0.5 * (m + m.T)
-    return FisherMetric(m, normalize, float(damping), score=s, rank1_scale=scale, degenerate=degenerate)
+    return FisherMetric(s, float(_rank1_scale(float(s @ s), s.shape[0], normalize)), float(damping))
 
 
 def isotropic_metric(dim) -> FisherMetric:
-    """Identity metric of the ablation baseline."""
-    return FisherMetric(np.eye(dim), False, 0.0, score=np.zeros(dim), rank1_scale=0.0)
+    """Identity metric of the ablation baseline: zero score, unit damping."""
+    return FisherMetric(np.zeros(dim), 0.0, 1.0)
 
 
-def quadratic_penalty(metric: FisherMetric, delta) -> float:
-    """0.5 * delta^T M delta; nonnegative by PSD-ness."""
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape[0] != metric.dim:
-        raise ValueError("displacement dimension does not match metric")
-    return 0.5 * float(delta @ metric.matrix @ delta)
+def damped_inverse_apply(metric: FisherMetric, g) -> np.ndarray:
+    """Solve M x = g in closed form for M = c s s^T + mu I.
 
-
-def damped_inverse_apply(metric: FisherMetric, g, method="auto") -> np.ndarray:
-    """Solve M x = g for the damped rank-1 metric.
-
-    `method` is "solve" (dense d x d), "sherman_morrison" (uses the factored
-    form scale * s s^T + mu I), or "auto". With zero damping the matrix is
+    With damping mu > 0 this is Sherman-Morrison. With mu = 0 the metric is
     rank-1: g inside span(s) gets the minimum-norm solution, anything else is
     a genuine singularity.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape[0] != metric.dim:
         raise ValueError("vector dimension does not match metric")
-    mu = metric.damping
-    gnorm = max(float(np.linalg.norm(g)), 1e-300)
-    if mu == 0.0 and metric.rank1_scale != 0.0 and metric.score is not None:
-        # Undamped rank-1 metric: minimum-norm solution inside span(s) only.
-        s = metric.score
-        sq = float(s @ s)
-        if sq <= _DEGENERATE_TRACE:
-            raise NumericError("metric is singular: zero score and no damping")
-        x = (float(s @ g) / (metric.rank1_scale * sq * sq)) * s
-        if np.linalg.norm(metric.matrix @ x - g) > 1e-8 * gnorm:
-            raise NumericError("singular metric: vector lies outside the score span")
-        return x
-    if method == "sherman_morrison" or (method == "auto" and metric.score is not None and mu > 0.0):
-        if metric.score is None or mu <= 0.0:
-            raise ValueError("sherman_morrison path needs a factored metric with damping > 0")
-        s, c = metric.score, metric.rank1_scale
+    s, c, mu = metric.score, metric.scale, metric.damping
+    if mu > 0.0:
         x = g / mu
         if c != 0.0:
             denom = mu * (mu + c * float(s @ s))
+            if denom == 0.0:
+                raise NumericError("metric damping underflows: mu (mu + c |s|^2) = 0")
             x = x - (c * float(s @ g) / denom) * s
     else:
-        try:
-            x = np.linalg.solve(metric.matrix, g)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular metric: {exc}") from exc
+        sq = float(s @ s)
+        if c == 0.0 or sq <= _DEGENERATE_TRACE:
+            raise NumericError("metric is singular: no rank-1 term and no damping")
+        x = (float(s @ g) / (c * sq * sq)) * s
     resid = np.linalg.norm(metric.matrix @ x - g)
-    if resid > 1e-8 * gnorm:
-        raise NumericError(f"inverse apply residual too large: {resid:.3e}")
+    if not resid <= 1e-8 * max(float(np.linalg.norm(g)), 1e-300):  # NaN fails too
+        raise NumericError(f"inverse apply residual too large: {resid:.3e}"
+                           + ("; the vector lies outside the score span" if mu == 0.0 else ""))
     return x
 
 
@@ -164,11 +140,11 @@ def optimal_epsilon(c1, c2, machine_delta) -> EpsilonStar:
 
 
 def fisher_penalty_batch(scores, deltas, normalize=True, damping=0.0):
-    """Vectorized 0.5 delta^T M delta and its delta-gradient, one metric per row.
+    """Vectorized 0.5 delta^T M delta and its delta-gradient M delta, one metric per row.
 
-    Matches fisher_matrix + quadratic_penalty row by row (including the
-    degenerate zero-score fallback) without materializing d x d matrices.
-    Returns (values (B,), gradients (B, d)).
+    Row i uses M = fisher_matrix(scores[i], normalize, damping), read through
+    its factored form, so no d x d matrix is built. Returns (values (B,),
+    gradients (B, d)).
     """
     if damping < 0:
         raise ValueError("damping must be >= 0")
@@ -176,13 +152,7 @@ def fisher_penalty_batch(scores, deltas, normalize=True, damping=0.0):
     dl = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
     if s.shape != dl.shape:
         raise ValueError("scores and displacements must have matching shapes")
-    d = s.shape[1]
-    sq = np.sum(s * s, axis=1)
-    if normalize:
-        ok = sq > _DEGENERATE_TRACE
-        scale = np.where(ok, d / np.where(ok, sq, 1.0), 0.0)
-    else:
-        scale = np.ones_like(sq)
+    scale = _rank1_scale(np.sum(s * s, axis=1), s.shape[1], normalize)
     dot = np.sum(s * dl, axis=1)
     values = 0.5 * scale * dot**2 + 0.5 * damping * np.sum(dl * dl, axis=1)
     grads = (scale * dot)[:, None] * s + damping * dl

@@ -245,11 +245,12 @@ def iterate_quadratic_refine(metric, g, lam, max_steps=200_000, tol=1e-14) -> np
     serves as its independent check.
     """
     g = np.asarray(g, dtype=np.float64)
-    lam_max = float(np.linalg.eigvalsh(metric.matrix).max())
+    m = metric.matrix
+    lam_max = float(np.linalg.eigvalsh(m).max())
     step = 1.0 / (lam * lam_max + 1e-12)
     d = np.zeros_like(g)
     for _ in range(max_steps):
-        grad = g - lam * (metric.matrix @ d)
+        grad = g - lam * (m @ d)
         d = d + step * grad
         if np.linalg.norm(grad) < tol:
             break

@@ -29,8 +29,10 @@ class TransportMap:
 
     The raw net output passes through max_displacement * tanh(raw /
     max_displacement): identity-like slope near zero, hard cap at
-    max_displacement per coordinate, which keeps T invertible while the
-    residual is learning.
+    max_displacement per coordinate. The cap bounds |delta|, not its
+    Lipschitz constant, so it does not make T invertible: T is invertible
+    where the displacement Jacobian has norm below 1, and a trained map can
+    fold where it does not.
     """
 
     residual_net: nets.DenseNet
@@ -69,10 +71,6 @@ class TransportMap:
         if saved is not None:
             saved.append((inp, squashed, cache))
         return cap * squashed
-
-    def apply(self, s, a):
-        """Refined action T_s(a) = a + delta(s, a)."""
-        return np.asarray(a, dtype=np.float64) + self.residual(s, a)
 
     def residual_backward(self, s, a, upstream, saved=None):
         """VJP of the capped residual: net tape plus gradient w.r.t. the action.
@@ -150,20 +148,19 @@ class MCEstimate:
     count: int
 
 
-def kl_quadratic(delta_fn, density: GaussianMixture, samples, normalize=False,
-                 damping=0.0) -> MCEstimate:
+def kl_quadratic(delta_fn, density: GaussianMixture, samples) -> MCEstimate:
     """Monte-Carlo second-order KL: mean of 0.5 delta^T I delta over samples.
 
-    `delta_fn` maps actions (N, d) to displacements; the metric takes the
-    density's exact scores. Raw outer-product metrics (normalize=False,
-    damping=0) are the ones that approximate the KL.
+    `delta_fn` maps actions (N, d) to displacements; I = s s^T takes the
+    density's exact scores, raw (neither trace-normalized nor damped), the
+    form that approximates the KL.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
         raise ValueError("empty sample set")
     deltas = np.atleast_2d(delta_fn(samples))
     scores = np.atleast_2d(density.score(samples))
-    values, _ = fisher_penalty_batch(scores, deltas, normalize=normalize, damping=damping)
+    values, _ = fisher_penalty_batch(scores, deltas, normalize=False)
     n = values.shape[0]
     return MCEstimate(float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0, n)
 
@@ -296,15 +293,14 @@ def kl_quadrature_oracle(density: GaussianMixture, transport, s, grid: GridSpec)
     return QuadratureKL(grid.integrate(integrand), grid)
 
 
-def expected_quadratic_penalty(density: GaussianMixture, delta_fn, grid: GridSpec,
-                               normalize=False, damping=0.0) -> float:
+def expected_quadratic_penalty(density: GaussianMixture, delta_fn, grid: GridSpec) -> float:
     """Deterministic counterpart of kl_quadratic: quadrature of 0.5 delta^T I delta."""
     pts = grid.mesh()
     deltas = np.atleast_2d(delta_fn(pts))
     saved = []
     p = density.density(pts, saved)
     scores = density.score(pts, saved)
-    values, _ = fisher_penalty_batch(scores, deltas, normalize=normalize, damping=damping)
+    values, _ = fisher_penalty_batch(scores, deltas, normalize=False)
     return grid.integrate(values * p)
 
 

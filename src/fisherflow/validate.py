@@ -185,7 +185,8 @@ def suite_optimality_gap() -> Outcome:
         worst = max(worst, abs(res.direct - res.eigen))
     identity = optimality_gap(isotropic_metric(3), np.array([1.0, -2.0, 0.5]), 1.3)
     identity_gap = max(abs(identity.direct), abs(identity.eigen))
-    diag = optimality_gap(FisherMetric(np.diag([2.0, 0.5]), False, 0.0),
+    # 1.5 e1 e1^T + 0.5 I = diag(2, 0.5), exactly
+    diag = optimality_gap(FisherMetric(np.array([1.0, 0.0]), 1.5, 0.5),
                           np.array([1.0, 1.0]), 1.0)
     ok = worst < 1e-8 and identity_gap < 1e-12 and abs(diag.direct - 0.25) < 1e-12
     return Outcome(ok, f"max form disagreement {worst:.2e}; identity gap {identity_gap:.1e}; "

@@ -70,7 +70,7 @@ def test_train_zero_steps_empty_log_valid_checkpoint(tmp_path):
     assert (out / "metrics.jsonl").read_text() == ""
     task, tmap = cli.load_checkpoint(out / "checkpoint.json")
     a = np.array([0.5, -0.5])
-    np.testing.assert_array_equal(tmap.apply(None, a), a)  # init is the identity map
+    np.testing.assert_array_equal(tmap.action_map(None)(a), a)  # init is the identity map
 
 
 def test_train_from_dataset_file(tmp_path):

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import erf, logsumexp
 
-from fisherflow import flow, nets, training, transport
+from fisherflow import flow, nets, score, training, transport
 from fisherflow.config import RunConfig, parse_config_text
 from fisherflow.densities import GaussianMixture
-from fisherflow.errors import ConvergenceError
+from fisherflow.errors import ConvergenceError, NumericError
 
 from helpers import (fd_divergence, invert_map_reference, log_density_hessian_reference,
                      responsibilities_reference)
@@ -35,6 +35,89 @@ def test_isotropic_penalty_is_half_squared_norm_bit_for_bit(delta):
         expected = 0.5 * np.sum(delta * delta, axis=1)
     assert values.tobytes() == expected.tobytes()
     assert grads.tobytes() == delta.tobytes()
+
+
+# --- factored Fisher metric ----------------------------------------------------
+
+def _dense_metric_reference(s, normalize, damping):
+    # the dense construction the factored metric replaced: a zero score that
+    # cannot be trace-normalized became the zero vector with scale 1
+    d, sq, scale = s.shape[0], float(s @ s), 1.0
+    if normalize:
+        if sq <= 1e-24:
+            s = np.zeros(d)
+        else:
+            scale = d / sq
+    m = scale * np.outer(s, s) + damping * np.eye(d)
+    return 0.5 * (m + m.T)
+
+
+def _sherman_morrison_reference(s, c, mu, g):
+    x = g / mu
+    if c != 0.0:
+        denom = mu * (mu + c * float(s @ s))
+        x = x - (c * float(s @ g) / denom) * s
+    return x
+
+
+coordinate = st.floats(-3.0, 3.0)
+
+
+def _metric_case(d):
+    vector = arrays(np.float64, d, elements=coordinate)
+    row = st.one_of(vector, st.just(np.zeros(d)),
+                    arrays(np.float64, d, elements=st.floats(-1e-13, 1e-13)))  # |s|^2 <= 1e-24
+    return st.tuples(row, vector, vector, vector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.integers(1, 4).flatmap(_metric_case), normalize=st.booleans(),
+       damping=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True)))
+# mu^2 underflows: with the rank-1 term dropped (c = 0) the correction must be
+# skipped; with a zero score kept at c = 1 there is no correction to divide by
+@example(case=(np.array([1e-13, 0.0]), np.ones(2), np.ones(2), np.ones(2)), normalize=True,
+         damping=1e-200)
+@example(case=(np.zeros(2), np.ones(2), np.ones(2), np.ones(2)), normalize=False,
+         damping=1e-200)
+def test_factored_metric_matches_dense_forms(case, normalize, damping):
+    s, delta, g, v = case
+    metric = score.fisher_matrix(s, normalize=normalize, damping=damping)
+    m = metric.matrix
+    assert m.tobytes() == _dense_metric_reference(s, normalize, damping).tobytes()
+
+    values, grads = score.fisher_penalty_batch(s[None], delta[None], normalize, damping)
+    assert abs(values[0] - 0.5 * float(delta @ m @ delta)) < 1e-12
+    assert np.abs(grads[0] - m @ delta).max() < 1e-12
+
+    if damping > 0.0:
+        with np.errstate(all="ignore"):
+            try:
+                expected = _sherman_morrison_reference(metric.score, metric.scale, damping, g)
+            except ZeroDivisionError:  # mu^2 underflows
+                expected = None
+            solved = expected is not None and (
+                np.linalg.norm(m @ expected - g) <= 1e-8 * max(float(np.linalg.norm(g)), 1e-300))
+            if solved:
+                assert score.damped_inverse_apply(metric, g).tobytes() == expected.tobytes()
+            else:
+                with pytest.raises(NumericError):
+                    score.damped_inverse_apply(metric, g)
+        return
+    sq = float(s @ s)
+    if sq <= 1e-24:  # M = 0 (or below the threshold): nothing to invert
+        with pytest.raises(NumericError):
+            score.damped_inverse_apply(metric, g)
+        return
+    # inside span(s): the minimum-norm solution
+    inside = (float(v @ s) / sq) * s
+    x = score.damped_inverse_apply(metric, inside)
+    least_norm = np.linalg.lstsq(m, inside, rcond=1e-10)[0]
+    assert np.linalg.norm(x - least_norm) <= 1e-8 * np.linalg.norm(least_norm)
+    # any part off span(s) is a genuine singularity
+    off = g - (float(g @ s) / sq) * s
+    if np.linalg.norm(off) > 1e-6 * np.linalg.norm(g):
+        with pytest.raises(NumericError):
+            score.damped_inverse_apply(metric, g)
 
 
 # --- divergence ----------------------------------------------------------------

@@ -33,7 +33,7 @@ def test_perturbed_score_rejects_degenerate_time():
 def test_fisher_matrix_outer_product():
     m = score.fisher_matrix(np.array([1.0, 0.0]))
     np.testing.assert_allclose(m.matrix, [[1.0, 0.0], [0.0, 0.0]])
-    assert not m.normalized and m.damping == 0.0
+    assert m.scale == 1.0 and m.damping == 0.0
 
 
 def test_fisher_matrix_normalize_trace_d():
@@ -49,7 +49,7 @@ def test_fisher_matrix_normalize_then_damp():
 
 def test_fisher_matrix_degenerate_zero_score():
     m = score.fisher_matrix(np.zeros(3), normalize=True, damping=0.05)
-    assert m.degenerate
+    assert m.scale == 0.0  # the rank-1 term is dropped
     np.testing.assert_allclose(m.matrix, 0.05 * np.eye(3))
 
 
@@ -88,16 +88,20 @@ def test_trace_normalization_scale_invariance():
             np.testing.assert_allclose(a, b, atol=1e-10)
 
 
+def quadratic_penalty(metric, delta):
+    return 0.5 * float(delta @ metric.matrix @ delta)
+
+
 def test_quadratic_penalty_values():
-    assert score.quadratic_penalty(score.isotropic_metric(2), np.zeros(2)) == 0.0
-    assert abs(score.quadratic_penalty(score.isotropic_metric(2), np.array([3.0, 4.0])) - 12.5) < 1e-12
+    assert quadratic_penalty(score.isotropic_metric(2), np.zeros(2)) == 0.0
+    assert abs(quadratic_penalty(score.isotropic_metric(2), np.array([3.0, 4.0])) - 12.5) < 1e-12
     m = score.fisher_matrix(np.array([1.0, 2.0]))
     perp = np.array([2.0, -1.0])  # orthogonal to the score: rank-1 null space
-    assert abs(score.quadratic_penalty(m, perp)) < 1e-12
+    assert abs(quadratic_penalty(m, perp)) < 1e-12
     rng = np.random.default_rng(2)
     for _ in range(20):
         m = score.fisher_matrix(rng.normal(size=3), damping=0.1)
-        assert score.quadratic_penalty(m, rng.normal(size=3)) >= 0.0
+        assert quadratic_penalty(m, rng.normal(size=3)) >= 0.0
 
 
 def test_damped_inverse_apply_known_solution():
@@ -121,8 +125,8 @@ def test_damped_inverse_apply_methods_agree():
         m = score.fisher_matrix(s, normalize=bool(rng.integers(2)),
                                 damping=float(rng.uniform(1e-3, 1.0)))
         g = rng.normal(size=d)
-        sm = score.damped_inverse_apply(m, g, method="sherman_morrison")
-        direct = score.damped_inverse_apply(m, g, method="solve")
+        sm = score.damped_inverse_apply(m, g)
+        direct = np.linalg.solve(m.matrix, g)
         np.testing.assert_allclose(sm, direct, rtol=1e-8, atol=1e-12)
         assert np.linalg.norm(m.matrix @ sm - g) < 1e-8 * np.linalg.norm(g)
 
@@ -134,6 +138,9 @@ def test_damped_inverse_apply_singularities():
     # inside the span the minimum-norm solution exists
     x = score.damped_inverse_apply(m, np.array([2.0, 0.0]))
     np.testing.assert_allclose(x, [2.0, 0.0], rtol=1e-12)
+    zero = score.FisherMetric(np.array([1.0, 2.0]), 0.0, 0.0)  # M = 0 with a nonzero score
+    with pytest.raises(NumericError, match="singular"):
+        score.damped_inverse_apply(zero, np.array([1.0, 2.0]))
 
 
 def test_optimal_epsilon_values():
@@ -168,7 +175,7 @@ def test_fisher_penalty_batch_matches_per_sample_ops():
             values, grads = score.fisher_penalty_batch(scores, deltas, normalize, damping)
             for i in range(16):
                 m = score.fisher_matrix(scores[i], normalize=normalize, damping=damping)
-                assert abs(values[i] - score.quadratic_penalty(m, deltas[i])) < 1e-12
+                assert abs(values[i] - quadratic_penalty(m, deltas[i])) < 1e-12
                 np.testing.assert_allclose(grads[i], m.matrix @ deltas[i], atol=1e-12)
 
 

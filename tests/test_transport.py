@@ -33,13 +33,13 @@ def constant_residual_map(c, cap=1.0):
 def test_apply_identity_at_init():
     tmap = make_map()
     a = np.array([0.7, -1.1])
-    np.testing.assert_array_equal(tmap.apply(None, a), a)
+    np.testing.assert_array_equal(tmap.action_map(None)(a), a)
 
 
 def test_apply_constant_residual():
     tmap = constant_residual_map(np.array([0.3, -0.2]))
     for a in (np.array([0.0, 0.0]), np.array([2.0, 1.0])):
-        np.testing.assert_allclose(tmap.apply(None, a), a + [0.3, -0.2], rtol=1e-12)
+        np.testing.assert_allclose(tmap.action_map(None)(a), a + [0.3, -0.2], rtol=1e-12)
 
 
 def test_apply_matches_manual_composition():
@@ -49,7 +49,7 @@ def test_apply_matches_manual_composition():
     s, a = np.array([0.5]), np.array([0.2, -0.4])
     raw = nets.forward(tmap.residual_net, np.concatenate([s, a]))
     expected = a + 1.0 * np.tanh(raw / 1.0)
-    np.testing.assert_allclose(tmap.apply(s, a), expected, rtol=1e-12)
+    np.testing.assert_allclose(tmap.action_map(s)(a), expected, rtol=1e-12)
 
 
 def test_divergence_linear_field():
