@@ -295,16 +295,31 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _parse_plot_grid(text) -> transport.GridSpec:
+    """`lo,hi,points` per action axis, with finite lo < hi and points >= 2."""
+    try:
+        lo, hi, points = text.split(",")
+        lo, hi, points = float(lo), float(hi), int(points)
+        ok = np.isfinite(lo) and np.isfinite(hi) and lo < hi and points >= 2
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError("--grid expects lo,hi,points with finite lo < hi and points >= 2, "
+                         f"got {text!r}")
+    return transport.GridSpec((lo,) * 2, (hi,) * 2, (points,) * 2)
+
+
 def cmd_export_plots(args) -> int:
     run_dir = Path(args.run)
     ckpt = run_dir / "checkpoint.json"
     if not ckpt.exists():
         raise ValueError(f"no checkpoint found under {run_dir}")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    grid = _parse_plot_grid(args.grid)
     task, tmap = load_checkpoint(ckpt)
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
-    lo, hi, points = args.grid.split(",")
-    grid = transport.GridSpec((float(lo),) * 2, (float(hi),) * 2, (int(points),) * 2)
 
     rng = np.random.default_rng(0)
     states = task.sample_states(rng, args.samples)

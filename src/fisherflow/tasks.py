@@ -224,6 +224,8 @@ def make_dataset(task: SyntheticTask, size, seed, mode="bandit", noise=0.0) -> O
         raise ValueError("size must be >= 1")
     if mode not in ("bandit", "chain"):
         raise ValueError(f"unknown dataset mode {mode!r}")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
     rng = np.random.default_rng(seed)
     states = task.sample_states(rng, size)
     if task.weight_gate is None:
@@ -276,6 +278,9 @@ def load_dataset(path) -> OfflineDataset:
     expected = n + d + int(has_r) + (n if has_next else 0)
     if table.shape[0] and table.shape[1] != expected:
         raise ValueError(f"dataset has {table.shape[1]} columns, header implies {expected}")
+    bad_rows = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad_rows.size:
+        raise ValueError(f"{path}: data row {bad_rows[0]} (0-based) has a non-finite value")
     states = table[:, :n]
     actions = table[:, n:n + d]
     col = n + d

@@ -7,17 +7,21 @@ one-line detail. The suites are the single source of these checks:
 and the acceptance tests (criteria 1-4 and 6, and the eps* half of
 criterion 9) assert on their outcomes. The mixtures and fixtures the suites
 use live here too, for the tests and demos that share them.
+
+The one root find (the perturbation-rate probe) uses `_brentq`, a port of
+scipy's Brent solver, so no fisherflow process loads `scipy.optimize`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import nets
 from .densities import GaussianMixture, OracleVelocityField
+from .errors import ConvergenceError
 from .flow import FlowPolicy, VelocityField
 from .score import (FisherMetric, batched_scores, fisher_matrix, isotropic_metric,
                     optimal_epsilon, perturbation_total_error)
@@ -75,16 +79,72 @@ def grad_curvature_ratio(mix, a, h=1e-4) -> float:
     return (lap_over_p(a + h) - lap_over_p(a - h)) / (2 * h)
 
 
+def _brentq(f, xa, xb, xtol, rtol=4 * math.ulp(1.0), maxiter=100) -> float:
+    """Root of f in [xa, xb] by Brent's method, step for step as scipy's brentq.c.
+
+    Same bracket bookkeeping, tolerance delta = (xtol + rtol |x|) / 2,
+    secant or inverse-quadratic step under Brent's acceptance test, bisection
+    otherwise and a least step of delta, so the root equals
+    scipy.optimize.brentq's bit for bit. Raises ValueError when f(xa) and
+    f(xb) share a sign or f is NaN, ConvergenceError after maxiter steps.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError(f"f({xpre!r}) and f({xcur!r}) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the smallest |f| at xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step passes the test below
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic extrapolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets inf or NaN here, which fails the test too
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise ConvergenceError(f"Brent root find did not converge in {maxiter} steps")
+
+
 def rate_probe_point() -> float:
     """Probe of RATE_MIXTURE where the first-order mean-contraction error term vanishes.
 
     The time-(1-eps) marginal both smooths and contracts the target; at
     generic points the contraction contributes a first-order error that
     masks the quadratic smoothing rate, so the rate is measured where its
-    coefficient s(a) + s'(a) a crosses zero.
+    coefficient s(a) + s'(a) a crosses zero, found by `_brentq` (the root
+    scipy.optimize.brentq returns, without loading scipy.optimize).
     """
-    return float(brentq(lambda a: contraction_coefficient(RATE_MIXTURE, a), -0.8, -0.3,
-                        xtol=1e-13))
+    return _brentq(lambda a: contraction_coefficient(RATE_MIXTURE, a), -0.8, -0.3, xtol=1e-13)
 
 
 def suite_perturbation_rate() -> Outcome:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,15 +66,45 @@ def test_train_writes_artifacts_and_reruns_identically(tmp_path):
     assert c1 == c2
 
 
+ZERO_STEP_TRAIN = [
+    "--set", "train.steps=0", "--set", "train.flow_steps=0", "--set", "train.hidden=8,8",
+    "--set", "train.eval_samples=50", "--set", "data.size=64",
+]
+
+
 def test_train_zero_steps_empty_log_valid_checkpoint(tmp_path):
     out = tmp_path / "r0"
-    assert run_cli("train", "--out", str(out), "--set", "train.steps=0",
-                   "--set", "train.flow_steps=0", "--set", "train.hidden=8,8",
-                   "--set", "train.eval_samples=50", "--set", "data.size=64") == 0
+    assert run_cli("train", "--out", str(out), *ZERO_STEP_TRAIN) == 0
     assert (out / "metrics.jsonl").read_text() == ""
     task, tmap = cli.load_checkpoint(out / "checkpoint.json")
     a = np.array([0.5, -0.5])
     np.testing.assert_array_equal(tmap.action_map(None)(a), a)  # init is the identity map
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_gen_data_bad_noise_is_usage_error(tmp_path, capsys, noise):
+    out = tmp_path / "new" / "d.txt"
+    assert run_cli("gen-data", "--task", "bimodal_gated", "--size", "5", f"--noise={noise}",
+                   "--out", str(out)) == 2
+    assert "noise" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("mode", [[], ["--set", "train.mode=td", "--set", "train.analytic_q=false",
+                                       "--set", "data.mode=chain"]])
+def test_train_on_non_finite_dataset_is_usage_error(tmp_path, capsys, mode):
+    data = tmp_path / "data.txt"
+    assert run_cli("gen-data", "--task", "bimodal_asymmetric", "--size", "16", "--mode", "chain",
+                   "--out", str(data)) == 0
+    lines = data.read_text().splitlines()
+    cells = lines[4].split()
+    lines[4] = " ".join(cells[:2] + ["nan"] + cells[3:])  # the reward of data row 3
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r"
+    assert run_cli("train", "--out", str(out), "--set", f"data.file={data}", *FAST_TRAIN,
+                   *mode) == 2
+    assert "data row 3" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any output or training
 
 
 def test_train_from_dataset_file(tmp_path):
@@ -95,6 +129,19 @@ def test_validate_list_and_selected_suite(capsys):
                    "--suite", "optimal-epsilon") == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 2
+
+
+def test_cli_and_every_suite_leave_scipy_optimize_unloaded():
+    # the runtime needs scipy.special only; scipy.optimize costs each process ~20 MB
+    code = ("import sys\nimport fisherflow.cli\nfrom fisherflow import validate\n"
+            "for name, suite in validate.all_suites():\n    assert suite().passed, name\n"
+            "assert 'scipy.optimize' not in sys.modules\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_validate_unknown_suite_usage_error():
@@ -192,6 +239,22 @@ def test_export_plots_outputs_match_requests(tmp_path):
         assert len(rows) == 112  # header + samples
     heat = np.loadtxt(out / "value_heatmap.csv", delimiter=",", skiprows=1)
     assert heat.shape == (21 * 21, 4)
+
+
+@pytest.fixture(scope="module")
+def zero_step_run(tmp_path_factory):
+    run = tmp_path_factory.mktemp("zero_step") / "r"
+    assert run_cli("train", "--out", str(run), *ZERO_STEP_TRAIN) == 0
+    return run
+
+
+@pytest.mark.parametrize("arg", ["--grid=1,2", "--grid=1,2,3,4", "--grid=2,1,5", "--grid=-4,4,1",
+                                 "--grid=-4,nan,5", "--grid=a,b,c", "--samples=0"])
+def test_export_plots_bad_arguments_write_nothing(tmp_path, capsys, zero_step_run, arg):
+    out = tmp_path / "plots"
+    assert run_cli("export-plots", "--run", str(zero_step_run), "--out", str(out), arg) == 2
+    assert arg.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_roundtrip_bytes():

@@ -143,6 +143,20 @@ def test_make_dataset_rejects_bad_arguments():
         tasks.make_dataset(task, 0, seed=0)
     with pytest.raises(ValueError):
         tasks.make_dataset(task, 4, seed=0, mode="episodic")
+    for noise in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="noise"):
+            tasks.make_dataset(task, 4, seed=0, noise=noise)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "d.txt"
+    tasks.save_dataset(tasks.make_dataset(tasks.make_task("bimodal_asymmetric"), 4, seed=0), path)
+    lines = path.read_text().splitlines()
+    lines[3] = " ".join(lines[3].split()[:-1] + [cell])  # the reward of data row 2
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="data row 2"):
+        tasks.load_dataset(path)
 
 
 def test_dataset_file_bytes_deterministic(tmp_path):
