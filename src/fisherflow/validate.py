@@ -79,14 +79,15 @@ def grad_curvature_ratio(mix, a, h=1e-4) -> float:
     return (lap_over_p(a + h) - lap_over_p(a - h)) / (2 * h)
 
 
-def _brentq(f, xa, xb, xtol, rtol=4 * math.ulp(1.0), maxiter=100) -> float:
+def _brentq(f, xa, xb, xtol, maxiter=100) -> float:
     """Root of f in [xa, xb] by Brent's method, step for step as scipy's brentq.c.
 
-    Same bracket bookkeeping, tolerance delta = (xtol + rtol |x|) / 2,
+    Same bracket bookkeeping, tolerance delta = (xtol + 4 eps |x|) / 2,
     secant or inverse-quadratic step under Brent's acceptance test, bisection
     otherwise and a least step of delta, so the root equals
     scipy.optimize.brentq's bit for bit. Raises ValueError when f(xa) and
-    f(xb) share a sign or f is NaN, ConvergenceError after maxiter steps.
+    f(xb) share a sign or f is NaN, ConvergenceError after maxiter steps
+    (scipy's default of 100; only the tests pass another).
     """
     def value(x):
         fx = float(f(x))
@@ -110,7 +111,7 @@ def _brentq(f, xa, xb, xtol, rtol=4 * math.ulp(1.0), maxiter=100) -> float:
         if abs(fblk) < abs(fcur):  # keep the smallest |f| at xcur
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + 4 * math.ulp(1.0) * abs(xcur)) / 2  # scipy's default rtol, 4 eps
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
