@@ -12,11 +12,12 @@ N(t * mu_j, t^2 * var_j + (1 - t)^2).
 
 One component pass serves a whole point set. Given an empty list as
 `saved`, `log_density` (and `density`) put the responsibilities of their
-pass into it; `score` and `log_density_hessian` given that list consume it
-instead of running the component log-pdf and its log-sum-exp again. The
-Hessian never holds per-component (N, k, d, d) tensors: it adds one
-component at a time into a single (N, d, d) array (with d = 1 the terms
-are scalars, one array the size of the responsibilities).
+pass into it; `score`, `density_hessian_ratio` and `log_density_hessian`
+given that list consume it instead of running the component log-pdf and
+its log-sum-exp again. hess p / p and the Hessian never hold
+per-component (N, k, d, d) tensors: they add one component at a time into
+a single (N, d, d) array (with d = 1 the terms are scalars, one array the
+size of the responsibilities).
 """
 
 from __future__ import annotations
@@ -135,34 +136,49 @@ class GaussianMixture:
         eps = rng.standard_normal((count, self.dim))
         return self.means[idx] + eps * np.sqrt(self.variances[idx])
 
-    def log_density_hessian(self, x, saved=None):
-        """Hessian of log density: sum_j r_j (u_j u_j^T - diag(1/var_j)) - s s^T.
+    def density_hessian_ratio(self, x, saved=None):
+        """hess p / p = sum_j r_j (u_j u_j^T - diag(1/var_j)), u_j = (mu_j - x) / var_j.
 
-        `saved` works as in `score`. For d >= 2 the component terms are
-        added one at a time into one (N, d, d) array, from zero in component
-        order, which is how np.sum over the component axis adds them; no
-        (N, k, d, d) tensor is held.
+        `saved` works as in `score`.
+        """
+        x, single = _as_batch(x, self.dim)
+        h, _ = self._hessian_ratio(x, self._responsibilities_of(x, saved))
+        return h[0] if single else h
+
+    def log_density_hessian(self, x, saved=None):
+        """Hessian of log density: hess p / p - s s^T.
+
+        `saved` works as in `score`.
         """
         x, single = _as_batch(x, self.dim)
         r = self._responsibilities_of(x, saved)
-        u = (self.means[None, :, :] - x[:, None, :]) / self.variances[None, :, :]
+        h, u = self._hessian_ratio(x, r)
         s = np.sum(r[:, :, None] * u, axis=1)
+        h -= s[:, :, None] * s[:, None, :]
+        return h[0] if single else h
+
+    def _hessian_ratio(self, x, r):
+        """hess p / p of batch x given its responsibilities r, and the (B, k, d) u_j.
+
+        For d >= 2 the component terms are added one at a time into one
+        (N, d, d) array, from zero in component order, which is how np.sum
+        over the component axis adds them; no (N, k, d, d) tensor is held.
+        """
+        u = (self.means[None, :, :] - x[:, None, :]) / self.variances[None, :, :]
         inv_var = 1.0 / self.variances
         if self.dim == 1:
             # scalar terms, where np.sum adds each row of k pairwise; (N, k) is the
             # size of r, so they are summed as one array in that order
-            u = u[:, :, 0]
-            h = np.sum(r * (u * u - inv_var[:, 0]), axis=1)[:, None, None]
-        else:
-            h = np.zeros((x.shape[0], self.dim, self.dim))
-            idx = np.arange(self.dim)
-            for j in range(self.n_components):
-                term = u[:, j, :, None] * u[:, j, None, :]
-                term[:, idx, idx] -= inv_var[j]
-                term *= r[:, j, None, None]
-                h += term
-        h -= s[:, :, None] * s[:, None, :]
-        return h[0] if single else h
+            u1 = u[:, :, 0]
+            return np.sum(r * (u1 * u1 - inv_var[:, 0]), axis=1)[:, None, None], u
+        h = np.zeros((x.shape[0], self.dim, self.dim))
+        idx = np.arange(self.dim)
+        for j in range(self.n_components):
+            term = u[:, j, :, None] * u[:, j, None, :]
+            term[:, idx, idx] -= inv_var[j]
+            term *= r[:, j, None, None]
+            h += term
+        return h, u
 
     def marginal(self, t):
         """Time-t marginal of the linear interpolation path, again a mixture."""

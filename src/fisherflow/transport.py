@@ -8,6 +8,11 @@ Monte-Carlo quadratic KL form, and a quadrature oracle that computes the KL
 exactly (for d <= 2) by numerically inverting the map on a grid. The oracle
 deliberately uses finite-difference Jacobians so it stays independent of the
 analytic path it validates.
+
+Every grid function walks the mesh in blocks of GRID_BLOCK_ROWS points,
+writing one value per point into an (N,) vector that is then integrated,
+so no call holds (N, width) activations or (N, k) mixture arrays for a
+whole grid.
 """
 
 from __future__ import annotations
@@ -254,11 +259,29 @@ def _fd_jacobian_det(map_fn, points, step=1e-5):
     return np.abs(np.linalg.det(jac))
 
 
-def pushforward_density(density: GaussianMixture, map_fn, points, max_iter=100):
+def pushforward_density(density: GaussianMixture, map_fn, points):
     """Exact change-of-variables density of the pushforward at given points."""
-    pre = invert_map(map_fn, points, max_iter=max_iter)
+    pre = invert_map(map_fn, points)
     det = _fd_jacobian_det(map_fn, pre)
     return density.density(pre) / det
+
+
+# Points per block of a grid walk. Smaller blocks turn each 20001-point 1-D
+# ladder into many Python-level steps; larger ones hold more memory.
+GRID_BLOCK_ROWS = 4096
+
+
+def _integrate_blocks(grid: GridSpec, point_fn) -> float:
+    """Trapezoidal integral of point_fn over the grid mesh, GRID_BLOCK_ROWS points at a time.
+
+    point_fn maps an (n, d) block of mesh points to their (n,) values.
+    """
+    pts = grid.mesh()
+    values = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], GRID_BLOCK_ROWS):
+        stop = start + GRID_BLOCK_ROWS
+        values[start:stop] = point_fn(pts[start:stop])
+    return grid.integrate(values)
 
 
 @dataclass(frozen=True)
@@ -284,42 +307,47 @@ def kl_quadrature_oracle(density: GaussianMixture, transport, s, grid: GridSpec)
     if not grid.covers(density):
         raise ValueError("grid must cover at least 6 standard deviations per mixture component")
     map_fn = transport.action_map(s) if isinstance(transport, TransportMap) else transport
-    pts = grid.mesh()
-    p_theta = pushforward_density(density, map_fn, pts)
-    log_p_beta = density.log_density(pts)
-    safe = p_theta > 0
-    integrand = np.zeros_like(p_theta)
-    integrand[safe] = p_theta[safe] * (np.log(p_theta[safe]) - log_p_beta[safe])
-    return QuadratureKL(grid.integrate(integrand), grid)
+
+    def integrand(pts):
+        p_theta = pushforward_density(density, map_fn, pts)
+        log_p_beta = density.log_density(pts)
+        safe = p_theta > 0
+        out = np.zeros_like(p_theta)
+        out[safe] = p_theta[safe] * (np.log(p_theta[safe]) - log_p_beta[safe])
+        return out
+
+    return QuadratureKL(_integrate_blocks(grid, integrand), grid)
 
 
 def expected_quadratic_penalty(density: GaussianMixture, delta_fn, grid: GridSpec) -> float:
     """Deterministic counterpart of kl_quadratic: quadrature of 0.5 delta^T I delta."""
-    pts = grid.mesh()
-    deltas = np.atleast_2d(delta_fn(pts))
-    saved = []
-    p = density.density(pts, saved)
-    scores = density.score(pts, saved)
-    values, _ = fisher_penalty_batch(scores, deltas, normalize=False)
-    return grid.integrate(values * p)
+
+    def integrand(pts):
+        deltas = np.atleast_2d(delta_fn(pts))
+        saved = []
+        p = density.density(pts, saved)
+        values, _ = fisher_penalty_batch(density.score(pts, saved), deltas, normalize=False)
+        return values * p
+
+    return _integrate_blocks(grid, integrand)
 
 
 def curvature_term_diagnostic(density: GaussianMixture, delta_fn, grid: GridSpec) -> float:
     """Magnitude of the dropped density-curvature term of the KL expansion.
 
     The retained Fisher form omits -0.5 E[delta^T (hess pi / pi) delta];
-    this evaluates it by quadrature (hess pi / pi = hess log pi + s s^T) so
-    runs can report how small it actually is. Diagnostic only.
+    this evaluates it by quadrature so runs can report how small it
+    actually is. Diagnostic only.
     """
-    pts = grid.mesh()
-    deltas = np.atleast_2d(delta_fn(pts))
-    saved = []
-    p = density.density(pts, saved)
-    scores = density.score(pts, saved)
-    hess_log = density.log_density_hessian(pts, saved)
-    hess_over_p = hess_log + scores[:, :, None] * scores[:, None, :]
-    quad = np.einsum("bi,bij,bj->b", deltas, hess_over_p, deltas)
-    return -0.5 * grid.integrate(quad * p)
+
+    def integrand(pts):
+        deltas = np.atleast_2d(delta_fn(pts))
+        saved = []
+        p = density.density(pts, saved)
+        ratio = density.density_hessian_ratio(pts, saved)
+        return np.einsum("bi,bij,bj->b", deltas, ratio, deltas) * p
+
+    return -0.5 * _integrate_blocks(grid, integrand)
 
 
 def region_mass(density_values, grid: GridSpec, mask) -> float:
@@ -344,9 +372,5 @@ def pushforward_region_mass(density: GaussianMixture, map_fn, grid: GridSpec, ma
     """
     if not callable(mask):
         raise TypeError("pushforward_region_mass takes a callable mask over mapped points")
-    pts = grid.mesh()
-    mapped = np.atleast_2d(map_fn(pts))
-    ind = mask(mapped)
-    vals = density.density(pts)
-    vals = np.where(ind, vals, 0.0)
-    return grid.integrate(vals)
+    return _integrate_blocks(
+        grid, lambda pts: np.where(mask(np.atleast_2d(map_fn(pts))), density.density(pts), 0.0))

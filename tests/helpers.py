@@ -3,7 +3,9 @@
 import numpy as np
 from scipy.special import logsumexp
 
+from fisherflow import transport
 from fisherflow.errors import ConvergenceError
+from fisherflow.score import fisher_penalty_batch
 
 
 def fd_gradient(f, x, step=1e-4):
@@ -73,11 +75,11 @@ def responsibilities_reference(mix, x):
     return np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
 
 
-def log_density_hessian_reference(mix, x):
-    """Hessian of log density of batch x from every component's (d, d) term at once.
+def density_hessian_ratio_reference(mix, x):
+    """hess p / p of batch x from every component's (d, d) term at once.
 
     Builds the (N, k, d, d) tensor r_j (u_j u_j^T - diag(1/var_j)) and sums
-    it with np.sum(axis=1), then subtracts s s^T.
+    it with np.sum(axis=1).
     """
     r = responsibilities_reference(mix, x) if mix.n_components > 1 else np.ones((x.shape[0], 1))
     u = (mix.means[None, :, :] - x[:, None, :]) / mix.variances[None, :, :]
@@ -86,8 +88,15 @@ def log_density_hessian_reference(mix, x):
     idx = np.arange(mix.dim)
     inv_var[:, idx, idx] = 1.0 / mix.variances
     per_comp = outer - inv_var[None, :, :, :]
+    return np.sum(r[:, :, None, None] * per_comp, axis=1)
+
+
+def log_density_hessian_reference(mix, x):
+    """Hessian of log density of batch x: the reference hess p / p minus s s^T."""
+    r = responsibilities_reference(mix, x) if mix.n_components > 1 else np.ones((x.shape[0], 1))
+    u = (mix.means[None, :, :] - x[:, None, :]) / mix.variances[None, :, :]
     s = np.sum(r[:, :, None] * u, axis=1)
-    return np.sum(r[:, :, None, None] * per_comp, axis=1) - s[:, :, None] * s[:, None, :]
+    return density_hessian_ratio_reference(mix, x) - s[:, :, None] * s[:, None, :]
 
 
 def invert_map_reference(map_fn, targets, max_iter=100, tol=1e-12):
@@ -111,3 +120,27 @@ def invert_map_reference(map_fn, targets, max_iter=100, tol=1e-12):
         if not active.any():
             return a
     raise ConvergenceError(f"{int(active.sum())} of {a.shape[0]} rows still moving")
+
+
+def grid_oracles_reference(density, delta_fn, grid, mask):
+    """The four grid integrals of `transport`, each evaluated over the whole mesh in one array.
+
+    The map is T(a) = a + delta_fn(a). Returns the KL oracle's value (map
+    inverted and finite-differenced on the full mesh), the quadratic
+    penalty, the curvature diagnostic and the pushforward region mass.
+    """
+    map_fn = lambda a: a + delta_fn(a)
+    pts = grid.mesh()
+    pre = transport.invert_map(map_fn, pts)
+    p_theta = density.density(pre) / transport._fd_jacobian_det(map_fn, pre)
+    log_p_beta = density.log_density(pts)
+    safe = p_theta > 0
+    kl = np.zeros_like(p_theta)
+    kl[safe] = p_theta[safe] * (np.log(p_theta[safe]) - log_p_beta[safe])
+    deltas = np.atleast_2d(delta_fn(pts))
+    p = density.density(pts)
+    penalty, _ = fisher_penalty_batch(density.score(pts), deltas, normalize=False)
+    curvature = np.einsum("bi,bij,bj->b", deltas, density.density_hessian_ratio(pts), deltas)
+    inside = np.where(mask(np.atleast_2d(map_fn(pts))), p, 0.0)
+    return {"kl": grid.integrate(kl), "penalty": grid.integrate(penalty * p),
+            "curvature": -0.5 * grid.integrate(curvature * p), "region_mass": grid.integrate(inside)}

@@ -21,8 +21,8 @@ from fisherflow.config import RunConfig, parse_config_text
 from fisherflow.densities import GaussianMixture
 from fisherflow.errors import ConvergenceError, NumericError
 
-from helpers import (fd_divergence, invert_map_reference, log_density_hessian_reference,
-                     responsibilities_reference)
+from helpers import (density_hessian_ratio_reference, fd_divergence, invert_map_reference,
+                     log_density_hessian_reference, responsibilities_reference)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -321,6 +321,7 @@ def test_mixture_pass_and_hessian_match_out_of_place_reference_bit_for_bit(seed,
     comp = (mix.means[None, :, :] - xb[:, None, :]) / mix.variances[None, :, :]
     score = np.sum((r if k > 1 else np.ones((xb.shape[0], 1)))[:, :, None] * comp, axis=1)
     expected = {"log_density": logsumexp(logp, axis=1), "responsibilities": r, "score": score,
+                "density_hessian_ratio": density_hessian_ratio_reference(mix, xb),
                 "log_density_hessian": log_density_hessian_reference(mix, xb)}
     if rows is None:
         expected = {name: value[0] for name, value in expected.items()}
@@ -331,6 +332,7 @@ def test_mixture_pass_and_hessian_match_out_of_place_reference_bit_for_bit(seed,
             assert len(saved) == 1 and _same(saved[0], r)
             _freeze(saved)
         assert _same(mix.score(x, saved), expected["score"])
+        assert _same(mix.density_hessian_ratio(x, saved), expected["density_hessian_ratio"])
         assert _same(mix.log_density_hessian(x, saved), expected["log_density_hessian"])
     saved = []
     assert _same(mix.density(x, saved), np.exp(expected["log_density"]))
@@ -342,7 +344,7 @@ def test_saved_pass_of_another_row_count_is_rejected(k):
     mix = _random_mixture(np.random.default_rng(k), k, 2)
     saved = []
     mix.log_density(np.zeros((3, 2)), saved)
-    for method in (mix.score, mix.log_density_hessian):
+    for method in (mix.score, mix.density_hessian_ratio, mix.log_density_hessian):
         with pytest.raises(ValueError, match="3 rows"):
             method(np.zeros((4, 2)), saved)
         with pytest.raises(ValueError, match="3 rows"):

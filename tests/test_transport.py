@@ -8,7 +8,7 @@ from fisherflow.densities import GaussianMixture
 from fisherflow.errors import ConvergenceError
 from fisherflow.validate import OVERLAP_MIXTURE, linear_residual_map
 
-from helpers import fd_divergence
+from helpers import fd_divergence, grid_oracles_reference
 
 
 def make_policy(state_dim=0, action_dim=2, seed=0):
@@ -246,7 +246,8 @@ def test_residual_backward_matches_finite_differences():
     assert rel_error(d_action, fd) < 1e-4
 
 
-BIMODAL_MIXTURE = tasks.make_task("bimodal_asymmetric").density()
+BIMODAL_TASK = tasks.make_task("bimodal_asymmetric")
+BIMODAL_MIXTURE = BIMODAL_TASK.density()
 
 
 def test_pushforward_region_mass_evaluates_the_mask_at_mapped_points():
@@ -262,6 +263,43 @@ def test_pushforward_region_mass_evaluates_the_mask_at_mapped_points():
         transport.pushforward_region_mass(BIMODAL_MIXTURE, lambda a: a + 3.0, grid, box(pts))
 
 
+# 111 x 111 = 12321 points: three full blocks of GRID_BLOCK_ROWS and a ragged one
+BLOCKED_GRID = transport.GridSpec((-4.5, -4.5), (4.5, 4.5), (111, 111))
+ABLATION_GRID = transport.GridSpec((-4.5, -4.5), (4.5, 4.5), (181, 181))
+
+
+def _blocked_grid_oracles(density, delta_fn, grid, mask):
+    map_fn = lambda a: a + delta_fn(a)
+    return {"kl": transport.kl_quadrature_oracle(density, map_fn, None, grid).value,
+            "penalty": transport.expected_quadratic_penalty(density, delta_fn, grid),
+            "curvature": transport.curvature_term_diagnostic(density, delta_fn, grid),
+            "region_mass": transport.pushforward_region_mass(density, map_fn, grid, mask)}
+
+
+@pytest.mark.parametrize("delta_fn", [lambda a: np.zeros_like(a) + [0.3, -0.2],
+                                      lambda a: 0.2 * np.sin(a)], ids=["shift", "sine"])
+def test_blocked_grid_oracles_match_whole_array_reference_bit_for_bit(delta_fn):
+    mask = BIMODAL_TASK.corridor_mask
+    blocked = _blocked_grid_oracles(BIMODAL_MIXTURE, delta_fn, BLOCKED_GRID, mask)
+    assert blocked == grid_oracles_reference(BIMODAL_MIXTURE, delta_fn, BLOCKED_GRID, mask)
+    assert blocked["region_mass"] > 0.0 and blocked["kl"] > 0.0
+
+
+def test_blocked_grid_oracles_match_whole_array_reference_for_a_residual_net():
+    # BLAS picks its kernel for the thin output layer by row count, so a net's
+    # last bits depend on the block size; finite differences magnify them
+    tmap = make_map(seed=11, hidden=(16, 16))
+    tmap.residual_net.weights[-1][:] = np.random.default_rng(12).normal(
+        size=tmap.residual_net.weights[-1].shape) * 0.05
+    delta_fn = tmap.delta_fn(None)
+    mask = BIMODAL_TASK.corridor_mask
+    blocked = _blocked_grid_oracles(BIMODAL_MIXTURE, delta_fn, BLOCKED_GRID, mask)
+    reference = grid_oracles_reference(BIMODAL_MIXTURE, delta_fn, BLOCKED_GRID, mask)
+    for name, value in reference.items():
+        assert value != 0.0
+        assert abs(blocked[name] - value) <= 1e-11 * abs(value), name
+
+
 @pytest.mark.parametrize("oracle", [transport.curvature_term_diagnostic,
                                     transport.expected_quadratic_penalty])
 def test_grid_oracles_run_one_component_pass(monkeypatch, oracle):
@@ -273,20 +311,41 @@ def test_grid_oracles_run_one_component_pass(monkeypatch, oracle):
         return component_log_pdf(self, x)
 
     monkeypatch.setattr(GaussianMixture, "_component_log_pdf", counting)
-    grid = transport.GridSpec((-6.0, -6.0), (6.0, 6.0), (41, 41))
-    oracle(BIMODAL_MIXTURE, lambda a: 0.1 * a, grid)
-    assert calls == [41 * 41]
+    oracle(BIMODAL_MIXTURE, lambda a: 0.1 * a, BLOCKED_GRID)
+    # one pass per block of the grid walk, the last one ragged
+    n, block = BLOCKED_GRID.mesh().shape[0], transport.GRID_BLOCK_ROWS
+    assert len(calls) == -(-n // block) > 2
+    assert sum(calls) == n and max(calls) <= block and calls[-1] < block
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_oracles_hold_one_block_of_activations():
+    # whole-mesh evaluation of these two calls traced 34.1 MB and 11.6 MB; blocked, 5.0 and 2.2 MB
+    wide = make_map(seed=13, hidden=(64, 64))
+    narrow = make_map(seed=14, hidden=(16, 16))
+    for tmap in (wide, narrow):
+        tmap.residual_net.weights[-1][:] = np.random.default_rng(15).normal(
+            size=tmap.residual_net.weights[-1].shape) * 0.02
+    mass = _traced_peak(lambda: transport.pushforward_region_mass(
+        BIMODAL_MIXTURE, wide.action_map(None), ABLATION_GRID, BIMODAL_TASK.corridor_mask))
+    kl = _traced_peak(lambda: transport.kl_quadrature_oracle(
+        BIMODAL_MIXTURE, narrow, None, ABLATION_GRID))
+    assert mass < 8e6
+    assert kl < 4e6
 
 
 def test_log_density_hessian_holds_no_per_component_tensor():
     mix = tasks.make_task("crescent").density()
-    pts = transport.GridSpec((-4.5, -4.5), (4.5, 4.5), (181, 181)).mesh()
+    pts = ABLATION_GRID.mesh()
     n, k, d = pts.shape[0], mix.n_components, mix.dim
-    tracemalloc.start()
-    try:
-        mix.log_density_hessian(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: mix.log_density_hessian(pts))
     # below the size of two (N, k, d, d) float64 tensors (21.0 MB at k = 10)
     assert peak < 2 * n * k * d * d * 8
