@@ -22,10 +22,10 @@ print(f"      a low-value saddle sits in the corridor between them")
 cfg = training.RefineConfig(seed=0, steps=2500, flow_steps=1500, epsilon=0.1, eta=0.2,
                             log_interval=500)
 # both arms replay one base stream: the same pretrained flow and base actions
-stream = training.BaseStream.record(cfg, dataset, task)
+metrics = ("fisher", "isotropic")
+arms = [replace(cfg, metric=metric) for metric in metrics]
 results = {}
-for metric in ("fisher", "isotropic"):
-    res = training.run_refinement(replace(cfg, metric=metric), dataset, task, base=stream)
+for metric, res in zip(metrics, training.run_arms(arms, dataset, task)):
     results[metric] = res
     print(f"\n{metric} arm:")
     print(f"  base policy value    {res.final['mean_base_value']:.4f}")

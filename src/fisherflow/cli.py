@@ -77,15 +77,12 @@ def build_parser():
 
 
 def load_run_config(args) -> RunConfig:
-    overrides = parse_set_overrides(args.set)
-    if args.out is not None:
-        overrides["out"] = args.out
     if args.seed is not None and args.seeds is not None:
         raise ValueError("--seed and --seeds are mutually exclusive")
-    if args.seeds is not None:
-        overrides["seeds"] = args.seeds
-    if args.seed is not None:
-        overrides["seeds"] = str(args.seed)
+    overrides = parse_set_overrides(args.set)
+    for key, value in (("out", args.out), ("seeds", args.seeds), ("seeds", args.seed)):
+        if value is not None:
+            overrides[key] = str(value)
     cfg = RunConfig.load(args.config, overrides) if args.config else RunConfig.from_entries(overrides)
     if not cfg.seeds:
         raise ValueError("no seeds given")
@@ -100,17 +97,14 @@ def check_no_repeats(name, values):
         raise ValueError(f"{name} repeats {', '.join(map(repr, repeated))}")
 
 
-def check_fisher_t_eps(values):
-    """Every perturbed time the fisher metric will run at must lie inside (0, 1)."""
-    bad = [t for t in values if not 0.0 < t < 1.0]
-    if bad:
-        raise ValueError(f"t_eps must lie strictly inside (0, 1), got {', '.join(map(repr, bad))}")
-
-
 def resolve_dataset(cfg: RunConfig, task):
-    if cfg.data_file:
-        return tasks.load_dataset(cfg.data_file)
-    return tasks.make_dataset(task, cfg.data_size, cfg.data_seed, cfg.data_mode, cfg.data_noise)
+    if not cfg.data_file:
+        return tasks.make_dataset(task, cfg.data_size, cfg.data_seed, cfg.data_mode, cfg.data_noise)
+    dataset = tasks.load_dataset(cfg.data_file)
+    made_for = dataset.meta.get("task")
+    if made_for in tasks.TASK_NAMES and made_for != task.name:
+        raise ValueError(f"{cfg.data_file} was generated for task {made_for!r}, not {task.name!r}")
+    return dataset
 
 
 def cmd_gen_data(args) -> int:
@@ -123,84 +117,82 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def report_row(run_id, seed, metric, t_eps, final) -> dict:
-    return {
-        "run_id": run_id,
-        "seed": int(seed),
-        "metric": metric,
-        "t_eps": float(t_eps),
-        "mean_refined_value": final["mean_refined_value"],
-        "final_constraint": final["final_constraint"],
-        "final_lambda": final["final_lambda"],
-    }
-
-
 REPORT_COLUMNS = ("run_id", "seed", "metric", "t_eps", "mean_refined_value",
                   "final_constraint", "final_lambda")
+SUMMARY_COLUMNS = ("mean", "std", "runs")
 
 
-def write_report(rows, path):
+def write_report(rows, path, columns=REPORT_COLUMNS):
+    """CSV of `columns` per row: floats by repr, every other value by str."""
     with open(path, "w") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(row[c]) for c in REPORT_COLUMNS) + "\n")
+            cells = (row[c] for c in columns)
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells) + "\n")
 
 
-def _cell(value):
-    return repr(value) if isinstance(value, float) else str(value)
+def _summary(values) -> dict:
+    """Mean, ddof-1 std (0 for a single value) and count of `values`."""
+    vals = np.array(values)
+    return {"mean": float(vals.mean()),
+            "std": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0, "runs": len(vals)}
 
 
-def _aggregate(rows, key_fields):
+def _aggregate(rows, key):
+    """One summary of mean_refined_value per value of `key`, in sorted key order."""
     groups = {}
     for row in rows:
-        groups.setdefault(tuple(row[k] for k in key_fields), []).append(row)
-    out = []
-    for key, members in sorted(groups.items()):
-        vals = np.array([m["mean_refined_value"] for m in members])
-        entry = dict(zip(key_fields, key))
-        entry.update(mean=float(vals.mean()), std=float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
-                     runs=len(vals))
-        out.append(entry)
-    return out
+        groups.setdefault(row[key], []).append(row["mean_refined_value"])
+    return [{key: value, **_summary(members)} for value, members in sorted(groups.items())]
 
 
-def _run_arms(cfg: RunConfig, task, dataset, seed, arms):
-    """Yield one run per arm (training overrides) of one seed, in order.
+def _drive(args, default_name, arms_of, run_id, on_run, arm_major=False):
+    """The one run driver: every seed runs every arm of `arms_of(cfg)` (training overrides).
 
-    Analytic-Q arms replay one base stream recorded for the seed; learned-
-    critic arms sample live.
+    All arms' RefineConfigs (so their range checks) and fisher t_eps are
+    checked before config.txt. Each seed's arms replay one base stream, and
+    `on_run(rows, result)` follows each run. Only report rows are kept, seed-
+    major or, with `arm_major`, arm-major. Returns (cfg, out, rows).
     """
-    train = replace(cfg.train, seed=int(seed))
-    base = training.BaseStream.record(train, dataset, task) if train.analytic_q else None
-    for overrides in arms:
-        yield training.run_refinement(replace(train, **overrides), dataset, task, base=base)
-
-
-def _prepare_out(cfg: RunConfig, default_name) -> Path:
-    out = Path(cfg.out) if cfg.out else Path(default_name)
+    cfg = load_run_config(args)
+    arms = [replace(cfg.train, **overrides) for overrides in arms_of(cfg)]
+    # every perturbed time the fisher metric will run at must lie inside (0, 1)
+    bad = [arm.t_eps for arm in arms if arm.metric == "fisher" and not 0.0 < arm.t_eps < 1.0]
+    if bad:
+        raise ValueError(f"t_eps must lie strictly inside (0, 1), got {', '.join(map(repr, bad))}")
+    task = tasks.make_task(cfg.task)
+    dataset = resolve_dataset(cfg, task)
+    out = Path(cfg.out or default_name)
     out.mkdir(parents=True, exist_ok=True)
     cfg.out = str(out)
     (out / "config.txt").write_text(cfg.to_text())
-    return out
+    rows = []
+    for seed in cfg.seeds:
+        configs = [replace(arm, seed=seed) for arm in arms]
+        for config, result in zip(configs, training.run_arms(configs, dataset, task)):
+            rows.append({"run_id": run_id(config), "seed": config.seed, "metric": config.metric,
+                         "t_eps": float(config.t_eps),
+                         **{name: result.final[name] for name in REPORT_COLUMNS[4:]}})
+            on_run(rows, result)
+    if arm_major:
+        rows = [row for k in range(len(arms)) for row in rows[k::len(arms)]]
+    write_report(rows, out / "report.csv")
+    return cfg, out, rows
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args)
-    if len(cfg.seeds) > 1:
-        raise ValueError(f"train runs one seed, got {len(cfg.seeds)}; "
-                         "ablate-metric and sweep-teps take several")
-    check_fisher_t_eps([cfg.train.t_eps] if cfg.train.metric == "fisher" else [])
-    task = tasks.make_task(cfg.task)
-    dataset = resolve_dataset(cfg, task)
-    out = _prepare_out(cfg, "run")
-    [seed] = cfg.seeds
-    [result] = _run_arms(cfg, task, dataset, seed, [{}])
-    with open(out / "metrics.jsonl", "w") as fh:
-        for row in result.log:
-            fh.write(json.dumps(row) + "\n")
+    def one_seed(cfg):
+        if len(cfg.seeds) > 1:
+            raise ValueError(f"train runs one seed, got {len(cfg.seeds)}; "
+                             "ablate-metric and sweep-teps take several")
+        return [{}]
+
+    kept = []
+    cfg, out, _ = _drive(args, "run", one_seed, lambda config: "train",
+                         lambda rows, result: kept.append(result))
+    [result] = kept
+    (out / "metrics.jsonl").write_text("".join(json.dumps(row) + "\n" for row in result.log))
     save_checkpoint(result, cfg.task, out / "checkpoint.json")
-    row = report_row("train", seed, cfg.train.metric, cfg.train.t_eps, result.final)
-    write_report([row], out / "report.csv")
     (out / "final.json").write_text(json.dumps(result.final, sort_keys=True))
     print(f"run complete: mean refined value {result.final['mean_refined_value']:.4f} "
           f"(base {result.final['mean_base_value']:.4f}), "
@@ -211,28 +203,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep_teps(args) -> int:
-    cfg = load_run_config(args)
-    if not cfg.sweep_t_eps:
-        raise ValueError("sweep.t_eps lists no values")
-    check_no_repeats("sweep.t_eps", cfg.sweep_t_eps)
-    check_fisher_t_eps(cfg.sweep_t_eps)
-    task = tasks.make_task(cfg.task)
-    dataset = resolve_dataset(cfg, task)
-    out = _prepare_out(cfg, "sweep_teps")
-    done = {}
-    for seed in cfg.seeds:
-        arms = [dict(t_eps=float(t_eps), metric="fisher") for t_eps in cfg.sweep_t_eps]
-        for t_eps, result in zip(cfg.sweep_t_eps, _run_arms(cfg, task, dataset, seed, arms)):
-            done[t_eps, seed] = report_row(f"teps_{t_eps:g}", seed, "fisher", t_eps, result.final)
-            print(f"t_eps={t_eps:g} seed={seed}: {done[t_eps, seed]['mean_refined_value']:.4f}")
-    # seeds run in the outer loop (one base stream at a time); report rows stay t_eps-major
-    rows = [done[t_eps, seed] for t_eps in cfg.sweep_t_eps for seed in cfg.seeds]
-    write_report(rows, out / "report.csv")
-    agg = _aggregate(rows, ("t_eps",))
-    with open(out / "aggregate.csv", "w") as fh:
-        fh.write("t_eps,mean,std,runs\n")
-        for entry in agg:
-            fh.write(f"{entry['t_eps']!r},{entry['mean']!r},{entry['std']!r},{entry['runs']}\n")
+    def sweep(cfg):
+        if not cfg.sweep_t_eps:
+            raise ValueError("sweep.t_eps lists no values")
+        check_no_repeats("sweep.t_eps", cfg.sweep_t_eps)
+        return [dict(t_eps=float(t_eps), metric="fisher") for t_eps in cfg.sweep_t_eps]
+
+    def progress(rows, result):
+        row = rows[-1]
+        print(f"t_eps={row['t_eps']:g} seed={row['seed']}: {row['mean_refined_value']:.4f}")
+
+    _, out, rows = _drive(args, "sweep_teps", sweep, lambda config: f"teps_{config.t_eps:g}",
+                          progress, arm_major=True)
+    agg = _aggregate(rows, "t_eps")
+    write_report(agg, out / "aggregate.csv", ("t_eps", *SUMMARY_COLUMNS))
     for entry in agg:
         print(f"t_eps={entry['t_eps']:g}: {entry['mean']:.4f} +- {entry['std']:.4f} "
               f"({entry['runs']} runs)")
@@ -240,33 +224,20 @@ def cmd_sweep_teps(args) -> int:
 
 
 def cmd_ablate_metric(args) -> int:
-    cfg = load_run_config(args)
-    check_fisher_t_eps([cfg.train.t_eps])
-    task = tasks.make_task(cfg.task)
-    dataset = resolve_dataset(cfg, task)
-    out = _prepare_out(cfg, "ablate_metric")
-    rows, deltas = [], []
-    metrics = ("fisher", "isotropic")
-    for seed in cfg.seeds:
-        pair = {}
-        arms = [dict(metric=metric) for metric in metrics]
-        for metric, result in zip(metrics, _run_arms(cfg, task, dataset, seed, arms)):
-            rows.append(report_row(f"{metric}_{seed}", seed, metric, cfg.train.t_eps,
-                                   result.final))
-            pair[metric] = rows[-1]["mean_refined_value"]
-        deltas.append(pair["fisher"] - pair["isotropic"])
-        print(f"seed {seed}: fisher {pair['fisher']:.4f} isotropic {pair['isotropic']:.4f} "
-              f"delta {deltas[-1]:+.4f}")
-    write_report(rows, out / "report.csv")
-    agg = _aggregate(rows, ("metric",))
-    deltas = np.array(deltas)
-    with open(out / "aggregate.csv", "w") as fh:
-        fh.write("metric,mean,std,runs\n")
-        for entry in agg:
-            fh.write(f"{entry['metric']},{entry['mean']!r},{entry['std']!r},{entry['runs']}\n")
-        fh.write(f"delta,{float(deltas.mean())!r},"
-                 f"{float(deltas.std(ddof=1)) if len(deltas) > 1 else 0.0!r},{len(deltas)}\n")
-    print(f"aggregate delta (fisher - isotropic): {deltas.mean():+.4f}")
+    def progress(rows, result):
+        if rows[-1]["metric"] == "isotropic":
+            fisher, isotropic = (row["mean_refined_value"] for row in rows[-2:])
+            print(f"seed {rows[-1]['seed']}: fisher {fisher:.4f} isotropic {isotropic:.4f} "
+                  f"delta {fisher - isotropic:+.4f}")
+
+    _, out, rows = _drive(args, "ablate_metric",
+                          lambda cfg: [dict(metric="fisher"), dict(metric="isotropic")],
+                          lambda config: f"{config.metric}_{config.seed}", progress)
+    values = [row["mean_refined_value"] for row in rows]
+    delta = {"metric": "delta", **_summary(np.subtract(values[0::2], values[1::2]))}
+    write_report([*_aggregate(rows, "metric"), delta], out / "aggregate.csv",
+                 ("metric", *SUMMARY_COLUMNS))
+    print(f"aggregate delta (fisher - isotropic): {delta['mean']:+.4f}")
     return 0
 
 
@@ -276,13 +247,10 @@ def cmd_validate(args) -> int:
         for name, fn in suites:
             print(f"{name}: {fn.__doc__.strip().splitlines()[0]}")
         return 0
-    selected = suites
-    if args.suite:
-        wanted = set(args.suite)
-        unknown = wanted - {name for name, _ in suites}
-        if unknown:
-            raise ValueError(f"unknown suite(s): {sorted(unknown)}")
-        selected = [(n, f) for n, f in suites if n in wanted]
+    unknown = set(args.suite) - {name for name, _ in suites}
+    if unknown:
+        raise ValueError(f"unknown suite(s): {sorted(unknown)}")
+    selected = [(n, f) for n, f in suites if not args.suite or n in args.suite]
     failures = 0
     for name, fn in selected:
         outcome = fn()
@@ -327,10 +295,8 @@ def cmd_export_plots(args) -> int:
     base = tmap.base_policy.sample(states, z)
     refined = base + tmap.residual(states, base)
     behavioral = task.sample_behavioral(None, rng, args.samples)
-    np.savetxt(out / "samples_base.csv", base, delimiter=",", header="a1,a2", comments="")
-    np.savetxt(out / "samples_refined.csv", refined, delimiter=",", header="a1,a2", comments="")
-    np.savetxt(out / "samples_behavioral.csv", behavioral, delimiter=",", header="a1,a2",
-               comments="")
+    for name, cloud in (("base", base), ("refined", refined), ("behavioral", behavioral)):
+        np.savetxt(out / f"samples_{name}.csv", cloud, delimiter=",", header="a1,a2", comments="")
 
     pts = grid.mesh()
     values, _ = task.q_value(None, pts)

@@ -4,11 +4,17 @@ One file fully determines a run: task, dataset spec, training
 hyperparameters, seeds. The canonical serialization is sorted key = value
 lines, so persisting a resolved config and re-reading it round-trips
 byte-for-byte and a re-launch reproduces the run exactly.
+
+Keys are field names: a `RunConfig` field's first '_' becomes '.'
+(`data_size` is `data.size`), a `RefineConfig` field `f` is `train.f`. Every
+value parses to the type of its field's default (lists and tuples
+comma-separated, booleans true/false) and formats back (floats by repr).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from .training import RefineConfig
 
@@ -18,30 +24,20 @@ _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
 
 def parse_config_text(text) -> dict:
     """key = value lines; '#' starts a comment; later keys win."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def format_config(entries: dict) -> str:
-    return "".join(f"{k} = {entries[k]}\n" for k in sorted(entries))
+    lines = ((n, raw, raw.split("#", 1)[0].strip()) for n, raw in enumerate(text.splitlines(), 1))
+    return dict(_key_value(line, f"config line {n}: expected 'key = value', got {raw!r}")
+                for n, raw, line in lines if line)
 
 
 def parse_set_overrides(pairs) -> dict:
-    out = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ValueError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+    return dict(_key_value(pair, f"--set expects key=value, got {pair!r}") for pair in pairs or ())
+
+
+def _key_value(text, error):
+    if "=" not in text:
+        raise ValueError(error)
+    key, value = text.split("=", 1)
+    return key.strip(), value.strip()
 
 
 @dataclass
@@ -61,88 +57,50 @@ class RunConfig:
 
     @classmethod
     def from_entries(cls, entries: dict) -> "RunConfig":
-        cfg = cls()
-        train_kwargs = {}
-        train_fields = {f: type(getattr(cfg.train, f)) for f in asdict(cfg.train)}
-        for key, value in entries.items():
-            if key in _KEYS:
-                attr, parse, _ = _KEYS[key]
-                setattr(cfg, attr, parse(value))
-            elif key.startswith("train."):
-                name = key[len("train."):]
-                if name not in train_fields:
-                    raise ValueError(f"unknown training key {key!r}")
-                train_kwargs[name] = _coerce(value, train_fields[name])
-            else:
+        defaults = cls()._values()
+        values = {}
+        for key, text in entries.items():
+            if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-        cfg.train = RefineConfig(**train_kwargs)
-        return cfg
+            values[key] = _parse(text, defaults[key])
+        train = {k[len("train."):]: v for k, v in values.items() if k.startswith("train.")}
+        top = {k.replace(".", "_"): v for k, v in values.items() if not k.startswith("train.")}
+        return cls(**top, train=RefineConfig(**train))
 
-    def to_entries(self) -> dict:
-        entries = {key: fmt(getattr(self, attr)) for key, (attr, _, fmt) in _KEYS.items()}
-        for name, value in asdict(self.train).items():
-            entries[f"train.{name}"] = _format(value)
-        return entries
+    def _values(self) -> dict:
+        """Config key -> field value, for every field."""
+        values = asdict(self)
+        train = values.pop("train")
+        keyed = {name.replace("_", ".", 1): value for name, value in values.items()}
+        keyed.update((f"train.{name}", value) for name, value in train.items())
+        return keyed
 
     def to_text(self) -> str:
-        return format_config(self.to_entries())
+        values = self._values()
+        return "".join(f"{key} = {_format(values[key])}\n" for key in sorted(values))
 
     @classmethod
     def load(cls, path, overrides=None) -> "RunConfig":
-        with open(path) as fh:
-            entries = parse_config_text(fh.read())
+        entries = parse_config_text(Path(path).read_text())
         entries.update(overrides or {})
         return cls.from_entries(entries)
 
 
-def _split_list(value):
-    return [v for v in (tok.strip() for tok in value.split(",")) if v]
-
-
-def _list_of(cast, fmt=str):
-    """(parse, format) for a comma-separated list."""
-    return (lambda text: [cast(v) for v in _split_list(text)],
-            lambda values: ",".join(fmt(v) for v in values))
-
-
-def _float_text(value):
-    return repr(float(value))
-
-
-# config key -> (RunConfig attribute, parse, format); train.* keys follow RefineConfig
-_KEYS = {
-    "task": ("task", str, str),
-    "out": ("out", str, str),
-    "seeds": ("seeds", *_list_of(int)),
-    "data.size": ("data_size", int, str),
-    "data.seed": ("data_seed", int, str),
-    "data.mode": ("data_mode", str, str),
-    "data.noise": ("data_noise", float, _float_text),
-    "data.file": ("data_file", str, str),
-    "sweep.t_eps": ("sweep_t_eps", *_list_of(float, _float_text)),
-}
+def _parse(text, like):
+    """`text` as a value of the type of `like`, the field's default."""
+    if isinstance(like, bool):
+        if text.lower() not in _BOOL_STRINGS:
+            raise ValueError(f"expected a boolean, got {text!r}")
+        return _BOOL_STRINGS[text.lower()]
+    if isinstance(like, (list, tuple)):
+        tokens = (tok.strip() for tok in text.split(","))
+        return type(like)(_parse(tok, like[0]) for tok in tokens if tok)
+    return type(like)(text)
 
 
 def _format(value):
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _coerce(value, target_type):
-    if target_type is bool:
-        lowered = value.lower()
-        if lowered not in _BOOL_STRINGS:
-            raise ValueError(f"expected a boolean, got {value!r}")
-        return _BOOL_STRINGS[lowered]
-    if target_type is int:
-        return int(value)
-    if target_type is float:
-        return float(value)
-    if target_type is tuple:
-        return tuple(int(v) for v in _split_list(value))
-    return value
+    if isinstance(value, (list, tuple)):
+        return ",".join(_format(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)

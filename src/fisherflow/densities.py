@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class GaussianMixture:
         """log w_j + log N(x; mu_j, var_j) per component (B, k), and its log-sum-exp (B,)."""
         logp = self._component_log_pdf(x)
         logp += np.log(self.weights)[None, :]
-        return logp, logsumexp(logp, axis=1)
+        return logp, _logsumexp_rows(logp)
 
     def log_density(self, x, saved=None):
         """log p(x) per point.
@@ -233,6 +232,25 @@ class OracleVelocityField:
 
     def __call__(self, t, s, a):
         return self.mixture.velocity(t, a)
+
+
+def _logsumexp_rows(a):
+    """Row-wise log-sum-exp of (B, k) `a`, bit for bit scipy.special.logsumexp(a, axis=1).
+
+    A port of scipy's real path without its ~0.1 ms fixed cost per call:
+    log1p(sum of exp(a - max) off the row max / m) + log m + max, m the
+    count of max entries; rows where that is not finite take log(sum(exp(a))).
+    """
+    top = a.max(axis=1, keepdims=True)
+    at_top = a == top
+    ties = np.sum(at_top, axis=1, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=1, keepdims=True)
+        out = (np.log1p(rest / ties) + np.log(ties) + top)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
 
 
 def _normalized(logp, lse):

@@ -46,24 +46,17 @@ class QLandscape:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "widths", widths)
 
-    def value(self, a):
+    def value_and_gradient(self, a):
+        """Q(a) and its exact gradient from one pass over the bumps."""
         a = np.asarray(a, dtype=np.float64)
         single = a.ndim == 1
         ab = np.atleast_2d(a)
         diff = ab[:, None, :] - self.centers[None, :, :]
         expo = np.exp(-0.5 * np.sum(diff**2, axis=2) / self.widths[None, :] ** 2)
-        out = expo @ self.amplitudes
-        return float(out[0]) if single else out
-
-    def gradient(self, a):
-        a = np.asarray(a, dtype=np.float64)
-        single = a.ndim == 1
-        ab = np.atleast_2d(a)
-        diff = ab[:, None, :] - self.centers[None, :, :]
-        expo = np.exp(-0.5 * np.sum(diff**2, axis=2) / self.widths[None, :] ** 2)
+        value = expo @ self.amplitudes
         coeff = self.amplitudes[None, :] * expo / self.widths[None, :] ** 2
         grad = -np.sum(coeff[:, :, None] * diff, axis=1)
-        return grad[0] if single else grad
+        return (float(value[0]), grad[0]) if single else (value, grad)
 
 
 @dataclass(frozen=True)
@@ -104,7 +97,7 @@ class SyntheticTask:
         a = np.asarray(a, dtype=np.float64)
         if not np.isfinite(a).all():
             raise ValueError("actions must be finite")
-        return self.landscape.value(a), self.landscape.gradient(a)
+        return self.landscape.value_and_gradient(a)
 
     def corridor_mask(self, points):
         if self.corridor is None:

@@ -14,7 +14,8 @@ Euler base actions, and the evaluation inputs depend only on the seed, the
 dataset and the fields in `STREAM_FIELDS`. A `BaseStream` records them once;
 every arm of one seed (fisher or isotropic metric, any t_eps, epsilon,
 eta, ...) can replay it through `run_refinement(..., base=stream)` and gets
-exactly the run it would have got alone. It holds about
+exactly the run it would have got alone. `run_arms` runs the arms of one
+seed that way, the one place paired comparisons share a stream. It holds about
 steps x batch x (8 + 8 d) bytes (int64 indices and float64 base actions).
 Runs with a learned critic train the flow every step and sample their base
 actions live; they take no stream.
@@ -545,3 +546,15 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
         "td_loss": float(td_loss),
     }
     return RunResult(tmap, policy, critic, dual, rows, final, flow_curve)
+
+
+def run_arms(configs, dataset: OfflineDataset, task: SyntheticTask):
+    """Yield the run of each config in order, all replaying one base stream when analytic-Q.
+
+    The stream is recorded from the first config when it sets analytic_q
+    (every later one must fit it, see `BaseStream.check`), else there is none.
+    """
+    analytic = configs and configs[0].analytic_q
+    stream = BaseStream.record(configs[0], dataset, task) if analytic else None
+    for config in configs:
+        yield run_refinement(config, dataset, task, base=stream)

@@ -132,11 +132,8 @@ def test_criterion_8_fisher_beats_isotropic_and_preserves_support(bimodal_datase
         BIMODAL.density().density(ABLATION_GRID.mesh()), ABLATION_GRID, BIMODAL.corridor_mask)
     for seed in range(5):
         # both arms replay one base stream: same pretrained flow and base actions per step
-        base = training.BaseStream.record(bimodal_config(seed), bimodal_dataset, BIMODAL)
-        rf = training.run_refinement(bimodal_config(seed, "fisher"), bimodal_dataset, BIMODAL,
-                                     base=base)
-        ri = training.run_refinement(bimodal_config(seed, "isotropic"), bimodal_dataset, BIMODAL,
-                                     base=base)
+        rf, ri = training.run_arms([bimodal_config(seed, "fisher"),
+                                    bimodal_config(seed, "isotropic")], bimodal_dataset, BIMODAL)
         vf = rf.final["mean_refined_value"]
         vi = ri.final["mean_refined_value"]
         wins += vf >= vi
@@ -157,11 +154,9 @@ def test_criterion_9_perturbed_time_sweep_shape(bimodal_dataset):
     vals = {t_eps: [] for t_eps in t_values}
     for seed in seeds:
         # every t_eps of one seed replays the same base stream
-        base = training.BaseStream.record(bimodal_config(seed), bimodal_dataset, BIMODAL)
-        for t_eps in t_values:
-            vals[t_eps].append(training.run_refinement(
-                bimodal_config(seed, t_eps=t_eps), bimodal_dataset, BIMODAL,
-                base=base).final["mean_refined_value"])
+        arms = [bimodal_config(seed, t_eps=t_eps) for t_eps in t_values]
+        for t_eps, result in zip(t_values, training.run_arms(arms, bimodal_dataset, BIMODAL)):
+            vals[t_eps].append(result.final["mean_refined_value"])
     means = {t_eps: float(np.mean(v)) for t_eps, v in vals.items()}
     low_band = np.mean([means[0.70], means[0.75], means[0.80]])
     assert low_band >= means[0.95]

@@ -1,7 +1,9 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from fisherflow import cli
 from fisherflow.config import RunConfig, parse_config_text
+from fisherflow.training import RefineConfig
 
 
 def run_cli(*argv):
@@ -115,6 +118,16 @@ def test_train_from_dataset_file(tmp_path):
     assert run_cli("train", "--out", str(out), "--set", f"data.file={data}",
                    *FAST_TRAIN) == 0
     assert (out / "report.csv").exists()
+
+
+def test_train_on_dataset_file_of_another_task_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    assert run_cli("gen-data", "--task", "crescent", "--size", "64", "--out", str(data)) == 0
+    out = tmp_path / "r"
+    assert run_cli("train", "--out", str(out), "--set", f"data.file={data}",
+                   "--set", "task=bimodal_asymmetric", *FAST_TRAIN) == 2
+    assert "'crescent'" in capsys.readouterr().err
+    assert not out.exists()  # rejected before config.txt
 
 
 def test_validate_list_and_selected_suite(capsys):
@@ -268,6 +281,15 @@ def test_config_roundtrip_bytes():
     assert again.seeds == [1, 2, 3]
 
 
+def test_every_config_field_has_a_key():
+    # a field without a key would silently drop out of config.txt
+    keys = parse_config_text(RunConfig().to_text())
+    top = {k.replace(".", "_") for k in keys if not k.startswith("train.")}
+    train = {k[len("train."):] for k in keys if k.startswith("train.")}
+    assert top == {f.name for f in fields(RunConfig)} - {"train"}
+    assert train == {f.name for f in fields(RefineConfig)}
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         RunConfig.from_entries({"trian.steps": "10"})
@@ -311,6 +333,38 @@ def test_sweep_teps_grid_and_determinism(tmp_path):
         outs.append((out / "report.csv").read_text())
     assert outs[0] == outs[1]
     assert len(outs[0].strip().splitlines()) == 2  # single t_eps -> single row
+
+
+def summary_text(key, groups):
+    """aggregate.csv rebuilt by hand: mean, ddof-1 std and count per group, floats by repr."""
+    lines = [f"{key},mean,std,runs"]
+    for name, vals in groups:
+        std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        lines.append(f"{name},{float(np.mean(vals))!r},{std!r},{len(vals)}")
+    return "\n".join(lines) + "\n"
+
+
+def read_report(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_aggregate_csv_golden_from_report(tmp_path):
+    ablate, sweep = tmp_path / "a", tmp_path / "s"
+    assert run_cli("ablate-metric", "--seeds", "2,1", "--out", str(ablate), *FAST_TRAIN) == 0
+    assert run_cli("sweep-teps", "--seeds", "2,1", "--out", str(sweep),
+                   "--set", "sweep.t_eps=0.9,0.7,0.8", *FAST_TRAIN) == 0
+
+    rows = read_report(ablate / "report.csv")
+    value = {(r["metric"], r["seed"]): float(r["mean_refined_value"]) for r in rows}
+    groups = [(m, [value[m, s] for s in ("2", "1")]) for m in ("fisher", "isotropic")]
+    groups.append(("delta", [value["fisher", s] - value["isotropic", s] for s in ("2", "1")]))
+    assert (ablate / "aggregate.csv").read_text() == summary_text("metric", groups)
+
+    rows = read_report(sweep / "report.csv")
+    groups = [(repr(t), [float(r["mean_refined_value"]) for r in rows if float(r["t_eps"]) == t])
+              for t in (0.7, 0.8, 0.9)]  # ascending, though the sweep lists them unsorted
+    assert (sweep / "aggregate.csv").read_text() == summary_text("t_eps", groups)
 
 
 def test_sweep_teps_rows_are_t_eps_major_and_match_fresh_runs(tmp_path):

@@ -343,6 +343,23 @@ def test_base_stream_rejects_another_dataset(bimodal_setup, small_stream):
         training.run_refinement(small_config(**STREAM_CONFIG), other, task, base=small_stream)
 
 
+@pytest.mark.parametrize("analytic_q", [True, False])
+def test_run_arms_records_one_stream_from_the_first_analytic_config(bimodal_setup, monkeypatch,
+                                                                   analytic_q):
+    task, dataset = bimodal_setup
+    runs = []
+    monkeypatch.setattr(training.BaseStream, "record",
+                        lambda config, *_: f"stream of {config.metric}")
+    monkeypatch.setattr(training, "run_refinement",
+                        lambda config, d, t, base: runs.append((config.metric, base)) or len(runs))
+    arms = [small_config(metric=metric, analytic_q=analytic_q)
+            for metric in ("isotropic", "fisher", "fisher")]
+    assert list(training.run_arms(arms, dataset, task)) == [1, 2, 3]
+    stream = "stream of isotropic" if analytic_q else None
+    assert runs == [("isotropic", stream), ("fisher", stream), ("fisher", stream)]
+    assert list(training.run_arms([], dataset, task)) == []
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         training.RefineConfig(metric="euclidean")
