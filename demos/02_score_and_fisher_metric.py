@@ -13,7 +13,7 @@ import numpy as np
 
 from fisherflow import score
 from fisherflow.densities import GaussianMixture, OracleVelocityField
-from fisherflow.validate import EPS_LADDER, RATE_MIXTURE, rate_probe_point
+from fisherflow.validate import EPS_LADDER, RATE_MIXTURE, RATE_PROBE
 
 # -- 1. the identity is exact for an exact velocity ---------------------------
 gauss = GaussianMixture.single([0.0], 1.0)
@@ -24,7 +24,7 @@ print(f"N(0,1) target, t=0.5, a=1: estimated score {est[0]:+.12f} "
 
 # -- 2. perturbation error vs epsilon ------------------------------------------
 mix = RATE_MIXTURE
-probe = rate_probe_point()
+probe = RATE_PROBE
 ofield = OracleVelocityField(mix)
 print(f"\ntwo-mode mixture, probe a={probe:+.6f} "
       f"(where the mean-contraction term vanishes):")

@@ -83,9 +83,17 @@ def load_run_config(args) -> RunConfig:
     for key, value in (("out", args.out), ("seeds", args.seeds), ("seeds", args.seed)):
         if value is not None:
             overrides[key] = str(value)
+    # config.txt cuts a line at '#' and a value at a line break, so neither could be re-read
+    for key, text in overrides.items():
+        if "#" in text or "".join(text.splitlines()) != text:
+            raise ValueError(f"{key} {text!r} holds '#' or a line break, which config.txt "
+                             "cannot carry")
     cfg = RunConfig.load(args.config, overrides) if args.config else RunConfig.from_entries(overrides)
     if not cfg.seeds:
         raise ValueError("no seeds given")
+    negative = [seed for seed in cfg.seeds if seed < 0]
+    if negative:
+        raise ValueError(f"seeds must be non-negative, got {', '.join(map(repr, negative))}")
     check_no_repeats("seeds", cfg.seeds)
     return cfg
 

@@ -214,10 +214,6 @@ class GaussianMixture:
             raise ValueError("velocity requires t in [0, 1)")
         return (self.posterior_data_mean(t, x) - np.asarray(x, dtype=np.float64)) / (1.0 - t)
 
-    def marginal_score(self, t, x):
-        """Score of the time-t marginal, directly from the mixture form."""
-        return self.marginal(t).score(x)
-
 
 class OracleVelocityField:
     """Adapter exposing a mixture's exact velocity with the (t, s, a) call shape.

@@ -68,7 +68,6 @@ class SyntheticTask:
     landscape: QLandscape
     state_dim: int = 0
     corridor: tuple | None = None     # ((lo, hi) per dim) of the documented low-density region
-    corridor_density_ceiling: float = 0.0
     weight_gate: object = None        # optional callable s -> component weights
 
     @property
@@ -133,7 +132,6 @@ def _bimodal_task(name, barrier_amp, state_dim=0, weight_gate=None):
     return SyntheticTask(
         name, behavioral, landscape, state_dim=state_dim,
         corridor=((-0.8, 0.8), (None, None)),
-        corridor_density_ceiling=float(behavioral.density(np.array([0.8, 0.0]))),
         weight_gate=weight_gate,
     )
 
@@ -156,8 +154,7 @@ def make_task(name) -> SyntheticTask:
             centers.append(np.array([3.2, 3.2]))
             widths.append(0.35)
         landscape = QLandscape(amps, np.stack(centers), widths)
-        task = SyntheticTask(name, behavioral, landscape,
-                             corridor_density_ceiling=float(behavioral.density(np.array([2.1, 2.1]))))
+        task = SyntheticTask(name, behavioral, landscape)
     elif name == "crescent":
         behavioral, angles = _arc_mixture(n_components=10, radius=1.8, sigma=0.2,
                                           start=-0.35 * np.pi, end=0.35 * np.pi)

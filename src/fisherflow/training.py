@@ -33,7 +33,7 @@ from . import nets
 from .errors import NumericError
 from .flow import (FlowPolicy, FlowTrainConfig, VelocityField, flow_matching_loss,
                    state_action_input, train_flow)
-from .score import batched_scores, damped_inverse_apply, fisher_penalty_batch
+from .score import batched_scores, fisher_penalty_batch
 from .tasks import OfflineDataset, SyntheticTask, make_task
 from .transport import TransportMap
 
@@ -61,14 +61,6 @@ class Critic:
 
     def net_input(self, s, a):
         return state_action_input(s, np.atleast_2d(a), self.state_dim)
-
-    def values(self, s, a):
-        """Per-net online values, shape (2, B)."""
-        x = self.net_input(s, a)
-        return np.stack([nets.forward(net, x)[:, 0] for net in self.online])
-
-    def value(self, s, a):
-        return self.values(s, a).min(axis=0)
 
     def target_values(self, s, a):
         x = self.net_input(s, a)
@@ -199,63 +191,6 @@ def critic_update(critic: Critic, tmap: TransportMap, batch, rng, grad_clip=5.0)
         nets.adam_step(net, tape, adam)
     critic.soft_update()
     return total / 2.0
-
-
-def closed_form_refine(q_fn, metric, lam: float, s, a) -> np.ndarray:
-    """Pointwise natural-gradient displacement (1/lambda) M^-1 grad_a Q; q_fn(s, a) -> (Q, grad)."""
-    if lam <= 0.0:
-        raise ValueError("closed-form refinement requires lambda > 0")
-    _, grad = q_fn(s, np.asarray(a, dtype=np.float64))
-    grad = np.atleast_2d(grad)[0]
-    return damped_inverse_apply(metric, grad) / lam
-
-
-@dataclass(frozen=True)
-class GapResult:
-    direct: float
-    eigen: float
-
-
-def optimality_gap(metric, g, lam) -> GapResult:
-    """Value gap (g^T M^-1 g - g^T g) / (2 lambda) of the isotropic surrogate.
-
-    Computed both directly and through the eigendecomposition
-    sum_i (u_i^T g)^2 (1/lambda_i - 1) / (2 lambda); the two must agree to
-    1e-8 or the metric was too ill-conditioned to trust.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    g = np.asarray(g, dtype=np.float64)
-    x = damped_inverse_apply(metric, g)
-    direct = (float(g @ x) - float(g @ g)) / (2.0 * lam)
-    eigvals, eigvecs = np.linalg.eigh(metric.matrix)
-    if np.any(eigvals <= 0):
-        raise NumericError("singular metric in optimality gap")
-    proj = eigvecs.T @ g
-    eigen = float(np.sum(proj**2 * (1.0 / eigvals - 1.0)) / (2.0 * lam))
-    if abs(direct - eigen) > 1e-8 * max(1.0, abs(direct)):
-        raise NumericError("optimality gap forms disagree beyond 1e-8")
-    return GapResult(direct, eigen)
-
-
-def iterate_quadratic_refine(metric, g, lam, max_steps=200_000, tol=1e-14) -> np.ndarray:
-    """Fixed point of plain ascent on g^T d - (lambda/2) d^T M d.
-
-    This is the actor update specialized to an exact quadratic surrogate with
-    a free displacement vector; it converges to the closed-form solution and
-    serves as its independent check.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    m = metric.matrix
-    lam_max = float(np.linalg.eigvalsh(m).max())
-    step = 1.0 / (lam * lam_max + 1e-12)
-    d = np.zeros_like(g)
-    for _ in range(max_steps):
-        grad = g - lam * (m @ d)
-        d = d + step * grad
-        if np.linalg.norm(grad) < tol:
-            break
-    return d
 
 
 # smallest allowed value of each RefineConfig count and nonnegative training value

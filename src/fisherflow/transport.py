@@ -351,13 +351,12 @@ def curvature_term_diagnostic(density: GaussianMixture, delta_fn, grid: GridSpec
 
 
 def region_mass(density_values, grid: GridSpec, mask) -> float:
-    """Trapezoidal mass of point values restricted to a region indicator.
+    """Trapezoidal mass of point values restricted to a region.
 
-    `mask` is a boolean array over grid points or a callable (N, d) -> bool.
+    `mask` is a callable (N, d) -> bool over grid points.
     """
     vals = np.asarray(density_values, dtype=np.float64).copy()
-    ind = mask(grid.mesh()) if callable(mask) else np.asarray(mask)
-    vals[~ind] = 0.0
+    vals[~mask(grid.mesh())] = 0.0
     return grid.integrate(vals)
 
 

@@ -6,26 +6,26 @@ one-line detail. The suites are the single source of these checks:
 `fisherflow validate` runs them so a built artifact can re-validate itself,
 and the acceptance tests (criteria 1-4 and 6, and the eps* half of
 criterion 9) assert on their outcomes. The mixtures and fixtures the suites
-use live here too, for the tests and demos that share them.
+use live here too, for the tests and demos that share them, and so does
+`optimality_gap`, which only its suite calls.
 
-The one root find (the perturbation-rate probe) uses `_brentq`, a port of
-scipy's Brent solver, so no fisherflow process loads `scipy.optimize`.
+The perturbation-rate probe is the stored constant `RATE_PROBE`, a root of
+the suite's own contraction coefficient, so the suite runs no root find and
+no fisherflow process loads `scipy.optimize`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nets
 from .densities import GaussianMixture, OracleVelocityField
-from .errors import ConvergenceError
+from .errors import NumericError
 from .flow import FlowPolicy, VelocityField
-from .score import (FisherMetric, batched_scores, fisher_matrix, isotropic_metric,
-                    optimal_epsilon, perturbation_total_error)
-from .training import optimality_gap
+from .score import (FisherMetric, batched_scores, damped_inverse_apply, fisher_matrix,
+                    isotropic_metric, optimal_epsilon, perturbation_total_error)
 from .transport import (GridSpec, TransportMap, expected_quadratic_penalty, kl_quadratic,
                         kl_quadrature_oracle, log_det_inverse_approx)
 
@@ -79,79 +79,21 @@ def grad_curvature_ratio(mix, a, h=1e-4) -> float:
     return (lap_over_p(a + h) - lap_over_p(a - h)) / (2 * h)
 
 
-def _brentq(f, xa, xb, xtol, maxiter=100) -> float:
-    """Root of f in [xa, xb] by Brent's method, step for step as scipy's brentq.c.
-
-    Same bracket bookkeeping, tolerance delta = (xtol + 4 eps |x|) / 2,
-    secant or inverse-quadratic step under Brent's acceptance test, bisection
-    otherwise and a least step of delta, so the root equals
-    scipy.optimize.brentq's bit for bit. Raises ValueError when f(xa) and
-    f(xb) share a sign or f is NaN, ConvergenceError after maxiter steps
-    (scipy's default of 100; only the tests pass another).
-    """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"f({x!r}) is NaN")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError(f"f({xpre!r}) and f({xcur!r}) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the smallest |f| at xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + 4 * math.ulp(1.0) * abs(xcur)) / 2  # scipy's default rtol, 4 eps
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless an interpolation step passes the test below
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic extrapolation
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C gets inf or NaN here, which fails the test too
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise ConvergenceError(f"Brent root find did not converge in {maxiter} steps")
-
-
-def rate_probe_point() -> float:
-    """Probe of RATE_MIXTURE where the first-order mean-contraction error term vanishes.
-
-    The time-(1-eps) marginal both smooths and contracts the target; at
-    generic points the contraction contributes a first-order error that
-    masks the quadratic smoothing rate, so the rate is measured where its
-    coefficient s(a) + s'(a) a crosses zero, found by `_brentq` (the root
-    scipy.optimize.brentq returns, without loading scipy.optimize).
-    """
-    return _brentq(lambda a: contraction_coefficient(RATE_MIXTURE, a), -0.8, -0.3, xtol=1e-13)
+# Probe of RATE_MIXTURE where the first-order mean-contraction error term
+# vanishes. The time-(1-eps) marginal both smooths and contracts the target;
+# at generic points the contraction contributes a first-order error that
+# masks the quadratic smoothing rate, so the rate is measured where its
+# coefficient s(a) + s'(a) a crosses zero: the root
+# scipy.optimize.brentq(lambda a: contraction_coefficient(RATE_MIXTURE, a),
+# -0.8, -0.3, xtol=1e-13) returns. suite_perturbation_rate fails unless the
+# coefficient there is below 1e-9, so a stale value cannot pass silently.
+RATE_PROBE = -0.5833334538221382
 
 
 def suite_perturbation_rate() -> Outcome:
     """Score error decays at second order in the perturbation at the probe point."""
     mix = RATE_MIXTURE
-    probe = rate_probe_point()
+    probe = RATE_PROBE
     contraction = contraction_coefficient(mix, probe)
     curvature = grad_curvature_ratio(mix, probe)
     a = np.array([[probe]])
@@ -159,7 +101,7 @@ def suite_perturbation_rate() -> Outcome:
     marginal_dev, errs = 0.0, []
     for eps in EPS_LADDER:
         est = batched_scores(field, None, a, 1.0 - eps)[0]
-        marginal = mix.marginal_score(1.0 - eps, a[0])
+        marginal = mix.marginal(1.0 - eps).score(a[0])
         marginal_dev = max(marginal_dev, float(np.max(np.abs(est - marginal) / np.abs(marginal))))
         errs.append(float(np.linalg.norm(est - mix.score(a[0]))))
     slope = loglog_slope(EPS_LADDER, errs)
@@ -232,6 +174,34 @@ def suite_optimal_epsilon() -> Outcome:
     return Outcome(off < 1e-12 and in_order and is_argmin,
                    f"eps* {res.epsilon:.4f} (closed form off by {off:.1e}), argmin check "
                    f"{'ok' if is_argmin else 'failed'}")
+
+
+@dataclass(frozen=True)
+class GapResult:
+    direct: float
+    eigen: float
+
+
+def optimality_gap(metric, g, lam) -> GapResult:
+    """Value gap (g^T M^-1 g - g^T g) / (2 lambda) of the isotropic surrogate.
+
+    Computed both directly and through the eigendecomposition
+    sum_i (u_i^T g)^2 (1/lambda_i - 1) / (2 lambda); the two must agree to
+    1e-8 or the metric was too ill-conditioned to trust.
+    """
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    g = np.asarray(g, dtype=np.float64)
+    x = damped_inverse_apply(metric, g)
+    direct = (float(g @ x) - float(g @ g)) / (2.0 * lam)
+    eigvals, eigvecs = np.linalg.eigh(metric.matrix)
+    if np.any(eigvals <= 0):
+        raise NumericError("singular metric in optimality gap")
+    proj = eigvecs.T @ g
+    eigen = float(np.sum(proj**2 * (1.0 / eigvals - 1.0)) / (2.0 * lam))
+    if abs(direct - eigen) > 1e-8 * max(1.0, abs(direct)):
+        raise NumericError("optimality gap forms disagree beyond 1e-8")
+    return GapResult(direct, eigen)
 
 
 def suite_optimality_gap() -> Outcome:

@@ -99,6 +99,26 @@ def log_density_hessian_reference(mix, x):
     return density_hessian_ratio_reference(mix, x) - s[:, :, None] * s[:, None, :]
 
 
+def iterate_quadratic_refine(metric, g, lam, max_steps=200_000, tol=1e-14) -> np.ndarray:
+    """Fixed point of plain ascent on g^T d - (lambda/2) d^T M d.
+
+    This is the actor update specialized to an exact quadratic surrogate with
+    a free displacement vector; it converges to the closed-form solution
+    (1/lambda) M^-1 g and serves as its independent check (criterion 5).
+    """
+    g = np.asarray(g, dtype=np.float64)
+    m = metric.matrix
+    lam_max = float(np.linalg.eigvalsh(m).max())
+    step = 1.0 / (lam * lam_max + 1e-12)
+    d = np.zeros_like(g)
+    for _ in range(max_steps):
+        grad = g - lam * (m @ d)
+        d = d + step * grad
+        if np.linalg.norm(grad) < tol:
+            break
+    return d
+
+
 def invert_map_reference(map_fn, targets, max_iter=100, tol=1e-12):
     """Fixed-point inversion over the full array: gathers the active rows and scatters them back.
 

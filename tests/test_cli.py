@@ -178,6 +178,9 @@ def test_seed_and_seeds_together_is_usage_error(tmp_path, capsys):
     ("1,1", "ablate-metric"),
     ("1,1", "sweep-teps"),
     ("config 1,1", "ablate-metric"),
+    # numpy seeds only non-negative integers; the run must not start first
+    ("--seed -1", "train"),
+    ("0,-2", "ablate-metric"),
 ])
 def test_empty_seed_list_is_usage_error(tmp_path, capsys, seeds, command):
     out = tmp_path / "r"
@@ -185,11 +188,34 @@ def test_empty_seed_list_is_usage_error(tmp_path, capsys, seeds, command):
         conf = tmp_path / "c.txt"
         conf.write_text(f"seeds ={seeds[len('config'):]}\n")
         args = ["--config", str(conf)]
+    elif seeds.startswith("--seed "):
+        args = seeds.split()
     else:
         args = ["--seeds", seeds]
     assert run_cli(command, *args, "--out", str(out), *FAST_TRAIN) == 2
-    expected = "repeats 1" if "1,1" in seeds else "one seed" if "0,1" in seeds else "no seeds"
+    expected = ("repeats 1" if "1,1" in seeds else "one seed" if "0,1" in seeds
+                else "non-negative" if "-" in seeds else "no seeds")
     assert expected in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out_name, data_name", [
+    ("r#1", None),
+    ("r", "a#b.txt"),
+    ("r", "a\nb.txt"),
+])
+def test_hash_or_line_break_in_a_config_value_is_usage_error(tmp_path, capsys, out_name,
+                                                             data_name):
+    # config.txt could not carry the value, so a re-launch would read another one
+    out = tmp_path / out_name
+    args = []
+    if data_name:
+        data = tmp_path / data_name
+        assert run_cli("gen-data", "--task", "bimodal_asymmetric", "--size", "64",
+                       "--out", str(data)) == 0
+        args = ["--set", f"data.file={data}"]
+    assert run_cli("train", "--out", str(out), *FAST_TRAIN, *args) == 2
+    assert "config.txt cannot carry" in capsys.readouterr().err
     assert not out.exists()
 
 

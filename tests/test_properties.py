@@ -4,9 +4,7 @@ Each one pins a merged or simplified path to the form it replaced, inlined
 here or kept in helpers.py as the reference.
 """
 
-import math
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -405,58 +403,14 @@ def test_run_config_text_roundtrips_bytes(cfg):
     assert RunConfig.from_entries(parse_config_text(text)).to_text() == text
 
 
-# --- Brent root finder ---------------------------------------------------------------
-
-def cubic_sine(coeffs, amp, freq, scale, xa, xb, frac):
-    """scale * (cubic + amp sin(freq x)), shifted to cross `frac` of the way from f(xa) to f(xb)."""
-    c0, c1, c2, c3 = coeffs
-    base = lambda x: scale * (c0 + x * (c1 + x * (c2 + x * c3)) + amp * math.sin(freq * x))
-    level = (1 - frac) * base(xa) + frac * base(xb)
-    return lambda x: base(x) - level
-
-
-def brent_outcome(solver, f, xa, xb, xtol, maxiter):
-    """The root's bytes, or the kind of error the solver raised."""
-    try:
-        return struct.pack("<d", solver(f, xa, xb, xtol=xtol, maxiter=maxiter))
-    except ValueError:
-        return "ValueError"
-    except RuntimeError:  # scipy's non-convergence; ConvergenceError is one too
-        return "RuntimeError"
-
-
-unit = st.floats(-5.0, 5.0)
-
-
-@given(coeffs=st.tuples(unit, unit, unit, unit), amp=st.floats(0.0, 2.0),
-       freq=st.floats(0.1, 10.0), scale=st.sampled_from([1.0, 1e-300]), xa=unit, xb=unit,
-       frac=st.floats(-0.5, 1.5), xtol=st.floats(-14.0, -4.0).map(lambda e: 10.0**e),
-       maxiter=st.sampled_from([4, 100]))
-# the root sits exactly on xa
-@example((1.0, 2.0, 0.0, 0.0), 0.0, 1.0, 1.0, -1.5, 2.0, 0.0, 1e-12, 100)
-# both ends on one side of zero
-@example((1.0, 0.5, 0.0, 0.0), 0.0, 1.0, 1.0, -1.0, 1.0, -0.25, 1e-12, 100)
-# three accepted inverse-quadratic extrapolation steps
-@example((3.05, 3.08, 0.15, -2.14), 0.11, 3.9, 1.0, -0.92, -4.55, 0.5, 1e-12, 100)
-# the same function at 1e-300: the extrapolation denominator underflows to zero
-@example((3.05, 3.08, 0.15, -2.14), 0.11, 3.9, 1e-300, -0.92, -4.55, 0.5, 1e-12, 100)
-# an interpolation step that falls short of 3/4 of the bracket by less than delta: rejected
-@example((4.55, -3.38, 1.47, -2.02), 0.23, 8.21, 1.0, 0.67, 2.83, 0.46796875, 1e-4, 100)
-def test_brentq_port_matches_scipy_bit_for_bit(coeffs, amp, freq, scale, xa, xb, frac, xtol,
-                                               maxiter):
-    f = cubic_sine(coeffs, amp, freq, scale, xa, xb, frac)
-    ours = brent_outcome(validate._brentq, f, xa, xb, xtol, maxiter)
-    assert ours == brent_outcome(brentq, f, xa, xb, xtol, maxiter)
-
-
-def test_brentq_port_raises_on_same_sign_nan_and_too_many_steps():
-    with pytest.raises(ValueError, match="different signs"):
-        validate._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
-    with pytest.raises(ValueError, match="NaN"):
-        validate._brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, xtol=1e-12)
-    with pytest.raises(ConvergenceError):
-        validate._brentq(math.sin, 3.0, 4.0, xtol=1e-14, maxiter=2)
-
+# --- perturbation-rate probe ---------------------------------------------------------
 
 def test_rate_probe_point_is_scipys_root():
-    assert validate.rate_probe_point() == -0.5833334538221382
+    root = brentq(lambda a: validate.contraction_coefficient(validate.RATE_MIXTURE, a),
+                  -0.8, -0.3, xtol=1e-13)
+    assert root == validate.RATE_PROBE
+
+
+def test_perturbation_rate_fails_off_the_probe(monkeypatch):
+    monkeypatch.setattr(validate, "RATE_PROBE", -0.5)
+    assert validate.suite_perturbation_rate().passed is False

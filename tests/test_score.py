@@ -207,7 +207,7 @@ def test_perturbed_score_from_trained_field_tracks_exact_marginal():
 
 def marginal_score_error(mix, a, eps):
     a = np.atleast_1d(a)
-    return float(np.linalg.norm(mix.marginal_score(1.0 - eps, a) - mix.score(a)))
+    return float(np.linalg.norm(mix.marginal(1.0 - eps).score(a) - mix.score(a)))
 
 
 def test_raw_score_error_is_first_order_at_generic_points():
@@ -225,7 +225,7 @@ def test_smoothing_error_constant_matches_prediction():
         c = abs(grad_curvature_ratio(RATE_MIXTURE, a))
         for eps in (0.05, 0.025):
             t = 1.0 - eps
-            st = RATE_MIXTURE.marginal_score(t, np.array([t * a]))
+            st = RATE_MIXTURE.marginal(t).score(np.array([t * a]))
             err = abs(float(t * st[0]) - float(RATE_MIXTURE.score(np.array([a]))[0]))
             width = eps / t
             predicted = 0.5 * width**2 * c

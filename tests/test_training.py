@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fisherflow import flow, nets, score, tasks, training
+from fisherflow import flow, nets, score, tasks, training, validate
 from fisherflow.errors import NumericError
 
 
@@ -55,28 +55,19 @@ def test_dual_state_validation():
         training.DualState(epsilon=0.0)
 
 
-# --- closed-form refinement and the optimality gap --------------------------
+# --- closed-form refinement (1/lambda) M^-1 grad Q and the optimality gap ----
 
 def test_closed_form_refine_isotropic():
     metric = score.isotropic_metric(2)
-    q_fn = lambda s, a: (0.0, np.array([1.0, 0.0]))
-    out = training.closed_form_refine(q_fn, metric, 2.0, None, np.zeros(2))
+    out = score.damped_inverse_apply(metric, np.array([1.0, 0.0])) / 2.0
     np.testing.assert_allclose(out, [0.5, 0.0], rtol=1e-12)
 
 
 def test_closed_form_refine_sherman_morrison_case():
     s = np.array([1.0, 0.0])
     metric = score.fisher_matrix(s, damping=1.0)
-    q_fn = lambda _, a: (0.0, s)
-    out = training.closed_form_refine(q_fn, metric, 1.0, None, np.zeros(2))
+    out = score.damped_inverse_apply(metric, s)  # lambda = 1
     np.testing.assert_allclose(out, s / 2.0, rtol=1e-12)
-
-
-def test_closed_form_refine_rejects_zero_lambda():
-    metric = score.isotropic_metric(2)
-    q_fn = lambda s, a: (0.0, np.ones(2))
-    with pytest.raises(ValueError):
-        training.closed_form_refine(q_fn, metric, 0.0, None, np.zeros(2))
 
 
 def test_iterated_update_stationary_point_does_not_move():
@@ -90,14 +81,14 @@ def test_iterated_update_stationary_point_does_not_move():
 
 def test_optimality_gap_zero_gradient():
     metric = score.fisher_matrix(np.array([1.0, 2.0]), damping=0.5)
-    res = training.optimality_gap(metric, np.zeros(2), 1.0)
+    res = validate.optimality_gap(metric, np.zeros(2), 1.0)
     assert res.direct == 0.0
 
 
 def test_optimality_gap_rejects_singular_metric():
     metric = score.fisher_matrix(np.array([1.0, 0.0]))  # rank-1, undamped
     with pytest.raises(NumericError):
-        training.optimality_gap(metric, np.array([0.3, 0.4]), 1.0)
+        validate.optimality_gap(metric, np.array([0.3, 0.4]), 1.0)
 
 
 # --- critic -----------------------------------------------------------------
@@ -129,7 +120,7 @@ def test_critic_bandit_regresses_to_rewards():
     for _ in range(1500):
         loss = training.critic_update(critic, tmap, batch, rng)
     assert loss < 0.05**2
-    pred = critic.value(np.zeros((64, 0)), actions)
+    pred, _ = critic.value_and_action_grad(np.zeros((64, 0)), actions)
     assert float(np.max(np.abs(pred - rewards))) < 0.25
 
 
@@ -140,10 +131,10 @@ def test_critic_zero_rewards_shrink_values():
     tmap = make_transport(0, 2, seed=6)
     actions = rng.normal(size=(64, 2))
     batch = (np.zeros((64, 0)), actions, np.zeros(64), np.zeros((64, 0)))
-    before = float(np.mean(np.abs(critic.value(np.zeros((64, 0)), actions))))
+    before = float(np.mean(np.abs(critic.value_and_action_grad(np.zeros((64, 0)), actions)[0])))
     for _ in range(600):
         training.critic_update(critic, tmap, batch, rng)
-    after = float(np.mean(np.abs(critic.value(np.zeros((64, 0)), actions))))
+    after = float(np.mean(np.abs(critic.value_and_action_grad(np.zeros((64, 0)), actions)[0])))
     assert after < before
 
 
