@@ -22,6 +22,7 @@ the caller passes (input, upstream gradient, parameters, cache) is written.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,8 @@ from scipy.special import erf
 from .errors import NumericError
 
 CHECKPOINT_FORMAT_VERSION = 1
+# parameters per json.dumps call when a net is written (DenseNet.write_json)
+JSON_SLICE_VALUES = 4096
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -126,14 +129,22 @@ class DenseNet:
     def parameters(self):
         return list(self.weights) + list(self.biases)
 
-    def to_dict(self):
-        return {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "layer_sizes": list(self.layer_sizes),
-            "activation": self.activation,
-            "weights": [w.ravel(order="C").tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
+    def write_json(self, fh):
+        """Write this net to text file `fh` as the JSON object `from_dict` reads.
+
+        The keys are format_version, layer_sizes, activation, weights (each
+        matrix flattened in C order) and biases, with `json.dump`'s default
+        separators, so the bytes are those of `json.dump` of that dict. The
+        parameters go through `json.dumps` in slices of `JSON_SLICE_VALUES`,
+        so at most one slice is held as Python floats and text at a time.
+        """
+        fh.write(f'{{"format_version": {CHECKPOINT_FORMAT_VERSION}, '
+                 f'"layer_sizes": {json.dumps(list(self.layer_sizes))}, '
+                 f'"activation": {json.dumps(self.activation)}, "weights": ')
+        _write_json_arrays(fh, [w.ravel(order="C") for w in self.weights])
+        fh.write(', "biases": ')
+        _write_json_arrays(fh, self.biases)
+        fh.write("}")
 
     @classmethod
     def from_dict(cls, data):
@@ -147,6 +158,19 @@ class DenseNet:
         ]
         biases = [np.asarray(b, dtype=np.float64) for b in data["biases"]]
         return cls(sizes, weights, biases, data["activation"])
+
+
+def _write_json_arrays(fh, arrays):
+    """A JSON list holding one list per 1-D array, in `JSON_SLICE_VALUES`-value slices."""
+    fh.write("[")
+    for k, a in enumerate(arrays):
+        fh.write(", [" if k else "[")
+        for i in range(0, a.size, JSON_SLICE_VALUES):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(a[i:i + JSON_SLICE_VALUES].tolist())[1:-1])
+        fh.write("]")
+    fh.write("]")
 
 
 @dataclass

@@ -16,7 +16,6 @@ Landscape geometries:
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,6 +208,12 @@ def make_dataset(task: SyntheticTask, size, seed, mode="bandit", noise=0.0) -> O
 
     bandit: r = Q(s, a) + noise, no next state (terminal transitions).
     chain:  adds a next state drawn from the state sampler, for TD exercise.
+
+    One generator draws, in order: the states, the actions, the reward
+    noise (when noise > 0), then the next states (chain). An ungated task
+    samples all actions from its mixture at once. A gated task draws per
+    row, as ancestral sampling from that row's mixture would: one uniform
+    picking the component, then d standard normals (see `_gated_actions`).
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -221,13 +226,43 @@ def make_dataset(task: SyntheticTask, size, seed, mode="bandit", noise=0.0) -> O
     if task.weight_gate is None:
         actions = task.sample_behavioral(None, rng, size)
     else:
-        actions = np.stack([task.sample_behavioral(states[i], rng, 1)[0] for i in range(size)])
+        actions = _gated_actions(task, states, rng)
     values, _ = task.q_value(states, actions)
     rewards = np.atleast_1d(values) + (noise * rng.standard_normal(size) if noise else 0.0)
     next_states = task.sample_states(rng, size) if mode == "chain" else None
     meta = {"task": task.name, "seed": int(seed), "mode": mode, "noise": float(noise),
             "n": task.state_dim, "d": task.action_dim}
     return OfflineDataset(states, actions, rewards, next_states, meta)
+
+
+def _gated_actions(task: SyntheticTask, states, rng):
+    """One action per state from the state's gated mixture, without building a mixture per row.
+
+    Row i takes u = rng.random(), then eps = rng.standard_normal(d): the
+    draws `task.density(states[i]).sample(rng, 1)` makes, in its order, so
+    the actions are bit for bit those of per-row sampling. The component is
+    the number of entries of cdf = cumsum(w) / cumsum(w)[-1] that are <= u
+    (numpy's `Generator.choice` rule), and the action is
+    means[idx] + eps * sqrt(variances[idx]). The gate weights pass the
+    mixture's own checks first.
+    """
+    mix = task.behavioral
+    w = np.array([task.weight_gate(s) for s in states], dtype=np.float64)
+    if w.shape != (states.shape[0], mix.n_components):
+        raise ValueError("component shapes disagree")
+    if not (w > 0).all():
+        raise ValueError("mixture weights must be positive")
+    if (np.abs(w.sum(axis=1) - 1.0) > 1e-12).any():
+        raise ValueError("mixture weights must sum to 1")
+    u = np.empty(states.shape[0])
+    eps = np.empty((states.shape[0], mix.dim))
+    for i in range(states.shape[0]):
+        u[i] = rng.random()
+        eps[i] = rng.standard_normal(mix.dim)
+    cdf = np.cumsum(w, axis=1)
+    cdf /= cdf[:, -1:]
+    idx = np.sum(cdf <= u[:, None], axis=1)
+    return mix.means[idx] + eps * np.sqrt(mix.variances[idx])
 
 
 def save_dataset(dataset: OfflineDataset, path):
@@ -253,6 +288,13 @@ def save_dataset(dataset: OfflineDataset, path):
 
 
 def load_dataset(path) -> OfflineDataset:
+    """Read a file written by `save_dataset`.
+
+    The header line is checked first; numpy then parses the rest of the open
+    file in place, so no copy of the body is held as text. A foreign header,
+    an unreadable cell, an empty body, a column count other than the
+    header's, or a non-finite value is a ValueError.
+    """
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("# fisherflow-dataset"):
@@ -261,12 +303,13 @@ def load_dataset(path) -> OfflineDataset:
         if tokens[2] != f"v{DATASET_FORMAT_VERSION}":
             raise ValueError(f"unsupported dataset format {tokens[2]!r}")
         fields = dict(tok.split("=", 1) for tok in tokens[3:] if "=" in tok)
-        body = fh.read()
+        table = np.loadtxt(fh, ndmin=2)
     n, d = int(fields["n"]), int(fields["d"])
     has_r, has_next = bool(int(fields["reward"])), bool(int(fields["next_state"]))
-    table = np.loadtxt(io.StringIO(body), ndmin=2)
     expected = n + d + int(has_r) + (n if has_next else 0)
-    if table.shape[0] and table.shape[1] != expected:
+    if not table.shape[0]:
+        raise ValueError(f"{path}: the file holds no data rows")
+    if table.shape[1] != expected:
         raise ValueError(f"dataset has {table.shape[1]} columns, header implies {expected}")
     bad_rows = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad_rows.size:

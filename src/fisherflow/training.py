@@ -252,22 +252,38 @@ class RunResult:
     dual: DualState
     log: list
     final: dict
-    flow_loss_curve: np.ndarray | None = field(repr=False, default=None)
 
 
 def save_checkpoint(result: RunResult, task_name, path):
-    payload = {
-        "format_version": nets.CHECKPOINT_FORMAT_VERSION,
-        "task": task_name,
-        "flow_net": result.policy.field.net.to_dict(),
-        "flow_integration_steps": result.policy.steps,
-        "residual_net": result.transport_map.residual_net.to_dict(),
-        "max_displacement": result.transport_map.max_displacement,
-        "critic_nets": [n.to_dict() for n in result.critic.online] if result.critic else None,
-        "dual": {"lam": result.dual.lam, "epsilon": result.dual.epsilon, "eta": result.dual.eta},
-    }
+    """Write the run's nets, sampler steps, displacement cap and dual state as one JSON object.
+
+    Keys in order: format_version, task, flow_net, flow_integration_steps,
+    residual_net, max_displacement, critic_nets (the online critics, or null
+    without a critic) and dual (lam, epsilon, eta). The frame is written by
+    hand and each net streams its parameters (`DenseNet.write_json`), so the
+    bytes are those of one `json.dump` of that dict while only a slice of a
+    parameter array is held as text at a time.
+    """
+    dual = {"lam": result.dual.lam, "epsilon": result.dual.epsilon, "eta": result.dual.eta}
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(f'{{"format_version": {nets.CHECKPOINT_FORMAT_VERSION}, '
+                 f'"task": {json.dumps(task_name)}, "flow_net": ')
+        result.policy.field.net.write_json(fh)
+        fh.write(f', "flow_integration_steps": {json.dumps(result.policy.steps)}, '
+                 f'"residual_net": ')
+        result.transport_map.residual_net.write_json(fh)
+        fh.write(f', "max_displacement": {json.dumps(result.transport_map.max_displacement)}, '
+                 f'"critic_nets": ')
+        if result.critic is None:
+            fh.write("null")
+        else:
+            fh.write("[")
+            for k, net in enumerate(result.critic.online):
+                if k:
+                    fh.write(", ")
+                net.write_json(fh)
+            fh.write("]")
+        fh.write(f', "dual": {json.dumps(dual)}}}')
 
 
 def load_checkpoint(path):
@@ -480,7 +496,7 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
         "flow_loss": float(flow_loss),
         "td_loss": float(td_loss),
     }
-    return RunResult(tmap, policy, critic, dual, rows, final, flow_curve)
+    return RunResult(tmap, policy, critic, dual, rows, final)
 
 
 def run_arms(configs, dataset: OfflineDataset, task: SyntheticTask):

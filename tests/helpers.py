@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.special import logsumexp
 
-from fisherflow import transport
+from fisherflow import nets, transport
 from fisherflow.errors import ConvergenceError
 from fisherflow.score import fisher_penalty_batch
 
@@ -164,3 +164,39 @@ def grid_oracles_reference(density, delta_fn, grid, mask):
     inside = np.where(mask(np.atleast_2d(map_fn(pts))), p, 0.0)
     return {"kl": grid.integrate(kl), "penalty": grid.integrate(penalty * p),
             "curvature": -0.5 * grid.integrate(curvature * p), "region_mass": grid.integrate(inside)}
+
+
+def gated_actions_reference(task, states, rng):
+    """Per-row ancestral sampling of a gated task: one mixture per state, one draw from each.
+
+    Builds `task.density(s)` (a `GaussianMixture`, with its weight checks)
+    for every state and draws one action from it with `rng`: the
+    component by `Generator.choice`, then d standard normals.
+    """
+    return np.stack([task.density(s).sample(rng, 1)[0] for s in states])
+
+
+def net_to_dict(net):
+    """The JSON-ready dict of a `DenseNet` that `nets.DenseNet.from_dict` reads."""
+    return {
+        "format_version": nets.CHECKPOINT_FORMAT_VERSION,
+        "layer_sizes": list(net.layer_sizes),
+        "activation": net.activation,
+        "weights": [w.ravel(order="C").tolist() for w in net.weights],
+        "biases": [b.tolist() for b in net.biases],
+    }
+
+
+def checkpoint_payload(result, task_name):
+    """The dict whose `json.dump` `training.save_checkpoint` must reproduce byte for byte."""
+    return {
+        "format_version": nets.CHECKPOINT_FORMAT_VERSION,
+        "task": task_name,
+        "flow_net": net_to_dict(result.policy.field.net),
+        "flow_integration_steps": result.policy.steps,
+        "residual_net": net_to_dict(result.transport_map.residual_net),
+        "max_displacement": result.transport_map.max_displacement,
+        "critic_nets": ([net_to_dict(n) for n in result.critic.online]
+                        if result.critic is not None else None),
+        "dual": {"lam": result.dual.lam, "epsilon": result.dual.epsilon, "eta": result.dual.eta},
+    }

@@ -7,7 +7,7 @@ from fisherflow import flow, nets
 from fisherflow.densities import GaussianMixture
 from fisherflow.errors import NumericError
 
-from helpers import gaussian_oracle_velocity
+from helpers import gaussian_oracle_velocity, net_to_dict
 
 
 class ConstantField:
@@ -244,7 +244,7 @@ def test_sampling_deterministic_given_parameters():
 
 def test_velocity_field_checkpoint_roundtrip():
     field = flow.VelocityField.create(1, 2, rng=17)
-    data = json.loads(json.dumps(field.net.to_dict()))
+    data = json.loads(json.dumps(net_to_dict(field.net)))
     restored = flow.VelocityField(nets.DenseNet.from_dict(data), 1, 2)
     s, a = np.array([0.2]), np.array([0.4, -0.1])
     np.testing.assert_array_equal(field(0.3, s, a), restored(0.3, s, a))

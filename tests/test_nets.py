@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from fisherflow import nets
 from fisherflow.errors import NumericError
 
-from helpers import fd_array_gradient, fd_gradient, rel_error
+from helpers import fd_array_gradient, fd_gradient, net_to_dict, rel_error
 
 
 def linear_net(w, b=None):
@@ -216,7 +217,7 @@ def test_adam_failure_leaves_net_and_state_untouched():
 
 def test_checkpoint_roundtrip():
     net = nets.DenseNet.create([3, 8, 2], activation="relu", rng=6)
-    loaded = nets.DenseNet.from_dict(json.loads(json.dumps(net.to_dict())))
+    loaded = nets.DenseNet.from_dict(json.loads(json.dumps(net_to_dict(net))))
     assert loaded.layer_sizes == net.layer_sizes
     assert loaded.activation == net.activation
     for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
@@ -225,9 +226,22 @@ def test_checkpoint_roundtrip():
     np.testing.assert_array_equal(nets.forward(net, x), nets.forward(loaded, x))
 
 
+@pytest.mark.parametrize("sizes", [[2, 2], [3, 64, 64, 2], [5, 100, 100, 1]])
+def test_write_json_matches_json_dump_of_the_dict(sizes):
+    # (64, 64) holds exactly one slice of weights, (100, 100) two full slices and a partial one
+    net = nets.DenseNet.create(sizes, activation="tanh", rng=len(sizes))
+    net.biases[-1] += 0.1  # non-zero biases, so their text is exercised too
+    buf = io.StringIO()
+    net.write_json(buf)
+    assert buf.getvalue() == json.dumps(net_to_dict(net))
+    loaded = nets.DenseNet.from_dict(json.loads(buf.getvalue()))
+    for a, b in zip(net.parameters(), loaded.parameters()):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_checkpoint_rejects_unknown_version():
     net = nets.DenseNet.create([2, 2], rng=0)
-    data = net.to_dict()
+    data = net_to_dict(net)
     data["format_version"] = 99
     with pytest.raises(ValueError):
         nets.DenseNet.from_dict(data)

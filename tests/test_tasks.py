@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from fisherflow import tasks, transport
 from fisherflow.densities import GaussianMixture
 
-from helpers import fd_gradient, rel_error
+from helpers import fd_gradient, gated_actions_reference, rel_error
 
 
 def test_catalog_constructs_all_tasks():
@@ -198,3 +199,97 @@ def test_gated_task_weights_respond_to_state():
     assert right.weights[1] > 0.9
     ds = tasks.make_dataset(task, 16, seed=7)
     assert ds.states.shape == (16, 2)
+
+
+# --- gated generation and the dataset reader, pinned to the per-row and whole-text paths ---
+
+def dataset_arrays(ds):
+    return [ds.states, ds.actions, ds.rewards, ds.next_states]
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+@pytest.mark.parametrize("mode", ["chain", "bandit"])
+def test_gated_dataset_matches_per_row_sampling(monkeypatch, size, mode):
+    task = tasks.make_task("bimodal_gated")
+    for seed in (0, 1, 13):
+        got = tasks.make_dataset(task, size, seed=seed, mode=mode, noise=0.3)
+        with monkeypatch.context() as m:
+            m.setattr(tasks, "_gated_actions", gated_actions_reference)
+            want = tasks.make_dataset(task, size, seed=seed, mode=mode, noise=0.3)
+        for a, b in zip(dataset_arrays(got), dataset_arrays(want)):
+            if b is None:
+                assert a is None
+            else:
+                np.testing.assert_array_equal(a, b)
+
+
+def test_gated_dataset_builds_no_mixture_per_row(monkeypatch):
+    task = tasks.make_task("bimodal_gated")
+    calls = {"density": 0, "gate": 0}
+    density = tasks.SyntheticTask.density
+
+    def counted_density(self, s=None):
+        calls["density"] += 1
+        return density(self, s)
+
+    def counted_gate(s):
+        calls["gate"] += 1
+        return task.weight_gate(s)
+
+    monkeypatch.setattr(tasks.SyntheticTask, "density", counted_density)
+    tasks.make_dataset(replace(task, weight_gate=counted_gate), 64, seed=3, mode="chain")
+    assert calls == {"density": 0, "gate": 64}
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([0.0, 1.0], "must be positive"),
+    ([0.5, 0.5 + 1e-9], "must sum to 1"),
+])
+def test_gated_dataset_rejects_bad_gate_weights_as_a_row_mixture_does(weights, message):
+    task = replace(tasks.make_task("bimodal_gated"), weight_gate=lambda s: np.array(weights))
+    states = task.sample_states(np.random.default_rng(0), 3)
+    with pytest.raises(ValueError, match=message):
+        gated_actions_reference(task, states, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message):
+        tasks.make_dataset(task, 3, seed=0)
+
+
+@pytest.mark.parametrize("name, mode", [("bimodal_gated", "chain"), ("bimodal_asymmetric", "bandit")])
+def test_load_dataset_returns_the_saved_arrays_bit_for_bit(tmp_path, name, mode):
+    ds = tasks.make_dataset(tasks.make_task(name), 257, seed=8, mode=mode, noise=0.1)
+    path = tmp_path / "d.txt"
+    tasks.save_dataset(ds, path)
+    back = tasks.load_dataset(path)
+    whole = np.loadtxt(path, ndmin=2)  # the header is a comment line
+    for a, b in zip(dataset_arrays(back), dataset_arrays(ds)):
+        if b is None:
+            assert a is None
+        else:
+            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(
+        np.column_stack([a for a in dataset_arrays(back) if a is not None]), whole)
+    assert back.meta == ds.meta
+
+
+def saved_lines(tmp_path):
+    path = tmp_path / "d.txt"
+    tasks.save_dataset(tasks.make_dataset(tasks.make_task("bimodal_asymmetric"), 4, seed=0), path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt:UserWarning")  # numpy's note on the empty body
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:2] + ["1.0 abc 2.0"] + lines[3:],
+     "could not convert string 'abc' to float64 at row 1, column 2"),
+    (lambda lines: lines[:1] + [" ".join(line.split()[:2]) for line in lines[1:]],
+     "dataset has 2 columns, header implies 3"),
+    (lambda lines: lines[:2] + ["1.0 2.0"] + lines[3:], "number of columns changed from 3 to 2"),
+    (lambda lines: ["# some-other-format v1"] + lines[1:], "not a fisherflow dataset file"),
+    (lambda lines: [lines[0].replace(" v1 ", " v7 ")] + lines[1:], "unsupported dataset format 'v7'"),
+    (lambda lines: lines[:1], "no data rows"),
+])
+def test_load_dataset_messages(tmp_path, edit, message):
+    path, lines = saved_lines(tmp_path)
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tasks.load_dataset(path)

@@ -1,4 +1,6 @@
+import io
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +8,8 @@ import pytest
 
 from fisherflow import flow, nets, score, tasks, training, validate
 from fisherflow.errors import NumericError
+
+from helpers import checkpoint_payload
 
 
 def small_config(**kw):
@@ -257,6 +261,55 @@ def test_run_refinement_td_mode_smoke():
     assert np.isfinite(res.final["mean_refined_value"])
 
 
+# --- checkpoints --------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def wide_td_run():
+    task = tasks.make_task("bimodal_gated")
+    dataset = tasks.make_dataset(task, 256, seed=4, mode="chain", noise=0.05)
+    cfg = small_config(seed=8, mode="td", analytic_q=False, steps=3, flow_steps=3,
+                       hidden=(256, 256), eval_samples=50)
+    return task, training.run_refinement(cfg, dataset, task)
+
+
+@pytest.fixture(scope="module")
+def bandit_run(bimodal_setup):
+    task, dataset = bimodal_setup
+    return task, training.run_refinement(small_config(seed=9, steps=5, flow_steps=5), dataset, task)
+
+
+@pytest.mark.parametrize("run", ["bandit_run", "wide_td_run"])
+def test_checkpoint_bytes_are_json_dump_of_the_payload(tmp_path, request, run):
+    task, result = request.getfixturevalue(run)
+    assert (result.critic is None) == (run == "bandit_run")
+    path = tmp_path / "checkpoint.json"
+    training.save_checkpoint(result, task.name, path)
+    want = io.StringIO()
+    json.dump(checkpoint_payload(result, task.name), want)
+    assert path.read_text() == want.getvalue()
+
+    loaded_task, tmap = training.load_checkpoint(path)
+    assert loaded_task.name == task.name
+    assert tmap.max_displacement == result.transport_map.max_displacement
+    assert tmap.base_policy.steps == result.policy.steps
+    for got, saved in [(tmap.residual_net, result.transport_map.residual_net),
+                       (tmap.base_policy.field.net, result.policy.field.net)]:
+        assert got.layer_sizes == saved.layer_sizes and got.activation == saved.activation
+        assert [p.tobytes() for p in got.parameters()] == [p.tobytes() for p in saved.parameters()]
+
+
+def test_checkpoint_save_holds_no_parameter_copy_as_python_floats(tmp_path, wide_td_run):
+    # about 270k parameters: as one list of Python floats that alone would be over 6 MB
+    task, result = wide_td_run
+    tracemalloc.start()
+    try:
+        training.save_checkpoint(result, task.name, tmp_path / "checkpoint.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_run_refinement_dimension_mismatch_rejected():
     task = tasks.make_task("bimodal_asymmetric")
     other = tasks.make_task("bimodal_gated")
@@ -279,7 +332,7 @@ def small_stream(bimodal_setup):
 def run_fingerprint(result):
     return (json.dumps(result.log), result.final,
             [p.tobytes() for p in result.transport_map.residual_net.parameters()],
-            result.flow_loss_curve.tobytes())
+            [p.tobytes() for p in result.policy.field.net.parameters()])
 
 
 def test_base_stream_draws_in_loop_order(bimodal_setup, small_stream):
