@@ -17,14 +17,21 @@ eta, ...) can replay it through `run_refinement(..., base=stream)` and gets
 exactly the run it would have got alone. `run_arms` runs the arms of one
 seed that way, the one place paired comparisons share a stream. It holds about
 steps x batch x (8 + 8 d) bytes (int64 indices and float64 base actions).
-Runs with a learned critic train the flow every step and sample their base
-actions live; they take no stream.
+A fisher arm that replays a stream computes its trust-region scores for
+every step before its first step, 8 x steps x batch x d bytes that it frees
+when it returns. Recording and that score pass run their independent steps
+on up to `MAX_STEP_WORKERS` threads, one per usable core, each step with the
+same calls and shapes as a serial loop, so the bits are the same for any
+core count. Runs with a learned critic (TD runs) train the flow every step
+and sample their base actions live; they take no stream.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -357,15 +364,60 @@ def _source_of(dataset: OfflineDataset, task: SyntheticTask):
     return (task.name, task.state_dim, task.action_dim, h.hexdigest())
 
 
+# Most threads `_each_step` starts: the largest count whose speed-up has been
+# measured (2 cores, BLAS on 1 thread); more cores leave the rest idle
+MAX_STEP_WORKERS = 2
+
+
+def _usable_cores():
+    """Cores this process may run on (every core where the platform cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _each_step(steps, step_fn):
+    """Call step_fn(k) for every k < steps in contiguous blocks, one thread per usable core.
+
+    At most `MAX_STEP_WORKERS` threads run. The steps must be independent:
+    each reads shared inputs and writes only its own step's outputs. Within a
+    block the steps run in order, and a block stops at its first failure.
+    Once every thread has ended, the first failing block's error is raised, a
+    NumericError as "training step k: ...", so a failure names the lowest
+    failing k, as a serial loop would.
+    """
+    def block(lo, hi):
+        for k in range(lo, hi):
+            try:
+                step_fn(k)
+            except NumericError as exc:
+                raise NumericError(f"training step {k}: {exc}") from exc
+
+    workers = min(_usable_cores(), MAX_STEP_WORKERS, steps)
+    if workers <= 1:
+        block(0, steps)
+        return
+    bounds = [steps * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        blocks = [pool.submit(block, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    for done in blocks:
+        done.result()
+
+
 @dataclass(frozen=True)
 class BaseStream:
     """Frozen-flow inputs of every analytic-Q run of one seed, dataset and task.
 
     Holds the pretrained flow policy and its loss curve, each step's
-    minibatch indices (steps, B) and Euler base actions (steps, B, d),
-    drawn in the loop generator's order (indices, then noise), and the
-    evaluation states and base actions. Every run that replays it shares
-    the policy, which no analytic-Q run trains.
+    minibatch indices (steps, B) and Euler base actions (steps, B, d), drawn
+    in the loop generator's order (indices, then noise), and the evaluation
+    states and base actions. Every run that replays it shares the policy,
+    which no analytic-Q run trains. The Euler steps run on one thread per
+    usable core (`_each_step`); each step makes the call a serial loop would,
+    with the same shapes, so the bits do not depend on the number of cores.
+    Learned-critic (TD) runs take no stream: they train the flow and sample
+    live.
     """
 
     key: tuple
@@ -380,7 +432,12 @@ class BaseStream:
     @classmethod
     def record(cls, config: RefineConfig, dataset: OfflineDataset,
                task: SyntheticTask) -> "BaseStream":
-        """Pretrain the flow and draw every base action that `config`'s run would draw."""
+        """Pretrain the flow and draw every base action that `config`'s run would draw.
+
+        Every step's indices and noise are drawn first, in loop order, the
+        noise straight into the action array; then each step's noise is
+        replaced by its Euler sample.
+        """
         _check_dims(dataset, task)
         rng_init, rng_flow, _, _, rng_loop, rng_eval = _run_rngs(config.seed)
         policy, curve = _pretrained_policy(config, dataset, task, rng_init, rng_flow)
@@ -389,12 +446,13 @@ class BaseStream:
         indices = np.empty((config.steps, b), dtype=np.int64)
         actions = np.empty((config.steps, b, d))
         for step in range(config.steps):
-            try:
-                indices[step] = rng_loop.integers(0, size, size=b)
-                z = rng_loop.standard_normal((b, d))
-                actions[step] = policy.sample(dataset.states[indices[step]], z)
-            except NumericError as exc:
-                raise NumericError(f"training step {step}: {exc}") from exc
+            indices[step] = rng_loop.integers(0, size, size=b)
+            rng_loop.standard_normal(out=actions[step])
+
+        def euler(step):
+            actions[step] = policy.sample(dataset.states[indices[step]], actions[step])
+
+        _each_step(config.steps, euler)
         eval_states, eval_actions = _evaluation_inputs(policy, task, config.eval_samples, rng_eval)
         for shared in (curve, indices, actions, eval_states, eval_actions):
             shared.flags.writeable = False  # every arm reads them; none may change them
@@ -448,6 +506,17 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
         q_fn = critic.value_and_action_grad
     penalty_fn = trust_region_penalty(policy.field, config.metric, config.t_eps,
                                       config.normalize_metric, config.damping)
+    scores = None
+    if base is not None and config.metric == "fisher":
+        # the frozen flow's scores at every replayed step: the live penalty's
+        # batched_scores calls, made before the first step by `_each_step`
+        scores = np.empty(base.actions.shape)
+
+        def score(step):
+            scores[step] = batched_scores(policy.field, dataset.states[base.indices[step]],
+                                          base.actions[step], config.t_eps)
+
+        _each_step(config.steps, score)
     dual = DualState(config.lambda_init, config.epsilon, config.eta)
     actor_adam = nets.AdamState.for_net(tmap.residual_net, config.learning_rate)
     flow_adam = nets.AdamState.for_net(policy.field.net, config.learning_rate)
@@ -461,6 +530,9 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
         try:
             if base is not None:
                 states, base_actions = dataset.states[base.indices[step]], base.actions[step]
+                if scores is not None:
+                    penalty_fn = lambda s, a, delta, g=scores[step]: fisher_penalty_batch(
+                        g, delta, config.normalize_metric, config.damping)
             else:
                 idx = rng_loop.integers(0, size, size=min(config.batch_size, size))
                 states = dataset.states[idx]

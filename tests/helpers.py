@@ -3,8 +3,8 @@
 import numpy as np
 from scipy.special import logsumexp
 
-from fisherflow import nets, transport
-from fisherflow.errors import ConvergenceError
+from fisherflow import nets, training, transport
+from fisherflow.errors import ConvergenceError, NumericError
 from fisherflow.score import fisher_penalty_batch
 
 
@@ -164,6 +164,30 @@ def grid_oracles_reference(density, delta_fn, grid, mask):
     inside = np.where(mask(np.atleast_2d(map_fn(pts))), p, 0.0)
     return {"kl": grid.integrate(kl), "penalty": grid.integrate(penalty * p),
             "curvature": -0.5 * grid.integrate(curvature * p), "region_mass": grid.integrate(inside)}
+
+
+def base_stream_reference(policy, config, dataset, task):
+    """A base stream's draws by the serial loop, given the stream's pretrained policy.
+
+    Each step draws its minibatch indices and then its Euler noise from the
+    loop generator and samples its base actions at once; the evaluation draw
+    follows. Returns (indices, actions, eval_states, eval_actions).
+    """
+    _, _, _, _, rng_loop, rng_eval = training._run_rngs(config.seed)
+    size, d = len(dataset), task.action_dim
+    b = min(config.batch_size, size)
+    indices = np.empty((config.steps, b), dtype=np.int64)
+    actions = np.empty((config.steps, b, d))
+    for step in range(config.steps):
+        try:
+            indices[step] = rng_loop.integers(0, size, size=b)
+            z = rng_loop.standard_normal((b, d))
+            actions[step] = policy.sample(dataset.states[indices[step]], z)
+        except NumericError as exc:
+            raise NumericError(f"training step {step}: {exc}") from exc
+    eval_states, eval_actions = training._evaluation_inputs(policy, task, config.eval_samples,
+                                                            rng_eval)
+    return indices, actions, eval_states, eval_actions
 
 
 def gated_actions_reference(task, states, rng):

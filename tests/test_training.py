@@ -1,15 +1,19 @@
 import io
 import json
+import os
+import sys
+import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fisherflow import flow, nets, score, tasks, training, validate
+from fisherflow import cli, flow, nets, score, tasks, training, validate
 from fisherflow.errors import NumericError
 
-from helpers import checkpoint_payload
+from helpers import base_stream_reference, checkpoint_payload
 
 
 def small_config(**kw):
@@ -409,3 +413,230 @@ def test_config_validation():
         training.RefineConfig(metric="euclidean")
     with pytest.raises(ValueError):
         training.RefineConfig(mode="online")
+
+
+# --- threaded recording and the fisher score pass ---------------------------
+
+def use_cores(monkeypatch, count):
+    """Make the process see `count` usable cores and let `_each_step` start that many threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(training, "MAX_STEP_WORKERS", count)
+
+
+@pytest.fixture(scope="module")
+def gated_setup():
+    task = tasks.make_task("bimodal_gated")
+    return task, tasks.make_dataset(task, 256, seed=3)
+
+
+def tiny_stream_config(**kw):
+    return small_config(**{**dict(seed=21, flow_steps=10, batch_size=16, hidden=(8, 8),
+                                  eval_samples=30), **kw})
+
+
+def assert_stream_is_serial(stream, config, dataset, task):
+    """Every array of `stream` equals the serial loop's, bit for bit."""
+    want = base_stream_reference(stream.policy, config, dataset, task)
+    got = (stream.indices, stream.actions, stream.eval_states, stream.eval_actions)
+    for name, g, w in zip(("indices", "actions", "eval_states", "eval_actions"), got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+def penalty_scores(monkeypatch):
+    """A list of the score arrays the library hands `fisher_penalty_batch`, filled as it runs."""
+    seen, real = [], training.fisher_penalty_batch
+
+    def recording(scores, delta, *args, **kw):
+        seen.append(np.array(scores))
+        return real(scores, delta, *args, **kw)
+
+    monkeypatch.setattr(training, "fisher_penalty_batch", recording)
+    return seen
+
+
+@pytest.mark.parametrize("setup", ["bimodal_setup", "gated_setup"])
+@pytest.mark.parametrize("steps", [0, 1, 7])
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_threaded_stream_equals_the_serial_loop(request, monkeypatch, setup, steps, cores):
+    task, dataset = request.getfixturevalue(setup)
+    use_cores(monkeypatch, cores)
+    config = tiny_stream_config(steps=steps)
+    stream = training.BaseStream.record(config, dataset, task)
+    assert_stream_is_serial(stream, config, dataset, task)
+    # a fisher arm replaying the stream penalizes every step with the live scores
+    seen = penalty_scores(monkeypatch)
+    training.run_refinement(config, dataset, task, base=stream)
+    assert len(seen) == steps
+    for k, got in enumerate(seen):
+        live = score.batched_scores(stream.policy.field, dataset.states[stream.indices[k]],
+                                    stream.actions[k], config.t_eps)
+        assert got.tobytes() == live.tobytes(), k
+
+
+def test_threaded_stream_under_thread_switching_stress(gated_setup, monkeypatch):
+    # more threads than the host has cores, switching as often as the interpreter allows
+    task, dataset = gated_setup
+    use_cores(monkeypatch, 8)
+    config = tiny_stream_config(steps=29)
+    interval = sys.getswitchinterval()
+    made = []
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: made.append(
+            training.BaseStream.record(config, dataset, task)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(made) == 1
+    assert_stream_is_serial(made[0], config, dataset, task)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 64])
+def test_each_step_starts_at_most_the_measured_thread_count(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    threads = set()
+    barrier = threading.Barrier(min(cores, training.MAX_STEP_WORKERS), timeout=30)
+
+    def step(k):
+        threads.add(threading.get_ident())
+        if k == 0 or k == 50:  # the first step of each block waits for the other block
+            barrier.wait()
+
+    training._each_step(100, step)
+    assert len(threads) == min(cores, training.MAX_STEP_WORKERS)
+
+
+FAILING_STEPS = (3, 7)  # in different blocks for 2 and 3 threads; 3 is not in the first of 3
+
+
+def loop_noise(config, dataset, task):
+    """Each step's Euler noise, drawn as the loop generator draws it."""
+    rng = training._run_rngs(config.seed)[4]
+    noise = []
+    for _ in range(config.steps):
+        rng.integers(0, len(dataset), size=min(config.batch_size, len(dataset)))
+        noise.append(rng.standard_normal((min(config.batch_size, len(dataset)), task.action_dim)))
+    return noise
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_record_raises_the_lowest_failing_step_after_every_thread_ends(bimodal_setup, monkeypatch,
+                                                                      cores):
+    task, dataset = bimodal_setup
+    config = tiny_stream_config(steps=9)
+    noise = loop_noise(config, dataset, task)
+    real = flow.FlowPolicy.sample
+
+    def failing_sample(policy, s, z):
+        if any(np.array_equal(z, noise[k]) for k in FAILING_STEPS):
+            raise NumericError("injected failure")
+        return real(policy, s, z)
+
+    monkeypatch.setattr(flow.FlowPolicy, "sample", failing_sample)
+    use_cores(monkeypatch, cores)
+    before = threading.active_count()
+    with pytest.raises(NumericError) as threaded:
+        training.BaseStream.record(config, dataset, task)
+    assert threading.active_count() == before
+    rng_init, rng_flow = training._run_rngs(config.seed)[:2]
+    policy, _ = training._pretrained_policy(config, dataset, task, rng_init, rng_flow)
+    with pytest.raises(NumericError) as serial:
+        base_stream_reference(policy, config, dataset, task)
+    assert str(threaded.value) == str(serial.value) == "training step 3: injected failure"
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_score_pass_raises_the_lowest_failing_step_after_every_thread_ends(bimodal_setup,
+                                                                          monkeypatch, cores):
+    task, dataset = bimodal_setup
+    use_cores(monkeypatch, cores)
+    config = tiny_stream_config(steps=9)
+    stream = training.BaseStream.record(config, dataset, task)
+    real = training.batched_scores
+
+    def failing_scores(field, s, a, t_eps):
+        if any(np.array_equal(a, stream.actions[k]) for k in FAILING_STEPS):
+            raise NumericError("non-finite score estimate")
+        return real(field, s, a, t_eps)
+
+    monkeypatch.setattr(training, "batched_scores", failing_scores)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match=r"^training step 3: non-finite score estimate$"):
+        training.run_refinement(config, dataset, task, base=stream)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_each_step_passes_other_errors_through_unchanged(monkeypatch, cores):
+    use_cores(monkeypatch, cores)
+    raised = ValueError("t_eps must lie in (0, 1)")
+
+    def step(k):
+        if k == 4:
+            raise raised
+
+    with pytest.raises(ValueError) as caught:
+        training._each_step(6, step)
+    assert caught.value is raised
+
+
+def count_score_calls(monkeypatch):
+    """A Counter of the library's `batched_scores` calls by t_eps, filled as they happen."""
+    calls, real = Counter(), training.batched_scores
+
+    def counted(field, s, a, t_eps):
+        calls[t_eps] += 1
+        return real(field, s, a, t_eps)
+
+    monkeypatch.setattr(training, "batched_scores", counted)
+    return calls
+
+
+def test_fisher_arm_on_a_stream_makes_one_score_pass(bimodal_setup, monkeypatch):
+    task, dataset = bimodal_setup
+    config = tiny_stream_config(steps=5)
+    stream = training.BaseStream.record(config, dataset, task)
+    calls = count_score_calls(monkeypatch)
+    training.run_refinement(config, dataset, task, base=stream)
+    assert calls == {0.8: 5}  # one call per step, none from the actor steps
+    training.run_refinement(replace(config, metric="isotropic"), dataset, task, base=stream)
+    assert calls == {0.8: 5}  # the isotropic arm evaluates no score
+
+
+def test_sweep_teps_makes_one_score_pass_per_arm(tmp_path, monkeypatch):
+    calls = count_score_calls(monkeypatch)
+    assert cli.main(["sweep-teps", "--seeds", "1,2", "--set", "sweep.t_eps=0.6,0.8,0.95",
+                     "--out", str(tmp_path / "sweep"), "--set", "train.steps=6",
+                     "--set", "train.flow_steps=10", "--set", "train.batch_size=16",
+                     "--set", "train.hidden=8,8", "--set", "train.eval_samples=20",
+                     "--set", "data.size=128"]) == 0
+    assert calls == {0.6: 12, 0.8: 12, 0.95: 12}  # 6 steps x 2 seeds each
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-teps"])
+def test_fisher_arm_on_stream_scores_writes_the_live_penalty_artifacts(tmp_path, monkeypatch,
+                                                                       command):
+    argv = [command, "--seed", "5", "--set", "train.steps=30", "--set", "train.flow_steps=40",
+            "--set", "train.batch_size=32", "--set", "train.hidden=16,16",
+            "--set", "train.eval_samples=100", "--set", "train.log_interval=5",
+            "--set", "data.size=256", "--set", "sweep.t_eps=0.7,0.9"]
+    assert cli.main([*argv, "--out", str(tmp_path / "stream")]) == 0
+    # every actor step gets the run's live penalty, which evaluates the velocity field
+    live, real_penalty, real_update = {}, training.trust_region_penalty, training.actor_update
+
+    def live_penalty(*args):
+        live["penalty"] = real_penalty(*args)
+        return live["penalty"]
+
+    monkeypatch.setattr(training, "trust_region_penalty", live_penalty)
+    monkeypatch.setattr(training, "actor_update", lambda tmap, q_fn, penalty_fn, *rest:
+                        real_update(tmap, q_fn, live["penalty"], *rest))
+    assert cli.main([*argv, "--out", str(tmp_path / "live")]) == 0
+    names = sorted(p.name for p in (tmp_path / "stream").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "live").iterdir())
+    for name in names:
+        if name != "config.txt":  # names its own output directory
+            assert (tmp_path / "stream" / name).read_bytes() == \
+                (tmp_path / "live" / name).read_bytes(), name
