@@ -73,7 +73,7 @@ def _tanh(z, with_grad):
     return z, (1.0 - z**2 if with_grad else None)
 
 
-_ACTIVATIONS = {"gelu": _gelu, "relu": _relu, "tanh": _tanh}
+ACTIVATIONS = {"gelu": _gelu, "relu": _relu, "tanh": _tanh}
 
 
 @dataclass
@@ -90,7 +90,7 @@ class DenseNet:
     activation: str = "gelu"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if any(n <= 0 for n in self.layer_sizes):
             raise ValueError("layer sizes must be positive")
@@ -191,7 +191,7 @@ def forward(net: DenseNet, x, cache=None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != net.in_size:
         raise ValueError(f"input size {x.shape[-1]} != expected {net.in_size}")
-    act = _ACTIVATIONS[net.activation]
+    act = ACTIVATIONS[net.activation]
     with_grad = cache is not None
     h = x
     last = len(net.weights) - 1

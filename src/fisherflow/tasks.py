@@ -91,7 +91,11 @@ class SyntheticTask:
         return self.density(s).sample(rng, count)
 
     def q_value(self, s, a):
-        """Analytic value and exact action gradient; state enters only via gating."""
+        """Analytic value and exact action gradient of the landscape at `a`.
+
+        The landscape ignores `s`: a task's gating only reweights its
+        behavioral mixture, never the value.
+        """
         a = np.asarray(a, dtype=np.float64)
         if not np.isfinite(a).all():
             raise ValueError("actions must be finite")
@@ -292,17 +296,23 @@ def load_dataset(path) -> OfflineDataset:
 
     The header line is checked first; numpy then parses the rest of the open
     file in place, so no copy of the body is held as text. A foreign header,
-    an unreadable cell, an empty body, a column count other than the
-    header's, or a non-finite value is a ValueError.
+    one without a format version or without a column field (n, d, reward,
+    next_state), an unreadable cell, an empty body, a column count other
+    than the header's, or a non-finite value is a ValueError.
     """
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("# fisherflow-dataset"):
             raise ValueError("not a fisherflow dataset file")
         tokens = header.split()
+        if len(tokens) < 3:
+            raise ValueError(f"{path}: the dataset header names no format version")
         if tokens[2] != f"v{DATASET_FORMAT_VERSION}":
             raise ValueError(f"unsupported dataset format {tokens[2]!r}")
         fields = dict(tok.split("=", 1) for tok in tokens[3:] if "=" in tok)
+        missing = [key for key in ("n", "d", "reward", "next_state") if key not in fields]
+        if missing:
+            raise ValueError(f"{path}: the dataset header lacks {', '.join(missing)}")
         table = np.loadtxt(fh, ndmin=2)
     n, d = int(fields["n"]), int(fields["d"])
     has_r, has_next = bool(int(fields["reward"])), bool(int(fields["next_state"]))

@@ -8,6 +8,10 @@ default synthetic protocol is a bandit: gamma = 0 with an analytic value
 landscape, which freezes steps (1)-(2) after pretraining and isolates the
 metric choice (fisher vs isotropic) that the ablations compare.
 
+Each actor step gets its step's fisher scores (`batched_scores` at the base
+actions), or None for the isotropic arm, and `actor_update` builds the
+penalty 0.5 delta^T M delta from them: one penalty path for both metrics.
+
 With an analytic Q (`analytic_q=True`) the flow is frozen after
 pretraining, so the pretrained flow, every step's minibatch indices and
 Euler base actions, and the evaluation inputs depend only on the seed, the
@@ -23,7 +27,8 @@ when it returns. Recording and that score pass run their independent steps
 on up to `MAX_STEP_WORKERS` threads, one per usable core, each step with the
 same calls and shapes as a serial loop, so the bits are the same for any
 core count. Runs with a learned critic (TD runs) train the flow every step
-and sample their base actions live; they take no stream.
+and sample their base actions live; they take no stream, and a fisher TD
+run scores each step's base actions just before its actor step.
 """
 
 from __future__ import annotations
@@ -112,22 +117,6 @@ def dual_update(dual: DualState, constraint_value: float) -> DualState:
     return replace(dual, lam=max(0.0, dual.lam + dual.eta * violation))
 
 
-def trust_region_penalty(velocity_field, metric="fisher", t_eps=0.8, normalize=True,
-                         damping=1e-3):
-    """penalty(s, base, delta) -> (values, delta-gradients) of 0.5 delta^T M delta per row.
-
-    "fisher" takes M from the velocity field's perturbed score at the base
-    action. "isotropic" is the same form with zero scores and unit damping,
-    i.e. the L2 baseline 0.5 |delta|^2; negative-zero scores make its
-    gradient exactly delta, signed zeros included.
-    """
-    if metric == "isotropic":
-        return lambda s, base, delta: fisher_penalty_batch(
-            np.full_like(delta, -0.0), delta, normalize=False, damping=1.0)
-    return lambda s, base, delta: fisher_penalty_batch(
-        batched_scores(velocity_field, s, base, t_eps), delta, normalize, damping)
-
-
 @dataclass(frozen=True)
 class ActorStats:
     objective: float
@@ -135,17 +124,22 @@ class ActorStats:
     constraint: float
 
 
-def actor_update(tmap: TransportMap, q_fn, penalty_fn, dual: DualState,
-                 states, base, adam: nets.AdamState, q_normalization=True,
+def actor_update(tmap: TransportMap, q_fn, scores, dual: DualState, states, base,
+                 adam: nets.AdamState, normalize=True, damping=1e-3, q_normalization=True,
                  grad_clip=5.0) -> ActorStats:
     """One ascent step on the residual net against the Lagrangian.
 
     `q_fn(s, a)` returns Q values and their action gradients (a task's
-    q_value or a critic's value_and_action_grad); `penalty_fn(s, base,
-    delta)` is a trust_region_penalty. `base` holds one base action per
-    state, sampled by the caller from the frozen flow (no gradients reach
-    the velocity field); the metric is evaluated at the base action. Q
-    values are normalized by their batch mean absolute value when enabled.
+    q_value or a critic's value_and_action_grad). `base` holds one base
+    action per state, sampled by the caller from the frozen flow (no
+    gradients reach the velocity field). The trust-region penalty is
+    0.5 delta^T M delta per row: with fisher `scores` (the velocity field's
+    perturbed scores at the base actions, `batched_scores`) M is their
+    `fisher_penalty_batch` metric under `normalize` and `damping`; with
+    `scores=None` (the isotropic arm) it is the L2 baseline 0.5 |delta|^2,
+    from negative-zero scores at unit damping without normalization, so its
+    gradient is exactly delta, signed zeros included. Q values are
+    normalized by their batch mean absolute value when enabled.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     base = np.atleast_2d(np.asarray(base, dtype=np.float64))
@@ -158,7 +152,9 @@ def actor_update(tmap: TransportMap, q_fn, penalty_fn, dual: DualState,
     q, dq = q_fn(states, refined)
     q = np.atleast_1d(q)
     scale = 1.0 / max(float(np.mean(np.abs(q))), 1e-8) if q_normalization else 1.0
-    pen, pen_grad = penalty_fn(states, base, delta)
+    if scores is None:
+        scores, normalize, damping = np.full_like(delta, -0.0), False, 1.0
+    pen, pen_grad = fisher_penalty_batch(scores, delta, normalize, damping)
     constraint = float(pen.mean())
     objective = scale * float(q.mean()) - dual.lam * (constraint - dual.epsilon)
     # ascent on the objective = descent on its negation
@@ -249,6 +245,11 @@ class RefineConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         self.hidden = tuple(self.hidden)
+        if not all(width >= 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden!r}")
+        if self.activation not in nets.ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}, "
+                             f"want one of {', '.join(nets.ACTIVATIONS)}")
 
 
 @dataclass
@@ -294,11 +295,21 @@ def save_checkpoint(result: RunResult, task_name, path):
 
 
 def load_checkpoint(path):
-    """(task, transport map) of a checkpoint written by save_checkpoint."""
+    """(task, transport map) of a checkpoint written by save_checkpoint.
+
+    A checkpoint that is not a JSON object, has another format version or
+    lacks a key read here is a ValueError.
+    """
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a checkpoint is a JSON object, got {type(payload).__name__}")
     if payload.get("format_version") != nets.CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
+    missing = [key for key in ("task", "flow_net", "flow_integration_steps", "residual_net",
+                               "max_displacement") if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: the checkpoint lacks {', '.join(missing)}")
     task = make_task(payload["task"])
     flow_net = nets.DenseNet.from_dict(payload["flow_net"])
     field = VelocityField(flow_net, task.state_dim, task.action_dim)
@@ -333,18 +344,18 @@ def _check_dims(dataset: OfflineDataset, task: SyntheticTask):
 
 def _pretrained_policy(config: RefineConfig, dataset: OfflineDataset, task: SyntheticTask,
                        rng_init, rng_flow):
-    """Behavioral flow policy fitted to the dataset, and its loss curve."""
+    """Behavioral flow policy fitted to the dataset, and its last loss (nan without training)."""
     policy = FlowPolicy(
         VelocityField.create(task.state_dim, task.action_dim, config.hidden, config.activation,
                              rng_init),
         steps=config.flow_integration_steps)
-    curve = np.zeros(0)
-    if config.flow_steps > 0:
-        curve = train_flow(
-            policy, dataset.states, dataset.actions,
-            FlowTrainConfig(config.flow_steps, config.batch_size,
-                            config.learning_rate, config.grad_clip), rng_flow)
-    return policy, curve
+    if config.flow_steps == 0:
+        return policy, float("nan")
+    curve = train_flow(
+        policy, dataset.states, dataset.actions,
+        FlowTrainConfig(config.flow_steps, config.batch_size,
+                        config.learning_rate, config.grad_clip), rng_flow)
+    return policy, float(curve[-1])
 
 
 def _evaluation_inputs(policy: FlowPolicy, task: SyntheticTask, count, rng):
@@ -409,7 +420,7 @@ def _each_step(steps, step_fn):
 class BaseStream:
     """Frozen-flow inputs of every analytic-Q run of one seed, dataset and task.
 
-    Holds the pretrained flow policy and its loss curve, each step's
+    Holds the pretrained flow policy and its last loss, each step's
     minibatch indices (steps, B) and Euler base actions (steps, B, d), drawn
     in the loop generator's order (indices, then noise), and the evaluation
     states and base actions. Every run that replays it shares the policy,
@@ -423,7 +434,7 @@ class BaseStream:
     key: tuple
     source: tuple
     policy: FlowPolicy
-    flow_curve: np.ndarray = field(repr=False)
+    flow_loss: float
     indices: np.ndarray = field(repr=False)
     actions: np.ndarray = field(repr=False)
     eval_states: np.ndarray = field(repr=False)
@@ -440,7 +451,7 @@ class BaseStream:
         """
         _check_dims(dataset, task)
         rng_init, rng_flow, _, _, rng_loop, rng_eval = _run_rngs(config.seed)
-        policy, curve = _pretrained_policy(config, dataset, task, rng_init, rng_flow)
+        policy, flow_loss = _pretrained_policy(config, dataset, task, rng_init, rng_flow)
         size, d = len(dataset), task.action_dim
         b = min(config.batch_size, size)
         indices = np.empty((config.steps, b), dtype=np.int64)
@@ -454,10 +465,10 @@ class BaseStream:
 
         _each_step(config.steps, euler)
         eval_states, eval_actions = _evaluation_inputs(policy, task, config.eval_samples, rng_eval)
-        for shared in (curve, indices, actions, eval_states, eval_actions):
+        for shared in (indices, actions, eval_states, eval_actions):
             shared.flags.writeable = False  # every arm reads them; none may change them
         return cls(tuple(getattr(config, name) for name in STREAM_FIELDS),
-                   _source_of(dataset, task), policy, curve, indices, actions,
+                   _source_of(dataset, task), policy, flow_loss, indices, actions,
                    eval_states, eval_actions)
 
     def check(self, config: RefineConfig, dataset: OfflineDataset, task: SyntheticTask):
@@ -489,50 +500,44 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
     rng_flow_init, rng_flow, rng_res, rng_critic, rng_loop, rng_eval = _run_rngs(config.seed)
 
     n, d = task.state_dim, task.action_dim
-    gamma = 0.0 if config.mode == "bandit" else config.gamma
     if base is None:
-        policy, flow_curve = _pretrained_policy(config, dataset, task, rng_flow_init, rng_flow)
+        policy, flow_loss = _pretrained_policy(config, dataset, task, rng_flow_init, rng_flow)
     else:
-        policy, flow_curve = base.policy, base.flow_curve
+        policy, flow_loss = base.policy, base.flow_loss
     tmap = TransportMap.create(n, d, policy, config.hidden, config.activation,
                                config.max_displacement, rng_res)
-
-    critic = None
-    if config.analytic_q:
-        q_fn = task.q_value
-    else:
+    fisher = config.metric == "fisher"
+    critic = stream_scores = None
+    if base is None:
+        gamma = 0.0 if config.mode == "bandit" else config.gamma
         critic = Critic.create(n, d, config.hidden, config.learning_rate,
                                config.tau, gamma, config.activation, rng_critic)
         q_fn = critic.value_and_action_grad
-    penalty_fn = trust_region_penalty(policy.field, config.metric, config.t_eps,
-                                      config.normalize_metric, config.damping)
-    scores = None
-    if base is not None and config.metric == "fisher":
-        # the frozen flow's scores at every replayed step: the live penalty's
-        # batched_scores calls, made before the first step by `_each_step`
-        scores = np.empty(base.actions.shape)
+        flow_adam = nets.AdamState.for_net(policy.field.net, config.learning_rate)
+    else:
+        q_fn = task.q_value
+        if fisher:
+            # the frozen flow's scores at every replayed step, made before the first step
+            stream_scores = np.empty(base.actions.shape)
 
-        def score(step):
-            scores[step] = batched_scores(policy.field, dataset.states[base.indices[step]],
-                                          base.actions[step], config.t_eps)
+            def score(step):
+                stream_scores[step] = batched_scores(
+                    policy.field, dataset.states[base.indices[step]], base.actions[step],
+                    config.t_eps)
 
-        _each_step(config.steps, score)
+            _each_step(config.steps, score)
     dual = DualState(config.lambda_init, config.epsilon, config.eta)
     actor_adam = nets.AdamState.for_net(tmap.residual_net, config.learning_rate)
-    flow_adam = nets.AdamState.for_net(policy.field.net, config.learning_rate)
 
     rows = []
     size = len(dataset)
-    flow_loss = float(flow_curve[-1]) if flow_curve.size else float("nan")
     td_loss = 0.0
     stats = ActorStats(0.0, 0.0, 0.0)
     for step in range(config.steps):
         try:
             if base is not None:
                 states, base_actions = dataset.states[base.indices[step]], base.actions[step]
-                if scores is not None:
-                    penalty_fn = lambda s, a, delta, g=scores[step]: fisher_penalty_batch(
-                        g, delta, config.normalize_metric, config.damping)
+                scores = None if stream_scores is None else stream_scores[step]
             else:
                 idx = rng_loop.integers(0, size, size=min(config.batch_size, size))
                 states = dataset.states[idx]
@@ -545,8 +550,11 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
                 nets.adam_step(policy.field.net, tape, flow_adam)
                 flow_loss = loss
                 base_actions = policy.sample(states, rng_loop.standard_normal((len(idx), d)))
-            stats = actor_update(tmap, q_fn, penalty_fn, dual, states, base_actions,
-                                 actor_adam, config.q_normalization, config.grad_clip)
+                scores = (batched_scores(policy.field, states, base_actions, config.t_eps)
+                          if fisher else None)
+            stats = actor_update(tmap, q_fn, scores, dual, states, base_actions, actor_adam,
+                                 config.normalize_metric, config.damping,
+                                 config.q_normalization, config.grad_clip)
             dual = dual_update(dual, stats.constraint)
         except NumericError as exc:
             raise NumericError(f"training step {step}: {exc}") from exc

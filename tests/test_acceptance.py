@@ -216,7 +216,7 @@ def test_criterion_10_gradient_hygiene(bimodal_dataset):
     states = bimodal_dataset.states[:64]
     for _ in range(10):
         base = policy.sample(states, np.random.default_rng(5).standard_normal((64, 2)))
-        training.actor_update(tmap, BIMODAL.q_value, training.trust_region_penalty(field),
+        training.actor_update(tmap, BIMODAL.q_value, score.batched_scores(field, states, base, 0.8),
                               training.DualState(), states, base, adam)
     assert [p.tobytes() for p in field.net.parameters()] == snapshot
     report(f"criterion 10 (gradient hygiene): net FD {worst_net:.2e} (<1e-3), "

@@ -249,6 +249,9 @@ def test_fisher_t_eps_outside_unit_interval_is_usage_error(tmp_path, capsys, com
     "train.learning_rate=0",
     "train.learning_rate=-1",
     "train.damping=-5",
+    "train.hidden=0",
+    "train.hidden=8,-3",
+    "train.activation=foo",
 ])
 def test_out_of_range_training_value_is_usage_error(tmp_path, capsys, setting):
     out = tmp_path / "r"
@@ -266,6 +269,20 @@ def test_isotropic_train_ignores_t_eps(tmp_path):
 
 def test_export_plots_requires_run_dir(tmp_path):
     assert run_cli("export-plots", "--run", str(tmp_path / "missing")) == 2
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: [payload], "a checkpoint is a JSON object, got list"),
+    (lambda payload: {k: v for k, v in payload.items() if k != "flow_net"},
+     "the checkpoint lacks flow_net"),
+])
+def test_export_plots_on_malformed_checkpoint_is_usage_error(tmp_path, capsys, edit, message):
+    out = tmp_path / "r"
+    assert run_cli("train", "--out", str(out), *ZERO_STEP_TRAIN) == 0
+    ckpt = out / "checkpoint.json"
+    ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
+    assert run_cli("export-plots", "--run", str(out)) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_export_plots_outputs_match_requests(tmp_path):

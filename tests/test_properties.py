@@ -5,6 +5,7 @@ here or kept in helpers.py as the reference.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,15 +28,45 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 # --- isotropic penalty -------------------------------------------------------
 
+class FixedDisplacement:
+    """A stand-in transport map: its residual is `delta` everywhere, its gradient tape zero."""
+
+    def __init__(self, delta):
+        self.delta, self.action_dim = delta, delta.shape[1]
+        self.residual_net = nets.DenseNet.create([1, 1], rng=0)
+
+    def residual(self, s, a, saved=None):
+        return self.delta
+
+    def residual_backward(self, s, a, upstream, saved=None):
+        return nets.GradientTape([np.zeros((1, 1))], [np.zeros(1)], None), None
+
+
 @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)), elements=finite))
 @example(np.array([[-0.0, 1.0], [-0.0, -0.0], [0.0, -0.0], [-2.0, 0.0]]))
 def test_isotropic_penalty_is_half_squared_norm_bit_for_bit(delta):
-    with np.errstate(over="ignore"):
-        values, grads = training.trust_region_penalty(None, "isotropic")(None, delta, delta)
+    # the isotropic arm (scores=None) through actor_update's one penalty call
+    tmap, penalties = FixedDisplacement(delta), []
+
+    def recording(*args):
+        penalties.append(real_penalty(*args))
+        return penalties[-1]
+
+    def zero_q(s, a):
+        return np.zeros(len(a)), np.zeros_like(a)
+
+    real_penalty = training.fisher_penalty_batch
+    adam = nets.AdamState.for_net(tmap.residual_net)
+    with np.errstate(over="ignore"), mock.patch.object(training, "fisher_penalty_batch",
+                                                       recording):
+        stats = training.actor_update(tmap, zero_q, None, training.DualState(),
+                                      np.zeros((len(delta), 0)), np.zeros_like(delta), adam)
         # the L2 arm as a formula: 0.5 |delta|^2 with gradient delta
         expected = 0.5 * np.sum(delta * delta, axis=1)
+    [(values, grads)] = penalties
     assert values.tobytes() == expected.tobytes()
     assert grads.tobytes() == delta.tobytes()
+    assert stats.constraint == float(expected.mean())
 
 
 # --- factored Fisher metric ----------------------------------------------------

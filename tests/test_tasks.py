@@ -287,6 +287,12 @@ def saved_lines(tmp_path):
     (lambda lines: ["# some-other-format v1"] + lines[1:], "not a fisherflow dataset file"),
     (lambda lines: [lines[0].replace(" v1 ", " v7 ")] + lines[1:], "unsupported dataset format 'v7'"),
     (lambda lines: lines[:1], "no data rows"),
+    (lambda lines: ["# fisherflow-dataset"] + lines[1:],
+     "the dataset header names no format version"),
+    (lambda lines: [" ".join(tok for tok in lines[0].split() if not tok.startswith("d="))]
+     + lines[1:], "the dataset header lacks d"),
+    (lambda lines: ["# fisherflow-dataset v1"] + lines[1:],
+     "the dataset header lacks n, d, reward, next_state"),
 ])
 def test_load_dataset_messages(tmp_path, edit, message):
     path, lines = saved_lines(tmp_path)

@@ -185,11 +185,10 @@ def test_actor_update_leaves_flow_parameters_bit_identical(bimodal_setup):
     tmap = transport_map(policy, 0, 2, seed=13)
     snapshot = [p.tobytes() for p in field.net.parameters()]
     adam = nets.AdamState.for_net(tmap.residual_net)
-    penalty = training.trust_region_penalty(field)
     states = dataset.states[:64]
     for _ in range(5):
         base = sampled_base(policy, states, np.random.default_rng(14))
-        training.actor_update(tmap, task.q_value, penalty,
+        training.actor_update(tmap, task.q_value, score.batched_scores(field, states, base, 0.8),
                               training.DualState(), states, base, adam)
     assert [p.tobytes() for p in field.net.parameters()] == snapshot
 
@@ -202,13 +201,14 @@ def test_actor_update_huge_lambda_drives_penalty_to_zero(bimodal_setup):
     # give the residual something to unlearn
     tmap.residual_net.weights[-1][:] = 0.3
     adam = nets.AdamState.for_net(tmap.residual_net, 3e-3)
-    penalty = training.trust_region_penalty(field)
     dual = training.DualState(lam=1e6, epsilon=0.1)
     rng = np.random.default_rng(17)
     states = dataset.states[:64]
     for _ in range(1000):
-        stats = training.actor_update(tmap, task.q_value, penalty, dual, states,
-                                      sampled_base(policy, states, rng), adam)
+        base = sampled_base(policy, states, rng)
+        stats = training.actor_update(tmap, task.q_value,
+                                      score.batched_scores(field, states, base, 0.8), dual,
+                                      states, base, adam)
     assert stats.constraint < 1e-3
 
 
@@ -221,17 +221,16 @@ def test_actor_update_zero_lambda_ascends_quadratic_value():
     field = flow.VelocityField.create(0, 2, hidden=(16, 16), rng=18)
     policy = flow.FlowPolicy(field, steps=5)
     tmap = transport_map(policy, 0, 2, seed=19)
-    penalty = training.trust_region_penalty(field, "isotropic")
     dual = training.DualState(lam=0.0, epsilon=0.1)
     adam = nets.AdamState.for_net(tmap.residual_net, 1e-3)
     states = np.zeros((128, 0))
     base = sampled_base(policy, states, np.random.default_rng(21))
-    q0 = training.actor_update(tmap, quadratic_q, penalty, dual, states, base, adam,
+    q0 = training.actor_update(tmap, quadratic_q, None, dual, states, base, adam,
                                q_normalization=False).mean_q
     for _ in range(200):
-        training.actor_update(tmap, quadratic_q, penalty, dual, states, base, adam,
+        training.actor_update(tmap, quadratic_q, None, dual, states, base, adam,
                               q_normalization=False)
-    q1 = training.actor_update(tmap, quadratic_q, penalty, dual, states, base, adam,
+    q1 = training.actor_update(tmap, quadratic_q, None, dual, states, base, adam,
                                q_normalization=False).mean_q
     assert q1 > q0
 
@@ -263,6 +262,24 @@ def test_run_refinement_td_mode_smoke():
     assert res.critic is not None
     assert np.isfinite(res.final["td_loss"])
     assert np.isfinite(res.final["mean_refined_value"])
+
+
+def test_td_fisher_actor_steps_get_live_scores(monkeypatch):
+    task = tasks.make_task("bimodal_asymmetric")
+    dataset = tasks.make_dataset(task, 256, seed=1, mode="chain", noise=0.05)
+    cfg = small_config(seed=9, mode="td", analytic_q=False, steps=6, flow_steps=10,
+                       batch_size=32, hidden=(8, 8), eval_samples=50, t_eps=0.7)
+    mismatched, real = [], training.actor_update
+
+    def checked(tmap, q_fn, scores, dual, states, base, *rest):
+        # the flow trains every step: score it as it stands at this actor step
+        live = score.batched_scores(tmap.base_policy.field, states, base, cfg.t_eps)
+        mismatched.append(scores.tobytes() != live.tobytes())
+        return real(tmap, q_fn, scores, dual, states, base, *rest)
+
+    monkeypatch.setattr(training, "actor_update", checked)
+    training.run_refinement(cfg, dataset, task)
+    assert mismatched == [False] * cfg.steps
 
 
 # --- checkpoints --------------------------------------------------------------
@@ -623,17 +640,21 @@ def test_fisher_arm_on_stream_scores_writes_the_live_penalty_artifacts(tmp_path,
             "--set", "train.eval_samples=100", "--set", "train.log_interval=5",
             "--set", "data.size=256", "--set", "sweep.t_eps=0.7,0.9"]
     assert cli.main([*argv, "--out", str(tmp_path / "stream")]) == 0
-    # every actor step gets the run's live penalty, which evaluates the velocity field
-    live, real_penalty, real_update = {}, training.trust_region_penalty, training.actor_update
+    # every actor step gets live scores from the frozen flow at the run's t_eps
+    run_t_eps, real_run, real_update = [], training.run_refinement, training.actor_update
 
-    def live_penalty(*args):
-        live["penalty"] = real_penalty(*args)
-        return live["penalty"]
+    def run_refinement(config, *args, **kw):
+        run_t_eps.append(config.t_eps)
+        return real_run(config, *args, **kw)
 
-    monkeypatch.setattr(training, "trust_region_penalty", live_penalty)
-    monkeypatch.setattr(training, "actor_update", lambda tmap, q_fn, penalty_fn, *rest:
-                        real_update(tmap, q_fn, live["penalty"], *rest))
+    def live_update(tmap, q_fn, scores, dual, states, base, *rest):
+        live = score.batched_scores(tmap.base_policy.field, states, base, run_t_eps[-1])
+        return real_update(tmap, q_fn, live, dual, states, base, *rest)
+
+    monkeypatch.setattr(training, "run_refinement", run_refinement)
+    monkeypatch.setattr(training, "actor_update", live_update)
     assert cli.main([*argv, "--out", str(tmp_path / "live")]) == 0
+    assert len(run_t_eps) == (2 if command == "sweep-teps" else 1)
     names = sorted(p.name for p in (tmp_path / "stream").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "live").iterdir())
     for name in names:
