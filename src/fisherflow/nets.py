@@ -22,13 +22,52 @@ the caller passes (input, upstream gradient, parameters, cache) is written.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
+import operator
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NumericError
+
+# the scipy extension module that holds the `erf` ufunc
+_ERF_MODULE = "scipy.special._special_ufuncs"
+
+
+def _load_erf():
+    """scipy's `erf` ufunc, loaded from its extension module `_ERF_MODULE` alone.
+
+    Importing the `scipy.special` package costs a fresh process about 0.35 s
+    and 18 MB. The extension is loaded from its file instead and registered
+    in `sys.modules` under its own name, so a later `import scipy.special`
+    reuses it and `scipy.special.erf` is this very ufunc. A scipy build
+    without that module (or without `erf` in it) gets the package import.
+    """
+    module = sys.modules.get(_ERF_MODULE)
+    if module is None:
+        import scipy
+
+        folder = os.path.join(os.path.dirname(scipy.__file__), "special")
+        spec = importlib.machinery.PathFinder.find_spec(_ERF_MODULE, [folder])
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_ERF_MODULE] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[_ERF_MODULE]
+                raise
+    if module is None or not hasattr(module, "erf"):
+        from scipy.special import erf
+        return erf
+    return module.erf
+
+
+erf = _load_erf()
 
 CHECKPOINT_FORMAT_VERSION = 1
 # parameters per json.dumps call when a net is written (DenseNet.write_json)
@@ -148,15 +187,35 @@ class DenseNet:
 
     @classmethod
     def from_dict(cls, data):
+        """The net `write_json` wrote, from its parsed JSON object.
+
+        Anything but an object of the current format version with
+        layer_sizes, activation, weights and biases whose shapes chain is a
+        ValueError.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"a net is a JSON object, got {type(data).__name__}")
         version = data.get("format_version")
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version: {version!r}")
-        sizes = list(data["layer_sizes"])
-        weights = [
-            np.asarray(flat, dtype=np.float64).reshape(sizes[k], sizes[k + 1])
-            for k, flat in enumerate(data["weights"])
-        ]
-        biases = [np.asarray(b, dtype=np.float64) for b in data["biases"]]
+        missing = [key for key in ("layer_sizes", "activation", "weights", "biases")
+                   if key not in data]
+        if missing:
+            raise ValueError(f"a net lacks {', '.join(missing)}")
+        if not isinstance(data["activation"], str):
+            raise ValueError(f"a net's activation is a string, got {data['activation']!r}")
+        try:
+            sizes = [operator.index(n) for n in data["layer_sizes"]]
+            if not len(sizes) - 1 == len(data["weights"]) == len(data["biases"]) >= 1:
+                raise ValueError(f"{len(data['weights'])} weights and {len(data['biases'])} "
+                                 f"biases for layer sizes {sizes}")
+            weights = [
+                np.asarray(flat, dtype=np.float64).reshape(sizes[k], sizes[k + 1])
+                for k, flat in enumerate(data["weights"])
+            ]
+            biases = [np.asarray(b, dtype=np.float64) for b in data["biases"]]
+        except TypeError as exc:
+            raise ValueError(f"malformed net: {exc}") from exc
         return cls(sizes, weights, biases, data["activation"])
 
 

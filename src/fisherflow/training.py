@@ -29,6 +29,17 @@ same calls and shapes as a serial loop, so the bits are the same for any
 core count. Runs with a learned critic (TD runs) train the flow every step
 and sample their base actions live; they take no stream, and a fisher TD
 run scores each step's base actions just before its actor step.
+
+A TD step with a next-action sample (gamma > 0) overlaps its two Euler
+integrations within the same `MAX_STEP_WORKERS` budget: a worker thread
+computes the critic target (`td_target`, forward passes only) through a
+frozen copy of the flow as it was before the step, while the calling
+thread updates the flow and samples and scores the step's base actions
+(`_flow_step`). After both end, the online critics fit the target
+(`critic_update`), then the actor and dual steps run. Every call keeps its
+inputs and shapes, so the bits are the same on any core count. With one
+usable core or gamma = 0 the step runs serially on the caller, target
+first.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -165,23 +177,33 @@ def actor_update(tmap: TransportMap, q_fn, scores, dual: DualState, states, base
     return ActorStats(objective, float(q.mean()), constraint)
 
 
-def critic_update(critic: Critic, tmap: TransportMap, batch, rng, grad_clip=5.0) -> float:
-    """TD step: target r + gamma * min of the target critics at the refined next action."""
-    states, actions, rewards, next_states = batch
+def td_target(critic: Critic, tmap: TransportMap, rewards, next_states=None, z=None):
+    """TD target: r + gamma * min of the target critics at the refined next action.
+
+    The next action is `tmap`'s refined Euler sample at `next_states` from
+    noise `z`: base + residual(base), base = tmap.base_policy.sample. Without
+    `z` (gamma = 0, or no next states) the target is the rewards. Forward
+    passes only; a non-finite target is a NumericError.
+    """
+    target = np.asarray(rewards, dtype=np.float64)
+    if z is not None:
+        base = tmap.base_policy.sample(next_states, z)
+        next_actions = base + tmap.residual(next_states, base)
+        target = target + critic.gamma * critic.target_values(next_states, next_actions).min(axis=0)
+    if not np.isfinite(target).all():
+        raise NumericError("non-finite TD target")
+    return target
+
+
+def critic_update(critic: Critic, states, actions, target, grad_clip=5.0) -> float:
+    """Fit both online critics one step to `target`, then soft-update the target critics.
+
+    Returns the mean of the two critics' squared TD errors before the step.
+    """
     actions = np.atleast_2d(actions)
     b = actions.shape[0]
     if b == 0:
         raise ValueError("empty batch")
-    rewards = np.asarray(rewards, dtype=np.float64)
-    if critic.gamma > 0.0 and next_states is not None:
-        z = rng.standard_normal((b, tmap.action_dim))
-        base = tmap.base_policy.sample(next_states, z)
-        next_actions = base + tmap.residual(next_states, base)
-        target = rewards + critic.gamma * critic.target_values(next_states, next_actions).min(axis=0)
-    else:
-        target = rewards
-    if not np.isfinite(target).all():
-        raise NumericError("non-finite TD target")
     x = critic.net_input(states, actions)
     total = 0.0
     for net, adam in zip(critic.online, critic.adams):
@@ -194,6 +216,27 @@ def critic_update(critic: Critic, tmap: TransportMap, batch, rng, grad_clip=5.0)
         nets.adam_step(net, tape, adam)
     critic.soft_update()
     return total / 2.0
+
+
+def _flow_step(policy: FlowPolicy, adam: nets.AdamState, states, actions, rng, grad_clip,
+               t_eps, fisher):
+    """One flow-matching update, then the updated flow's base actions at `states`.
+
+    Returns (flow loss, base actions, their fisher scores at t_eps, or None
+    unless `fisher`). Draws the loss's t and x0, then the Euler noise, from `rng`.
+    """
+    loss, tape = flow_matching_loss(policy.field, states, actions, rng)
+    nets.clip_gradients(tape, grad_clip)
+    nets.adam_step(policy.field.net, tape, adam)
+    base = policy.sample(states, rng.standard_normal(actions.shape))
+    return loss, base, batched_scores(policy.field, states, base, t_eps) if fisher else None
+
+
+def _frozen_map(tmap: TransportMap) -> TransportMap:
+    """`tmap` over a copy of its flow net: the map as it stands, while the live flow trains."""
+    policy = tmap.base_policy
+    field = replace(policy.field, net=policy.field.net.clone())
+    return replace(tmap, base_policy=replace(policy, field=field))
 
 
 # smallest allowed value of each RefineConfig count and nonnegative training value
@@ -375,7 +418,7 @@ def _source_of(dataset: OfflineDataset, task: SyntheticTask):
     return (task.name, task.state_dim, task.action_dim, h.hexdigest())
 
 
-# Most threads `_each_step` starts: the largest count whose speed-up has been
+# Most threads `_thread_count` allows: the largest count whose speed-up has been
 # measured (2 cores, BLAS on 1 thread); more cores leave the rest idle
 MAX_STEP_WORKERS = 2
 
@@ -388,15 +431,42 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
+def _thread_count(parts):
+    """Threads for `parts` independent parts: one per usable core, at most MAX_STEP_WORKERS."""
+    return max(1, min(_usable_cores(), MAX_STEP_WORKERS, parts))
+
+
+def _run_parts(parts, threads):
+    """Call every part (a no-argument callable) on `threads` threads; their results in order.
+
+    With one thread the parts run in order on the caller and the first
+    failure propagates at once. With more, the last part runs on the caller
+    and the others on `threads - 1` worker threads. Once every part has
+    ended and every worker is gone, the error of the first failing part in
+    list order is raised, the one a serial run would have raised.
+    """
+    if threads <= 1:
+        return [part() for part in parts]
+    with ThreadPoolExecutor(threads - 1) as pool:
+        others = [pool.submit(part) for part in parts[:-1]]
+        try:
+            last, failure = parts[-1](), None
+        except Exception as exc:  # raised after the parts before it, whose errors win
+            failure = exc
+    results = [done.result() for done in others]
+    if failure is not None:
+        raise failure
+    return results + [last]
+
+
 def _each_step(steps, step_fn):
     """Call step_fn(k) for every k < steps in contiguous blocks, one thread per usable core.
 
-    At most `MAX_STEP_WORKERS` threads run. The steps must be independent:
-    each reads shared inputs and writes only its own step's outputs. Within a
-    block the steps run in order, and a block stops at its first failure.
-    Once every thread has ended, the first failing block's error is raised, a
-    NumericError as "training step k: ...", so a failure names the lowest
-    failing k, as a serial loop would.
+    The steps must be independent: each reads shared inputs and writes only
+    its own step's outputs. Within a block the steps run in order, and a
+    block stops at its first failure. The first failing block's error is
+    raised (`_run_parts`), a NumericError as "training step k: ...", so a
+    failure names the lowest failing k, as a serial loop would.
     """
     def block(lo, hi):
         for k in range(lo, hi):
@@ -405,15 +475,9 @@ def _each_step(steps, step_fn):
             except NumericError as exc:
                 raise NumericError(f"training step {k}: {exc}") from exc
 
-    workers = min(_usable_cores(), MAX_STEP_WORKERS, steps)
-    if workers <= 1:
-        block(0, steps)
-        return
-    bounds = [steps * i // workers for i in range(workers + 1)]
-    with ThreadPoolExecutor(workers) as pool:
-        blocks = [pool.submit(block, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    for done in blocks:
-        done.result()
+    threads = _thread_count(steps)
+    bounds = [steps * i // threads for i in range(threads + 1)]
+    _run_parts([partial(block, lo, hi) for lo, hi in zip(bounds, bounds[1:])], threads)
 
 
 @dataclass(frozen=True)
@@ -540,18 +604,21 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
                 scores = None if stream_scores is None else stream_scores[step]
             else:
                 idx = rng_loop.integers(0, size, size=min(config.batch_size, size))
-                states = dataset.states[idx]
-                batch = (states, dataset.actions[idx],
-                         dataset.rewards[idx] if dataset.rewards is not None else np.zeros(len(idx)),
-                         dataset.next_states[idx] if dataset.next_states is not None else None)
-                td_loss = critic_update(critic, tmap, batch, rng_loop, config.grad_clip)
-                loss, tape = flow_matching_loss(policy.field, states, dataset.actions[idx], rng_loop)
-                nets.clip_gradients(tape, config.grad_clip)
-                nets.adam_step(policy.field.net, tape, flow_adam)
-                flow_loss = loss
-                base_actions = policy.sample(states, rng_loop.standard_normal((len(idx), d)))
-                scores = (batched_scores(policy.field, states, base_actions, config.t_eps)
-                          if fisher else None)
+                states, actions = dataset.states[idx], dataset.actions[idx]
+                rewards = (dataset.rewards[idx] if dataset.rewards is not None
+                           else np.zeros(len(idx)))
+                next_states = dataset.next_states[idx] if dataset.next_states is not None else None
+                z = (rng_loop.standard_normal((len(idx), d))
+                     if critic.gamma > 0.0 and next_states is not None else None)
+                # the TD target reads the flow as it was before this step's update, so with
+                # a next-action sample it can run on a second core against a frozen copy
+                threads = 1 if z is None else _thread_count(2)
+                frozen = tmap if threads == 1 else _frozen_map(tmap)
+                target, (flow_loss, base_actions, scores) = _run_parts(
+                    [partial(td_target, critic, frozen, rewards, next_states, z),
+                     partial(_flow_step, policy, flow_adam, states, actions, rng_loop,
+                             config.grad_clip, config.t_eps, fisher)], threads)
+                td_loss = critic_update(critic, states, actions, target, config.grad_clip)
             stats = actor_update(tmap, q_fn, scores, dual, states, base_actions, actor_adam,
                                  config.normalize_metric, config.damping,
                                  config.q_normalization, config.grad_clip)

@@ -144,9 +144,16 @@ def test_validate_list_and_selected_suite(capsys):
     assert out.count("[PASS]") == 2
 
 
-def test_cli_and_every_suite_leave_scipy_optimize_unloaded():
-    # the runtime needs scipy.special only; scipy.optimize costs each process ~20 MB
+def test_cli_and_every_suite_leave_scipy_optimize_unloaded(tmp_path):
+    # the runtime needs scipy's erf ufunc only: nets loads its extension module alone, and
+    # the scipy.special package (~18 MB) and scipy.optimize (~20 MB) stay unloaded
+    train = ["train", "--out", str(tmp_path / "td"), "--set", "train.mode=td",
+             "--set", "train.analytic_q=false", "--set", "data.mode=chain", *ZERO_STEP_TRAIN,
+             "--set", "train.steps=2", "--set", "train.flow_steps=2"]
     code = ("import sys\nimport fisherflow.cli\nfrom fisherflow import validate\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            f"assert fisherflow.cli.main({train!r}) == 0\n"
+            "assert 'scipy.special' not in sys.modules\n"
             "for name, suite in validate.all_suites():\n    assert suite().passed, name\n"
             "assert 'scipy.optimize' not in sys.modules\n")
     src = Path(__file__).resolve().parent.parent / "src"
@@ -275,6 +282,7 @@ def test_export_plots_requires_run_dir(tmp_path):
     (lambda payload: [payload], "a checkpoint is a JSON object, got list"),
     (lambda payload: {k: v for k, v in payload.items() if k != "flow_net"},
      "the checkpoint lacks flow_net"),
+    (lambda payload: {**payload, "flow_net": []}, "a net is a JSON object, got list"),
 ])
 def test_export_plots_on_malformed_checkpoint_is_usage_error(tmp_path, capsys, edit, message):
     out = tmp_path / "r"

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +258,43 @@ def test_seeded_init_reproducible():
         np.testing.assert_array_equal(wa, wb)
     bound = 1.0 / np.sqrt(4)
     assert np.all(np.abs(a.weights[0]) <= bound)
+
+
+def run_python(code):
+    """Run `code` in a fresh interpreter that imports fisherflow from this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("first, second", [("from fisherflow import nets", "import scipy.special"),
+                                           ("import scipy.special", "from fisherflow import nets")])
+def test_gelu_erf_is_scipys_ufunc_in_either_import_order(first, second):
+    run_python(f"{first}\n{second}\nassert nets.erf is scipy.special.erf\n")
+
+
+def test_erf_falls_back_to_the_package_import(monkeypatch):
+    import scipy.special
+    # a scipy build without the extension module: the search finds nothing
+    monkeypatch.setattr(nets, "_ERF_MODULE", "scipy.special._no_such_module")
+    assert nets._load_erf() is scipy.special.erf
+    assert "scipy.special._no_such_module" not in sys.modules
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: [],
+    lambda data: {k: v for k, v in data.items() if k != "weights"},
+    lambda data: {**data, "layer_sizes": [3, 8]},  # two layers of parameters for one
+    lambda data: {**data, "layer_sizes": [3, 9, 2]},  # weights that do not chain
+    lambda data: {**data, "layer_sizes": [3, 8.0, 2]},
+    lambda data: {**data, "biases": data["biases"][:1]},
+    lambda data: {**data, "weights": [{}, {}]},
+    lambda data: {**data, "activation": ["gelu"]},
+])
+def test_malformed_net_entry_is_a_value_error(edit):
+    data = json.loads(json.dumps(net_to_dict(nets.DenseNet.create([3, 8, 2], rng=0))))
+    with pytest.raises(ValueError):
+        nets.DenseNet.from_dict(edit(data))

@@ -3,6 +3,7 @@ import json
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -124,9 +125,9 @@ def test_critic_bandit_regresses_to_rewards():
     tmap = make_transport(0, 2, seed=4)
     actions = rng.normal(size=(64, 2))
     rewards = 0.5 * actions[:, 0] - 0.2 * actions[:, 1]
-    batch = (np.zeros((64, 0)), actions, rewards, None)
+    target = training.td_target(critic, tmap, rewards)  # gamma = 0: the rewards
     for _ in range(1500):
-        loss = training.critic_update(critic, tmap, batch, rng)
+        loss = training.critic_update(critic, np.zeros((64, 0)), actions, target)
     assert loss < 0.05**2
     pred, _ = critic.value_and_action_grad(np.zeros((64, 0)), actions)
     assert float(np.max(np.abs(pred - rewards))) < 0.25
@@ -138,19 +139,21 @@ def test_critic_zero_rewards_shrink_values():
                                     gamma=0.99, rng=rng)
     tmap = make_transport(0, 2, seed=6)
     actions = rng.normal(size=(64, 2))
-    batch = (np.zeros((64, 0)), actions, np.zeros(64), np.zeros((64, 0)))
-    before = float(np.mean(np.abs(critic.value_and_action_grad(np.zeros((64, 0)), actions)[0])))
+    states = np.zeros((64, 0))
+    before = float(np.mean(np.abs(critic.value_and_action_grad(states, actions)[0])))
     for _ in range(600):
-        training.critic_update(critic, tmap, batch, rng)
-    after = float(np.mean(np.abs(critic.value_and_action_grad(np.zeros((64, 0)), actions)[0])))
+        target = training.td_target(critic, tmap, np.zeros(64), states,
+                                    rng.standard_normal((64, 2)))
+        training.critic_update(critic, states, actions, target)
+    after = float(np.mean(np.abs(critic.value_and_action_grad(states, actions)[0])))
     assert after < before
 
 
 def test_critic_tau_one_copies_online_to_target():
     critic = training.Critic.create(1, 1, hidden=(8,), tau=1.0, gamma=0.0, rng=7)
     tmap = make_transport(1, 1, seed=8)
-    batch = (np.zeros((4, 1)), np.zeros((4, 1)), np.ones(4), None)
-    training.critic_update(critic, tmap, batch, np.random.default_rng(0))
+    training.critic_update(critic, np.zeros((4, 1)), np.zeros((4, 1)),
+                           training.td_target(critic, tmap, np.ones(4)))
     for online, target in zip(critic.online, critic.target):
         for po, pt in zip(online.parameters(), target.parameters()):
             np.testing.assert_array_equal(po, pt)
@@ -171,9 +174,8 @@ def test_td_target_is_pessimistic():
 def test_critic_rejects_nonfinite_targets():
     critic = training.Critic.create(0, 1, hidden=(8,), gamma=0.0, rng=10)
     tmap = make_transport(0, 1, seed=11)
-    batch = (np.zeros((2, 0)), np.zeros((2, 1)), np.array([np.inf, 0.0]), None)
-    with pytest.raises(NumericError):
-        training.critic_update(critic, tmap, batch, np.random.default_rng(0))
+    with pytest.raises(NumericError, match="non-finite TD target"):
+        training.td_target(critic, tmap, np.array([np.inf, 0.0]))
 
 
 # --- actor ------------------------------------------------------------------
@@ -661,3 +663,167 @@ def test_fisher_arm_on_stream_scores_writes_the_live_penalty_artifacts(tmp_path,
         if name != "config.txt":  # names its own output directory
             assert (tmp_path / "stream" / name).read_bytes() == \
                 (tmp_path / "live" / name).read_bytes(), name
+
+
+# --- overlapped TD steps --------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def gated_chain():
+    task = tasks.make_task("bimodal_gated")
+    return task, tasks.make_dataset(task, 256, seed=5, mode="chain", noise=0.05)
+
+
+def td_config(**kw):
+    return small_config(**{**dict(seed=13, mode="td", analytic_q=False, steps=7, flow_steps=10,
+                                  batch_size=32, hidden=(8, 8), eval_samples=50,
+                                  log_interval=1), **kw})
+
+
+def critic_bytes(result):
+    return [p.tobytes() for group in (result.critic.online, result.critic.target)
+            for net in group for p in net.parameters()]
+
+
+@pytest.mark.parametrize("overrides, overlaps", [
+    (dict(metric="fisher"), True),
+    (dict(metric="isotropic"), True),
+    (dict(mode="bandit"), False),  # gamma = 0: no next-action sample, nothing to overlap
+])
+def test_overlapped_td_step_is_bit_identical_on_any_core_count(gated_chain, monkeypatch,
+                                                               overrides, overlaps):
+    task, dataset = gated_chain
+    config = td_config(**overrides)
+    on_caller, real_target, real_flow = [], training.td_target, training._flow_step
+    flow_done = threading.Event()
+
+    def flow_step(*args):
+        try:
+            return real_flow(*args)
+        finally:
+            flow_done.set()
+
+    def late_target(*args):
+        on_caller.append(threading.get_ident() == threading.main_thread().ident)
+        if not on_caller[-1]:
+            # the worst order: the worker reads the flow after the update it must not see
+            assert flow_done.wait(timeout=60)
+            flow_done.clear()
+        return real_target(*args)
+
+    monkeypatch.setattr(training, "td_target", late_target)
+    monkeypatch.setattr(training, "_flow_step", flow_step)
+    runs = []
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        on_caller.clear()
+        flow_done.clear()  # a serial run sets it and nothing waits
+        result = training.run_refinement(config, dataset, task)
+        runs.append((run_fingerprint(result), critic_bytes(result)))
+        # with two cores and a next-action sample, every target runs on the worker
+        assert on_caller == [cores == 1 or not overlaps] * config.steps
+    assert runs[0] == runs[1]
+
+
+NAN_STEP = 3
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("poisoned, message", [
+    ("noise", "non-finite action trajectory at Euler step 0"),  # the snapshot's Euler
+    ("rewards", "non-finite TD target"),
+])
+def test_nan_in_the_td_target_names_its_step(gated_chain, monkeypatch, cores, poisoned, message):
+    task, dataset = gated_chain
+    use_cores(monkeypatch, cores)
+    calls, real = [], training.td_target
+
+    def poisoning(critic, tmap, rewards, next_states, z):
+        calls.append(None)
+        if len(calls) == NAN_STEP + 1:
+            if poisoned == "noise":
+                z = np.full_like(z, np.nan)
+            else:
+                rewards = np.full_like(rewards, np.nan)
+        return real(critic, tmap, rewards, next_states, z)
+
+    monkeypatch.setattr(training, "td_target", poisoning)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match=rf"^training step {NAN_STEP}: {message}$"):
+        training.run_refinement(td_config(), dataset, task)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_both_halves_end_before_the_target_error_wins(gated_chain, monkeypatch, cores):
+    task, dataset = gated_chain
+    use_cores(monkeypatch, cores)
+    scored = []
+
+    def failing_target(*args):
+        raise NumericError("non-finite TD target")
+
+    def failing_scores(field, s, a, t_eps):
+        time.sleep(0.05)  # the worker's failure is long known when this one comes
+        scored.append(None)
+        raise NumericError("non-finite score estimate")
+
+    monkeypatch.setattr(training, "td_target", failing_target)
+    monkeypatch.setattr(training, "batched_scores", failing_scores)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match=r"^training step 0: non-finite TD target$"):
+        training.run_refinement(td_config(), dataset, task)
+    assert threading.active_count() == before
+    # serially the target fails first and the flow half never starts; overlapped, both end
+    assert len(scored) == (cores > 1)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_flow_half_error_waits_for_the_target_and_precedes_the_critic_fit(gated_chain,
+                                                                         monkeypatch, cores):
+    task, dataset = gated_chain
+    use_cores(monkeypatch, cores)
+    targets, real = [], training.td_target
+
+    def slow_target(*args):
+        time.sleep(0.05)
+        targets.append(real(*args))
+        return targets[-1]
+
+    def failing_scores(field, s, a, t_eps):
+        raise NumericError("non-finite score estimate")
+
+    def failing_fit(*args):
+        raise NumericError("non-finite parameter after optimizer step")
+
+    monkeypatch.setattr(training, "td_target", slow_target)
+    monkeypatch.setattr(training, "batched_scores", failing_scores)
+    monkeypatch.setattr(training, "critic_update", failing_fit)
+    before = threading.active_count()
+    # the online critics fit after the flow half, so its error is the one raised
+    with pytest.raises(NumericError, match=r"^training step 0: non-finite score estimate$"):
+        training.run_refinement(td_config(), dataset, task)
+    assert threading.active_count() == before
+    assert len(targets) == 1  # the worker's target was done before the raise
+
+
+def test_overlapped_td_step_under_thread_switching_stress(gated_chain, monkeypatch):
+    # the worker reads the target critics and the residual net while the caller trains the
+    # flow, switching threads as often as the interpreter allows
+    task, dataset = gated_chain
+    config = td_config(steps=9)
+    use_cores(monkeypatch, 1)
+    serial = training.run_refinement(config, dataset, task)
+    use_cores(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    made = []
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: made.append(
+            training.run_refinement(config, dataset, task)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(made) == 1
+    assert run_fingerprint(made[0]) == run_fingerprint(serial)
+    assert critic_bytes(made[0]) == critic_bytes(serial)
