@@ -11,7 +11,7 @@ Run:  python3 demos/01_flow_matching_basics.py
 import numpy as np
 
 from fisherflow import flow
-from fisherflow.densities import GaussianMixture
+from fisherflow.densities import GaussianMixture, OracleVelocityField
 
 rng = np.random.default_rng(0)
 
@@ -39,18 +39,11 @@ print(f"samples: {frac_left:.1%} left mode, {frac_right:.1%} right mode, "
 
 # -- 4. Euler sampler vs the analytic Gaussian oracle --------------------------
 print("\nEuler refinement study on the exact Gaussian-target velocity:")
-target = GaussianMixture.single([1.5], 0.6)
-
-
-class OracleField:
-    def __call__(self, t, s, a):
-        return target.velocity(t, a)
-
-
+oracle = OracleVelocityField(GaussianMixture.single([1.5], 0.6))
 z0 = np.array([0.25])
-reference = flow.sample_action(flow.FlowPolicy(OracleField(), steps=16384), None, z0)
+reference = flow.sample_action(flow.FlowPolicy(oracle, steps=16384), None, z0)
 print(f"  reference endpoint (M=16384): {reference[0]:.6f} "
       f"(exact transport sends z to mu + sigma z = {1.5 + 0.6 * z0[0]:.6f})")
 for m in (8, 16, 32, 64, 256):
-    out = flow.sample_action(flow.FlowPolicy(OracleField(), steps=m), None, z0)
+    out = flow.sample_action(flow.FlowPolicy(oracle, steps=m), None, z0)
     print(f"  M={m:5d}: endpoint {out[0]:.6f}  error {abs(out[0] - reference[0]):.2e}")

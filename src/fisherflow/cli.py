@@ -157,19 +157,17 @@ def _aggregate(rows, key):
 def _drive(args, default_name, arms_of, run_id, on_run, arm_major=False):
     """The one run driver: every seed runs every arm of `arms_of(cfg)` (training overrides).
 
-    All arms' RefineConfigs (so their range checks) and fisher t_eps are
-    checked before config.txt. Each seed's arms replay one base stream, and
+    Every arm's RefineConfig checks and its fit to the data (`check_data`)
+    run before config.txt. Each seed's arms replay one base stream, and
     `on_run(rows, result)` follows each run. Only report rows are kept, seed-
     major or, with `arm_major`, arm-major. Returns (cfg, out, rows).
     """
     cfg = load_run_config(args)
     arms = [replace(cfg.train, **overrides) for overrides in arms_of(cfg)]
-    # every perturbed time the fisher metric will run at must lie inside (0, 1)
-    bad = [arm.t_eps for arm in arms if arm.metric == "fisher" and not 0.0 < arm.t_eps < 1.0]
-    if bad:
-        raise ValueError(f"t_eps must lie strictly inside (0, 1), got {', '.join(map(repr, bad))}")
     task = tasks.make_task(cfg.task)
     dataset = resolve_dataset(cfg, task)
+    for arm in arms:
+        training.check_data(arm, dataset, task)
     out = Path(cfg.out or default_name)
     out.mkdir(parents=True, exist_ok=True)
     cfg.out = str(out)

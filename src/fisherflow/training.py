@@ -48,7 +48,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -182,8 +182,8 @@ def td_target(critic: Critic, tmap: TransportMap, rewards, next_states=None, z=N
 
     The next action is `tmap`'s refined Euler sample at `next_states` from
     noise `z`: base + residual(base), base = tmap.base_policy.sample. Without
-    `z` (gamma = 0, or no next states) the target is the rewards. Forward
-    passes only; a non-finite target is a NumericError.
+    `z` (gamma = 0) the target is the rewards. Forward passes only; a
+    non-finite target is a NumericError.
     """
     target = np.asarray(rewards, dtype=np.float64)
     if z is not None:
@@ -242,9 +242,11 @@ def _frozen_map(tmap: TransportMap) -> TransportMap:
 # smallest allowed value of each RefineConfig count and nonnegative training value
 _LEAST_VALUES = {"steps": 0, "flow_steps": 0, "log_interval": 0, "batch_size": 1,
                  "eval_samples": 1, "flow_integration_steps": 1,
-                 "damping": 0.0, "eta": 0.0, "lambda_init": 0.0}
+                 "damping": 0.0, "eta": 0.0, "lambda_init": 0.0, "gamma": 0.0}
 # RefineConfig values that must be strictly positive
-_POSITIVE_VALUES = ("max_displacement", "epsilon", "learning_rate")
+_POSITIVE_VALUES = ("max_displacement", "epsilon", "learning_rate", "grad_clip", "tau")
+# largest allowed value of each RefineConfig rate
+_MOST_VALUES = {"gamma": 1.0, "tau": 1.0}
 
 
 @dataclass
@@ -277,16 +279,28 @@ class RefineConfig:
     eval_samples: int = 2000
 
     def __post_init__(self):
+        """The one owner of every training-setting rule: a bad setting is a ValueError here."""
         if self.metric not in ("fisher", "isotropic"):
             raise ValueError(f"unknown metric kind {self.metric!r}")
         if self.mode not in ("bandit", "td"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for f in fields(self):
+            if isinstance(f.default, float) and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name, least in _LEAST_VALUES.items():
             if not getattr(self, name) >= least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         for name in _POSITIVE_VALUES:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name, most in _MOST_VALUES.items():
+            if not getattr(self, name) <= most:
+                raise ValueError(f"{name} must be <= {most}, got {getattr(self, name)!r}")
+        # the perturbed time the fisher metric scores at
+        if self.metric == "fisher" and not 0.0 < self.t_eps < 1.0:
+            raise ValueError(f"t_eps must lie strictly inside (0, 1), got {self.t_eps!r}")
+        if self.mode == "td" and self.analytic_q:
+            raise ValueError("mode 'td' trains a learned critic: set analytic_q to false")
         self.hidden = tuple(self.hidden)
         if not all(width >= 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden!r}")
@@ -380,9 +394,20 @@ def _run_rngs(seed):
     return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6))
 
 
-def _check_dims(dataset: OfflineDataset, task: SyntheticTask):
+def check_data(config: RefineConfig, dataset: OfflineDataset, task: SyntheticTask):
+    """Raise ValueError unless a run of `config` can train on (dataset, task).
+
+    The dimensions must agree. A learned critic (`analytic_q=False`) fits
+    the data's rewards, and in TD mode with gamma > 0 bootstraps from its
+    next states, so the data must hold them.
+    """
     if dataset.action_dim != task.action_dim or dataset.state_dim != task.state_dim:
         raise ValueError("dataset and task dimensions disagree")
+    if not config.analytic_q and dataset.rewards is None:
+        raise ValueError("a learned critic (analytic_q false) fits rewards; the data has none")
+    if config.mode == "td" and config.gamma > 0.0 and dataset.next_states is None:
+        raise ValueError(f"mode 'td' with gamma {config.gamma!r} bootstraps from next states; "
+                         "the data has none (chain data has them)")
 
 
 def _pretrained_policy(config: RefineConfig, dataset: OfflineDataset, task: SyntheticTask,
@@ -444,6 +469,13 @@ def _run_parts(parts, threads):
     and the others on `threads - 1` worker threads. Once every part has
     ended and every worker is gone, the error of the first failing part in
     list order is raised, the one a serial run would have raised.
+
+    The caller runs a part, rather than idling while the pool runs them all
+    (`ThreadPoolExecutor.map`), to keep memory flat: running every part on
+    pool threads raised td-wide's peak RSS from 87.3 to 93.7 MB (+7.4%) in
+    4 of 4 paired runs on a 2-core host, while bandit-ablation's held. The
+    likely cause, not verified, is that the flow half's width-256 buffers
+    then land in a worker thread's malloc arena.
     """
     if threads <= 1:
         return [part() for part in parts]
@@ -513,7 +545,7 @@ class BaseStream:
         noise straight into the action array; then each step's noise is
         replaced by its Euler sample.
         """
-        _check_dims(dataset, task)
+        check_data(config, dataset, task)
         rng_init, rng_flow, _, _, rng_loop, rng_eval = _run_rngs(config.seed)
         policy, flow_loss = _pretrained_policy(config, dataset, task, rng_init, rng_flow)
         size, d = len(dataset), task.action_dim
@@ -551,12 +583,15 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
                    base: BaseStream | None = None) -> RunResult:
     """Full training pipeline; deterministic given config.seed.
 
+    `config` has passed its own checks (`RefineConfig`); the data is checked
+    against it here (`check_data`: a learned critic needs rewards, and next
+    states when its discount is > 0), before the flow is pretrained.
     Analytic-Q runs replay `base` (recorded here when not given, and checked
     against config, dataset and task before any step when given); learned-
     critic runs pretrain and sample live and take no stream. Any numeric
     failure aborts with the offending step index attached.
     """
-    _check_dims(dataset, task)
+    check_data(config, dataset, task)
     if base is not None:
         base.check(config, dataset, task)
     elif config.analytic_q:
@@ -605,11 +640,9 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
             else:
                 idx = rng_loop.integers(0, size, size=min(config.batch_size, size))
                 states, actions = dataset.states[idx], dataset.actions[idx]
-                rewards = (dataset.rewards[idx] if dataset.rewards is not None
-                           else np.zeros(len(idx)))
-                next_states = dataset.next_states[idx] if dataset.next_states is not None else None
-                z = (rng_loop.standard_normal((len(idx), d))
-                     if critic.gamma > 0.0 and next_states is not None else None)
+                rewards = dataset.rewards[idx]
+                z = rng_loop.standard_normal((len(idx), d)) if critic.gamma > 0.0 else None
+                next_states = None if z is None else dataset.next_states[idx]
                 # the TD target reads the flow as it was before this step's update, so with
                 # a next-action sample it can run on a second core against a frozen copy
                 threads = 1 if z is None else _thread_count(2)

@@ -224,3 +224,20 @@ def checkpoint_payload(result, task_name):
                         if result.critic is not None else None),
         "dual": {"lam": result.dual.lam, "epsilon": result.dual.epsilon, "eta": result.dual.eta},
     }
+
+
+# RefineConfig settings that the config refuses, each with a word its message must hold
+# (TD settings come with a learned critic, so the refused value is the only fault)
+REFUSED_SETTINGS = [
+    (dict(grad_clip=float("nan")), "grad_clip"),
+    (dict(mode="td", analytic_q=False, gamma=float("nan")), "gamma"),
+    (dict(mode="td", analytic_q=False, gamma=3.0), "gamma"),
+    (dict(mode="td", analytic_q=False, tau=-5.0), "tau"),
+    (dict(eta=float("inf")), "eta"),
+    (dict(epsilon=float("inf")), "epsilon"),
+    (dict(lambda_init=float("inf")), "lambda_init"),
+    (dict(damping=float("inf")), "damping"),
+    (dict(max_displacement=float("inf")), "max_displacement"),
+    (dict(mode="td"), "analytic_q"),  # the default analytic Q
+    (dict(t_eps=1.0), "t_eps"),  # the default fisher metric
+]

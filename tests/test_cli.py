@@ -3,15 +3,17 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fisherflow import cli
+from fisherflow import cli, tasks
 from fisherflow.config import RunConfig, parse_config_text
 from fisherflow.training import RefineConfig
+
+from helpers import REFUSED_SETTINGS
 
 
 def run_cli(*argv):
@@ -266,6 +268,33 @@ def test_out_of_range_training_value_is_usage_error(tmp_path, capsys, setting):
     key = setting.split("=")[0][len("train."):]
     assert key in capsys.readouterr().err
     assert not out.exists()  # rejected before any output or training
+
+
+@pytest.mark.parametrize("change, key", REFUSED_SETTINGS)
+def test_refused_training_setting_is_usage_error(tmp_path, capsys, change, key):
+    out = tmp_path / "r"
+    sets = [arg for name, value in change.items() for arg in ("--set", f"train.{name}={value}")]
+    assert run_cli("train", "--out", str(out), *FAST_TRAIN, "--set", "data.mode=chain",
+                   *sets) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()  # rejected before any output or training
+
+
+def test_learned_critic_on_data_it_cannot_fit_is_usage_error(tmp_path, capsys):
+    td = ["--set", "train.mode=td", "--set", "train.analytic_q=false"]
+    out = tmp_path / "r"
+    assert run_cli("train", "--out", str(out), *FAST_TRAIN, *td) == 2  # bandit data
+    assert "gamma 0.99 bootstraps from next states" in capsys.readouterr().err
+    assert not out.exists()
+    task = tasks.make_task("bimodal_asymmetric")
+    data = tmp_path / "data.txt"
+    tasks.save_dataset(replace(tasks.make_dataset(task, 64, 0), rewards=None), data)
+    assert " reward=0 " in data.read_text().splitlines()[0]
+    for critic in (["--set", "train.analytic_q=false"], td):
+        assert run_cli("train", "--out", str(out), *FAST_TRAIN, "--set", f"data.file={data}",
+                       *critic) == 2
+        assert "fits rewards; the data has none" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_isotropic_train_ignores_t_eps(tmp_path):

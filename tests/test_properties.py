@@ -413,19 +413,29 @@ def test_compacted_inversion_matches_masked_reference_bit_for_bit(seed, d, rows,
 words = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=12)
 paths = st.text("abc/._-0123456789", max_size=12)
 
+# only settings RefineConfig accepts: a fisher t_eps inside (0, 1) (the isotropic arm
+# ignores it), and TD mode only with a learned critic
+metric_arms = st.one_of(
+    st.fixed_dictionaries({"metric": st.just("fisher"),
+                           "t_eps": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)}),
+    st.fixed_dictionaries({"metric": st.just("isotropic"), "t_eps": finite}))
+critic_kinds = st.sampled_from([dict(mode="bandit", analytic_q=True),
+                                dict(mode="bandit", analytic_q=False),
+                                dict(mode="td", analytic_q=False)])
+
 run_configs = st.builds(
     RunConfig, task=words, out=paths, seeds=st.lists(st.integers(-5, 2**31), max_size=4),
     data_size=st.integers(0, 10**6), data_seed=st.integers(0, 2**31),
     data_mode=st.sampled_from(["bandit", "chain"]), data_noise=finite, data_file=paths,
     sweep_t_eps=st.lists(finite, max_size=4),
     train=st.builds(
-        training.RefineConfig, seed=st.integers(0, 2**31), steps=st.integers(0, 10**5),
+        lambda arm, kind, **kw: training.RefineConfig(**arm, **kind, **kw),
+        metric_arms, critic_kinds, seed=st.integers(0, 2**31), steps=st.integers(0, 10**5),
         hidden=st.lists(st.integers(1, 512), min_size=1, max_size=3).map(tuple),
         activation=st.sampled_from(["gelu", "relu", "tanh"]),
-        metric=st.sampled_from(["fisher", "isotropic"]), t_eps=finite,
         normalize_metric=st.booleans(),
         damping=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
-        mode=st.sampled_from(["bandit", "td"]), analytic_q=st.booleans()))
+        gamma=st.floats(0.0, 1.0), tau=st.floats(0.0, 1.0, exclude_min=True)))
 
 
 @given(run_configs)

@@ -6,7 +6,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ import pytest
 from fisherflow import cli, flow, nets, score, tasks, training, validate
 from fisherflow.errors import NumericError
 
-from helpers import base_stream_reference, checkpoint_payload
+from helpers import REFUSED_SETTINGS, base_stream_reference, checkpoint_payload
 
 
 def small_config(**kw):
@@ -385,6 +385,16 @@ def test_shared_base_stream_reproduces_fresh_runs(bimodal_setup, small_stream):
     assert shared[0].final != shared[1].final  # the arms really differ
 
 
+def refuse_training(monkeypatch):
+    """Make pretraining, stream recording and actor steps fail the test if they start."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the input was checked")
+
+    monkeypatch.setattr(training, "train_flow", no_training)
+    monkeypatch.setattr(training, "actor_update", no_training)
+    monkeypatch.setattr(training.BaseStream, "record", no_training)
+
+
 @pytest.mark.parametrize("change", [
     dict(seed=12), dict(flow_steps=100), dict(batch_size=32), dict(steps=50),
     dict(hidden=(8, 8)), dict(eval_samples=100), dict(analytic_q=False),
@@ -392,15 +402,46 @@ def test_shared_base_stream_reproduces_fresh_runs(bimodal_setup, small_stream):
 def test_base_stream_rejects_a_run_it_does_not_fit(bimodal_setup, small_stream, monkeypatch,
                                                    change):
     task, dataset = bimodal_setup
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started before the stream was checked")
-
-    monkeypatch.setattr(training, "train_flow", no_training)
-    monkeypatch.setattr(training, "actor_update", no_training)
+    refuse_training(monkeypatch)
     with pytest.raises(ValueError):
         training.run_refinement(small_config(**{**STREAM_CONFIG, **change}), dataset, task,
                                 base=small_stream)
+
+
+# another valid value of every RefineConfig field but mode and analytic_q (a base stream is
+# analytic-Q only); a new field fails the test below until it is listed here
+OTHER_VALUES = dict(
+    seed=12, steps=4, flow_steps=6, batch_size=8, learning_rate=1e-3, grad_clip=1e-3,
+    hidden=(8, 4), flow_integration_steps=5, activation="tanh", eval_samples=20,
+    max_displacement=0.5, metric="isotropic", t_eps=0.7, normalize_metric=False, damping=0.01,
+    epsilon=0.05, eta=0.01, lambda_init=3.0, q_normalization=False, gamma=0.5, tau=0.1,
+    log_interval=1)
+
+
+def stream_bytes(stream):
+    return [(a.shape, a.tobytes()) for a in (stream.indices, stream.actions, stream.eval_states,
+                                             stream.eval_actions,
+                                             *stream.policy.field.net.parameters())]
+
+
+def test_stream_fields_are_exactly_the_fields_that_change_the_stream(gated_setup):
+    task, dataset = gated_setup
+    assert set(OTHER_VALUES) == {f.name for f in fields(training.RefineConfig)} - {
+        "mode", "analytic_q"}
+    assert set(training.STREAM_FIELDS) <= set(OTHER_VALUES)
+    config = tiny_stream_config(steps=3, flow_steps=5)
+    stream = training.BaseStream.record(config, dataset, task)
+    for name, value in OTHER_VALUES.items():
+        other = replace(config, **{name: value})
+        assert getattr(other, name) != getattr(config, name), name
+        recorded = training.BaseStream.record(other, dataset, task)
+        if name in training.STREAM_FIELDS:
+            assert stream_bytes(recorded) != stream_bytes(stream), name
+            with pytest.raises(ValueError, match=f"recorded with other {name}$"):
+                stream.check(other, dataset, task)
+        else:
+            assert stream_bytes(recorded) == stream_bytes(stream), name
+            stream.check(other, dataset, task)
 
 
 def test_base_stream_rejects_another_dataset(bimodal_setup, small_stream):
@@ -432,6 +473,36 @@ def test_config_validation():
         training.RefineConfig(metric="euclidean")
     with pytest.raises(ValueError):
         training.RefineConfig(mode="online")
+
+
+@pytest.mark.parametrize("change, key", REFUSED_SETTINGS)
+def test_refused_setting_raises_before_training(gated_chain, monkeypatch, change, key):
+    task, dataset = gated_chain  # chain data: rewards and next states for every critic
+    refuse_training(monkeypatch)
+    with pytest.raises(ValueError, match=key):
+        training.run_refinement(small_config(**change), dataset, task)
+
+
+def test_learned_critic_refuses_data_it_cannot_fit_before_training(gated_setup, monkeypatch):
+    task, dataset = gated_setup  # bandit data: rewards, no next states
+    refuse_training(monkeypatch)
+    with pytest.raises(ValueError, match="next states"):
+        training.run_refinement(small_config(mode="td", analytic_q=False), dataset, task)
+    for mode in ("bandit", "td"):
+        with pytest.raises(ValueError, match="rewards"):
+            training.run_refinement(small_config(mode=mode, analytic_q=False),
+                                    replace(dataset, rewards=None, next_states=dataset.states),
+                                    task)
+
+
+def test_td_at_gamma_zero_is_the_learned_critic_bandit(gated_setup):
+    # discount 0 draws no next action, so it needs no next states
+    task, dataset = gated_setup
+    runs = [training.run_refinement(small_config(analytic_q=False, steps=3, flow_steps=4, **kw),
+                                    dataset, task)
+            for kw in (dict(mode="td", gamma=0.0), dict(mode="bandit"))]
+    assert run_fingerprint(runs[0]) == run_fingerprint(runs[1])
+    assert critic_bytes(runs[0]) == critic_bytes(runs[1])
 
 
 # --- threaded recording and the fisher score pass ---------------------------
