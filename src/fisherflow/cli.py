@@ -270,17 +270,13 @@ def cmd_validate(args) -> int:
 
 
 def _parse_plot_grid(text) -> transport.GridSpec:
-    """`lo,hi,points` per action axis, with finite lo < hi and points >= 2."""
+    """`lo,hi,points` per action axis; `GridSpec` refuses a bad range or point count."""
     try:
         lo, hi, points = text.split(",")
-        lo, hi, points = float(lo), float(hi), int(points)
-        ok = np.isfinite(lo) and np.isfinite(hi) and lo < hi and points >= 2
+        return transport.GridSpec((float(lo),) * 2, (float(hi),) * 2, (int(points),) * 2)
     except ValueError:
-        ok = False
-    if not ok:
         raise ValueError("--grid expects lo,hi,points with finite lo < hi and points >= 2, "
-                         f"got {text!r}")
-    return transport.GridSpec((lo,) * 2, (hi,) * 2, (points,) * 2)
+                         f"got {text!r}") from None
 
 
 def cmd_export_plots(args) -> int:
@@ -300,7 +296,7 @@ def cmd_export_plots(args) -> int:
     z = rng.standard_normal((args.samples, task.action_dim))
     base = tmap.base_policy.sample(states, z)
     refined = base + tmap.residual(states, base)
-    behavioral = task.sample_behavioral(None, rng, args.samples)
+    behavioral = task.sample_behavioral(rng, args.samples)
     for name, cloud in (("base", base), ("refined", refined), ("behavioral", behavioral)):
         np.savetxt(out / f"samples_{name}.csv", cloud, delimiter=",", header="a1,a2", comments="")
 

@@ -107,14 +107,14 @@ class GaussianMixture:
     def _responsibilities_of(self, x, saved):
         """Responsibilities for batch x: the ones in `saved` when given, else a fresh pass.
 
-        A single component gets exact ones either way.
+        A single component gets exactly 1.0 wherever its log-pdf is finite.
         """
         if saved is None:
-            return self.responsibilities(x) if self.n_components > 1 else np.ones((x.shape[0], 1))
+            return self.responsibilities(x)
         [r] = saved
         if r.shape[0] != x.shape[0]:
             raise ValueError(f"saved pass holds {r.shape[0]} rows, got {x.shape[0]} points")
-        return r if self.n_components > 1 else np.ones((x.shape[0], 1))
+        return r
 
     def score(self, x, saved=None):
         """Exact score sum_j r_j(x) * (mu_j - x) / var_j, via the log-sum-exp path.
@@ -195,7 +195,7 @@ class GaussianMixture:
         t = float(t)
         x, single = _as_batch(x, self.dim)
         marg = self.marginal(t)
-        r = marg.responsibilities(x) if self.n_components > 1 else np.ones((x.shape[0], 1))
+        r = marg.responsibilities(x)
         mvar = marg.variances  # t^2 var + (1-t)^2
         cond = self.means[None, :, :] + (t * self.variances)[None, :, :] * (
             (x[:, None, :] - marg.means[None, :, :]) / mvar[None, :, :]

@@ -122,6 +122,15 @@ class FlowTrainConfig:
     learning_rate: float = 3e-4
     grad_clip: float = 5.0
 
+    def __post_init__(self):
+        if not self.steps >= 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps!r}")
+        if not self.batch_size >= 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        for name in ("learning_rate", "grad_clip"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+
 
 def train_flow(policy: FlowPolicy, states, actions, config: FlowTrainConfig, rng) -> np.ndarray:
     """Train the policy's velocity field in place; returns the loss curve.

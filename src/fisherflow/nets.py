@@ -301,29 +301,24 @@ def backward(net: DenseNet, x, upstream, cache=None) -> GradientTape:
     return GradientTape(d_weights, d_biases, d_input)
 
 
+# Adam's moment decay rates and the offset of its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment state for one DenseNet."""
+    """Bias-corrected Adam state for one DenseNet: moments m, v in `parameters()` order."""
 
     learning_rate: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
+    m: list[np.ndarray] = field(default_factory=list)
+    v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def for_net(cls, net: DenseNet, learning_rate=3e-4):
-        return cls(
-            learning_rate=learning_rate,
-            m_w=[np.zeros_like(w) for w in net.weights],
-            v_w=[np.zeros_like(w) for w in net.weights],
-            m_b=[np.zeros_like(b) for b in net.biases],
-            v_b=[np.zeros_like(b) for b in net.biases],
-        )
+        params = net.parameters()
+        return cls(learning_rate, m=[np.zeros_like(p) for p in params],
+                   v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(net: DenseNet, tape: GradientTape, state: AdamState):
@@ -333,33 +328,30 @@ def adam_step(net: DenseNet, tape: GradientTape, state: AdamState):
     any is written, so a raise leaves the net and the state untouched.
     """
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
-    scale = state.learning_rate * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+    scale = state.learning_rate * np.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t)
     updates = []
-    for params, grads, ms, vs in (
-        (net.weights, tape.d_weights, state.m_w, state.v_w),
-        (net.biases, tape.d_biases, state.m_b, state.v_b),
-    ):
-        for p, g, m, v in zip(params, grads, ms, vs):
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            with np.errstate(invalid="ignore", over="ignore"):
-                m_new = m * b1 + (1.0 - b1) * g
-                v_new = v * b2 + (1.0 - b2) * g * g
-                p_new = p - scale * m_new / (np.sqrt(v_new) + state.eps)
-            if not np.isfinite(p_new).all():
-                raise NumericError("non-finite parameter after optimizer step")
-            updates += [(m, m_new), (v, v_new), (p, p_new)]
+    for p, g, m, v in zip(net.parameters(), tape.d_weights + tape.d_biases, state.m, state.v):
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+        with np.errstate(invalid="ignore", over="ignore"):
+            m_new = m * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
+            v_new = v * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g
+            p_new = p - scale * m_new / (np.sqrt(v_new) + ADAM_EPS)
+        if not np.isfinite(p_new).all():
+            raise NumericError("non-finite parameter after optimizer step")
+        updates += [(m, m_new), (v, v_new), (p, p_new)]
     for old, new in updates:
         old[...] = new
     state.step = t
 
 
 def clip_gradients(tape: GradientTape, max_norm: float) -> float:
-    """Global-norm gradient clipping in place; returns the pre-clip norm."""
+    """Global-norm gradient clipping to `max_norm` > 0, in place; returns the pre-clip norm."""
+    if not max_norm > 0:
+        raise ValueError(f"max_norm must be > 0, got {max_norm!r}")
     sq = sum(float(np.sum(g * g)) for g in tape.d_weights + tape.d_biases)
     norm = np.sqrt(sq)
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         factor = max_norm / norm
         for g in tape.d_weights + tape.d_biases:
             g *= factor

@@ -85,10 +85,10 @@ class SyntheticTask:
             return np.zeros((count, 0))
         return np.random.default_rng(rng).standard_normal((count, self.state_dim))
 
-    def sample_behavioral(self, s, rng, count):
+    def sample_behavioral(self, rng, count):
         if count < 1:
             raise ValueError("count must be >= 1")
-        return self.density(s).sample(rng, count)
+        return self.behavioral.sample(rng, count)
 
     def q_value(self, s, a):
         """Analytic value and exact action gradient of the landscape at `a`.
@@ -228,7 +228,7 @@ def make_dataset(task: SyntheticTask, size, seed, mode="bandit", noise=0.0) -> O
     rng = np.random.default_rng(seed)
     states = task.sample_states(rng, size)
     if task.weight_gate is None:
-        actions = task.sample_behavioral(None, rng, size)
+        actions = task.sample_behavioral(rng, size)
     else:
         actions = _gated_actions(task, states, rng)
     values, _ = task.q_value(states, actions)
@@ -279,7 +279,7 @@ def save_dataset(dataset: OfflineDataset, path):
         cols.append(np.asarray(dataset.rewards).reshape(-1, 1))
     if has_next:
         cols.append(dataset.next_states)
-    table = np.concatenate(cols, axis=1) if cols else np.zeros((len(dataset), 0))
+    table = np.concatenate(cols, axis=1)
     meta = dataset.meta
     header = (
         f"fisherflow-dataset v{DATASET_FORMAT_VERSION} "

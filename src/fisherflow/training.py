@@ -117,10 +117,13 @@ class DualState:
     eta: float = 1e-3
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # each test is false for nan
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam!r}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
+        if not 0.0 <= self.eta < np.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta!r}")
 
 
 def dual_update(dual: DualState, constraint_value: float) -> DualState:
@@ -131,7 +134,6 @@ def dual_update(dual: DualState, constraint_value: float) -> DualState:
 
 @dataclass(frozen=True)
 class ActorStats:
-    objective: float
     mean_q: float
     constraint: float
 
@@ -168,13 +170,12 @@ def actor_update(tmap: TransportMap, q_fn, scores, dual: DualState, states, base
         scores, normalize, damping = np.full_like(delta, -0.0), False, 1.0
     pen, pen_grad = fisher_penalty_batch(scores, delta, normalize, damping)
     constraint = float(pen.mean())
-    objective = scale * float(q.mean()) - dual.lam * (constraint - dual.epsilon)
-    # ascent on the objective = descent on its negation
+    # ascent on the Lagrangian = descent on its negation
     upstream = -(scale * dq - dual.lam * pen_grad) / b
     tape, _ = tmap.residual_backward(states, base, upstream, saved)
     nets.clip_gradients(tape, grad_clip)
     nets.adam_step(tmap.residual_net, tape, adam)
-    return ActorStats(objective, float(q.mean()), constraint)
+    return ActorStats(float(q.mean()), constraint)
 
 
 def td_target(critic: Critic, tmap: TransportMap, rewards, next_states=None, z=None):
@@ -312,7 +313,6 @@ class RefineConfig:
 @dataclass
 class RunResult:
     transport_map: TransportMap
-    policy: FlowPolicy
     critic: Critic | None
     dual: DualState
     log: list
@@ -330,14 +330,15 @@ def save_checkpoint(result: RunResult, task_name, path):
     parameter array is held as text at a time.
     """
     dual = {"lam": result.dual.lam, "epsilon": result.dual.epsilon, "eta": result.dual.eta}
+    tmap = result.transport_map
     with open(path, "w") as fh:
         fh.write(f'{{"format_version": {nets.CHECKPOINT_FORMAT_VERSION}, '
                  f'"task": {json.dumps(task_name)}, "flow_net": ')
-        result.policy.field.net.write_json(fh)
-        fh.write(f', "flow_integration_steps": {json.dumps(result.policy.steps)}, '
+        tmap.base_policy.field.net.write_json(fh)
+        fh.write(f', "flow_integration_steps": {json.dumps(tmap.base_policy.steps)}, '
                  f'"residual_net": ')
-        result.transport_map.residual_net.write_json(fh)
-        fh.write(f', "max_displacement": {json.dumps(result.transport_map.max_displacement)}, '
+        tmap.residual_net.write_json(fh)
+        fh.write(f', "max_displacement": {json.dumps(tmap.max_displacement)}, '
                  f'"critic_nets": ')
         if result.critic is None:
             fh.write("null")
@@ -631,7 +632,7 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
     rows = []
     size = len(dataset)
     td_loss = 0.0
-    stats = ActorStats(0.0, 0.0, 0.0)
+    stats = ActorStats(0.0, 0.0)
     for step in range(config.steps):
         try:
             if base is not None:
@@ -643,12 +644,11 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
                 rewards = dataset.rewards[idx]
                 z = rng_loop.standard_normal((len(idx), d)) if critic.gamma > 0.0 else None
                 next_states = None if z is None else dataset.next_states[idx]
-                # the TD target reads the flow as it was before this step's update, so with
-                # a next-action sample it can run on a second core against a frozen copy
+                # the TD target reads a frozen copy of the flow as it was before this step's
+                # update, so with a next-action sample it can run on a second core
                 threads = 1 if z is None else _thread_count(2)
-                frozen = tmap if threads == 1 else _frozen_map(tmap)
                 target, (flow_loss, base_actions, scores) = _run_parts(
-                    [partial(td_target, critic, frozen, rewards, next_states, z),
+                    [partial(td_target, critic, _frozen_map(tmap), rewards, next_states, z),
                      partial(_flow_step, policy, flow_adam, states, actions, rng_loop,
                              config.grad_clip, config.t_eps, fisher)], threads)
                 td_loss = critic_update(critic, states, actions, target, config.grad_clip)
@@ -676,7 +676,7 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
         "flow_loss": float(flow_loss),
         "td_loss": float(td_loss),
     }
-    return RunResult(tmap, policy, critic, dual, rows, final)
+    return RunResult(tmap, critic, dual, rows, final)
 
 
 def run_arms(configs, dataset: OfflineDataset, task: SyntheticTask):

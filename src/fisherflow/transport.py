@@ -27,6 +27,9 @@ from .errors import ConvergenceError
 from .flow import FlowPolicy, state_action_input
 from .score import fisher_penalty_batch
 
+GRID_COVER_STD = 6.0  # standard deviations of each mixture component a KL oracle grid spans
+FD_STEP = 1e-5  # central-difference step of the oracle's Jacobian determinant
+
 
 @dataclass
 class TransportMap:
@@ -120,8 +123,6 @@ class DetExpansion:
     divergence: float
     approx_multiplier: float       # 1 - div(delta)
     exact_multiplier: float        # |det(I + grad delta)|^-1
-    log_approx: float
-    log_exact: float
     in_regime: bool                # False when 1 - div <= 0 (expansion invalid)
 
     @property
@@ -135,22 +136,14 @@ def log_det_inverse_approx(tmap: TransportMap, s, a) -> DetExpansion:
     div = float(np.trace(jac))
     exact = 1.0 / abs(np.linalg.det(np.eye(tmap.action_dim) + jac))
     approx = 1.0 - div
-    in_regime = approx > 0.0
-    return DetExpansion(
-        divergence=div,
-        approx_multiplier=approx,
-        exact_multiplier=float(exact),
-        log_approx=float(np.log(approx)) if in_regime else float("nan"),
-        log_exact=float(np.log(exact)),
-        in_regime=in_regime,
-    )
+    return DetExpansion(divergence=div, approx_multiplier=approx,
+                        exact_multiplier=float(exact), in_regime=approx > 0.0)
 
 
 @dataclass(frozen=True)
 class MCEstimate:
     value: float
     stderr: float
-    count: int
 
 
 def kl_quadratic(delta_fn, density: GaussianMixture, samples) -> MCEstimate:
@@ -167,12 +160,12 @@ def kl_quadratic(delta_fn, density: GaussianMixture, samples) -> MCEstimate:
     scores = np.atleast_2d(density.score(samples))
     values, _ = fisher_penalty_batch(scores, deltas, normalize=False)
     n = values.shape[0]
-    return MCEstimate(float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0, n)
+    return MCEstimate(float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular quadrature grid: per-dimension (lo, hi, points)."""
+    """Rectangular quadrature grid: per-dimension (lo, hi, points), finite lo < hi, points >= 2."""
 
     lo: tuple
     hi: tuple
@@ -186,6 +179,8 @@ class GridSpec:
             raise ValueError("grid spec dimensions disagree")
         if any(p < 2 for p in pts):
             raise ValueError("each grid dimension needs at least 2 points")
+        if not all(np.isfinite(l) and np.isfinite(h) and l < h for l, h in zip(lo, hi)):
+            raise ValueError(f"each grid dimension needs finite lo < hi, got lo {lo}, hi {hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "points", pts)
@@ -209,10 +204,10 @@ class GridSpec:
             arr = np.trapezoid(arr, axis_pts, axis=-1)
         return float(arr)
 
-    def covers(self, mixture: GaussianMixture, n_std=6.0):
+    def covers(self, mixture: GaussianMixture):
         sd = np.sqrt(mixture.variances)
-        lo_need = (mixture.means - n_std * sd).min(axis=0)
-        hi_need = (mixture.means + n_std * sd).max(axis=0)
+        lo_need = (mixture.means - GRID_COVER_STD * sd).min(axis=0)
+        hi_need = (mixture.means + GRID_COVER_STD * sd).max(axis=0)
         return bool(np.all(np.asarray(self.lo) <= lo_need) and np.all(np.asarray(self.hi) >= hi_need))
 
 
@@ -244,15 +239,15 @@ def invert_map(map_fn, targets, max_iter=100, tol=1e-12):
         f"{targets.shape[0]} rows still moving, largest last step {step.max():.3g}")
 
 
-def _fd_jacobian_det(map_fn, points, step=1e-5):
-    """|det grad T| per row via central finite differences (oracle path)."""
+def _fd_jacobian_det(map_fn, points):
+    """|det grad T| per row via central finite differences of step FD_STEP (oracle path)."""
     points = np.atleast_2d(points)
     n, d = points.shape
     cols = []
     for i in range(d):
         e = np.zeros(d)
-        e[i] = step
-        cols.append((np.atleast_2d(map_fn(points + e)) - np.atleast_2d(map_fn(points - e))) / (2 * step))
+        e[i] = FD_STEP
+        cols.append((np.atleast_2d(map_fn(points + e)) - np.atleast_2d(map_fn(points - e))) / (2 * FD_STEP))
     jac = np.stack(cols, axis=2)  # (N, d_out, d_in)
     if d == 1:
         return np.abs(jac[:, 0, 0])
@@ -286,10 +281,9 @@ def _integrate_blocks(grid: GridSpec, point_fn) -> float:
 
 @dataclass(frozen=True)
 class QuadratureKL:
-    """KL(pushforward || base) with the grid it was computed on."""
+    """KL(pushforward || base) on a quadrature grid."""
 
     value: float
-    grid: GridSpec
 
 
 def kl_quadrature_oracle(density: GaussianMixture, transport, s, grid: GridSpec) -> QuadratureKL:
@@ -305,7 +299,8 @@ def kl_quadrature_oracle(density: GaussianMixture, transport, s, grid: GridSpec)
     if grid.dim != density.dim:
         raise ValueError("grid and density dimensions disagree")
     if not grid.covers(density):
-        raise ValueError("grid must cover at least 6 standard deviations per mixture component")
+        raise ValueError(f"grid must cover at least {GRID_COVER_STD:g} standard deviations "
+                         "per mixture component")
     map_fn = transport.action_map(s) if isinstance(transport, TransportMap) else transport
 
     def integrand(pts):
@@ -316,7 +311,7 @@ def kl_quadrature_oracle(density: GaussianMixture, transport, s, grid: GridSpec)
         out[safe] = p_theta[safe] * (np.log(p_theta[safe]) - log_p_beta[safe])
         return out
 
-    return QuadratureKL(_integrate_blocks(grid, integrand), grid)
+    return QuadratureKL(_integrate_blocks(grid, integrand))
 
 
 def expected_quadratic_penalty(density: GaussianMixture, delta_fn, grid: GridSpec) -> float:

@@ -186,8 +186,8 @@ def optimality_gap(metric, g, lam) -> GapResult:
     """Value gap (g^T M^-1 g - g^T g) / (2 lambda) of the isotropic surrogate.
 
     Computed both directly and through the eigendecomposition
-    sum_i (u_i^T g)^2 (1/lambda_i - 1) / (2 lambda); the two must agree to
-    1e-8 or the metric was too ill-conditioned to trust.
+    sum_i (u_i^T g)^2 (1/lambda_i - 1) / (2 lambda); `suite_optimality_gap`
+    judges how well the two agree.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -199,8 +199,6 @@ def optimality_gap(metric, g, lam) -> GapResult:
         raise NumericError("singular metric in optimality gap")
     proj = eigvecs.T @ g
     eigen = float(np.sum(proj**2 * (1.0 / eigvals - 1.0)) / (2.0 * lam))
-    if abs(direct - eigen) > 1e-8 * max(1.0, abs(direct)):
-        raise NumericError("optimality gap forms disagree beyond 1e-8")
     return GapResult(direct, eigen)
 
 

@@ -200,6 +200,33 @@ def gated_actions_reference(task, states, rng):
     return np.stack([task.density(s).sample(rng, 1)[0] for s in states])
 
 
+class AdamReference:
+    """The former Adam update: weights, then biases, each group with its own moment lists.
+
+    Betas 0.9 and 0.999 and eps 1e-8, every moment and parameter computed
+    out of place and then written back.
+    """
+
+    def __init__(self, net, learning_rate):
+        self.learning_rate, self.step = learning_rate, 0
+        self.m_w = [np.zeros_like(w) for w in net.weights]
+        self.v_w = [np.zeros_like(w) for w in net.weights]
+        self.m_b = [np.zeros_like(b) for b in net.biases]
+        self.v_b = [np.zeros_like(b) for b in net.biases]
+
+    def step_net(self, net, tape):
+        t = self.step + 1
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        scale = self.learning_rate * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+        for params, grads, ms, vs in ((net.weights, tape.d_weights, self.m_w, self.v_w),
+                                      (net.biases, tape.d_biases, self.m_b, self.v_b)):
+            for p, g, m, v in zip(params, grads, ms, vs):
+                m[...] = m * b1 + (1.0 - b1) * g
+                v[...] = v * b2 + (1.0 - b2) * g * g
+                p[...] = p - scale * m / (np.sqrt(v) + eps)
+        self.step = t
+
+
 def net_to_dict(net):
     """The JSON-ready dict of a `DenseNet` that `nets.DenseNet.from_dict` reads."""
     return {
@@ -216,8 +243,8 @@ def checkpoint_payload(result, task_name):
     return {
         "format_version": nets.CHECKPOINT_FORMAT_VERSION,
         "task": task_name,
-        "flow_net": net_to_dict(result.policy.field.net),
-        "flow_integration_steps": result.policy.steps,
+        "flow_net": net_to_dict(result.transport_map.base_policy.field.net),
+        "flow_integration_steps": result.transport_map.base_policy.steps,
         "residual_net": net_to_dict(result.transport_map.residual_net),
         "max_displacement": result.transport_map.max_displacement,
         "critic_nets": ([net_to_dict(n) for n in result.critic.online]

@@ -342,12 +342,19 @@ def zero_step_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("arg", ["--grid=1,2", "--grid=1,2,3,4", "--grid=2,1,5", "--grid=-4,4,1",
-                                 "--grid=-4,nan,5", "--grid=a,b,c", "--samples=0"])
+                                 "--grid=-4,nan,5", "--grid=a,b,c", "--samples=0",
+                                 "--grid=4,-4,21", "--grid=3,3,5", "--grid=-inf,4,5"])
 def test_export_plots_bad_arguments_write_nothing(tmp_path, capsys, zero_step_run, arg):
     out = tmp_path / "plots"
     assert run_cli("export-plots", "--run", str(zero_step_run), "--out", str(out), arg) == 2
     assert arg.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_export_plots_reversed_grid_message(capsys, zero_step_run):
+    assert run_cli("export-plots", "--run", str(zero_step_run), "--grid=4,-4,21") == 2
+    assert capsys.readouterr().err == ("error: --grid expects lo,hi,points with finite lo < hi "
+                                       "and points >= 2, got '4,-4,21'\n")
 
 
 def test_config_roundtrip_bytes():

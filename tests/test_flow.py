@@ -231,6 +231,16 @@ def test_train_flow_default_config_matches_contract():
     assert cfg.learning_rate == 3e-4
 
 
+@pytest.mark.parametrize("name, value", [
+    ("steps", -1), ("batch_size", 0), ("learning_rate", -0.1), ("learning_rate", 0.0),
+    ("learning_rate", np.nan), ("learning_rate", np.inf), ("grad_clip", -1.0),
+    ("grad_clip", 0.0), ("grad_clip", np.nan), ("grad_clip", np.inf)])
+def test_train_flow_config_refuses_bad_fields(name, value):
+    # a negative learning rate or clip bound would step up the loss, not down
+    with pytest.raises(ValueError, match=name):
+        flow.FlowTrainConfig(**{name: value})
+
+
 def test_sampling_deterministic_given_parameters():
     rng = np.random.default_rng(16)
     field = flow.VelocityField.create(2, 2, rng=rng)

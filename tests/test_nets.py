@@ -157,7 +157,7 @@ def test_adam_opposite_gradients_return_toward_start():
     m2 = (0.9 * 0.1 - 0.1) * g
     v2 = (0.999 * 0.001 + 0.001) * g * g
     scale = lr * np.sqrt(1 - 0.999**2) / (1 - 0.9**2)
-    expected_two = after_one - scale * m2 / (np.sqrt(v2) + state.eps)
+    expected_two = after_one - scale * m2 / (np.sqrt(v2) + nets.ADAM_EPS)
     assert abs(after_two - expected_two) < 1e-12
     assert abs(after_two - 1.0) < abs(after_one - 1.0)  # moved back toward start
     assert abs(after_two - 1.0) <= lr  # within learning-rate scale
@@ -192,6 +192,14 @@ def test_clip_gradients_rescales_to_max_norm():
     assert abs(np.linalg.norm(tape.d_weights[0]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("max_norm", [0.0, -1.0, np.nan])
+def test_clip_gradients_refuses_a_max_norm_that_is_not_positive(max_norm):
+    tape = nets.GradientTape([np.array([[3.0, 4.0]])], [np.zeros(2)], np.zeros(1))
+    with pytest.raises(ValueError, match="max_norm"):
+        nets.clip_gradients(tape, max_norm)
+    np.testing.assert_array_equal(tape.d_weights[0], [[3.0, 4.0]])
+
+
 def test_adam_raises_on_nonfinite_parameters():
     net = linear_net(np.array([[1.0]]))
     state = nets.AdamState.for_net(net, learning_rate=1.0)
@@ -210,7 +218,7 @@ def test_adam_failure_leaves_net_and_state_untouched():
     tape.d_weights[1][0, 0] = np.inf  # a later layer: weights[0] would already be updated
 
     def snapshot():
-        arrays = net.parameters() + state.m_w + state.v_w + state.m_b + state.v_b
+        arrays = net.parameters() + state.m + state.v
         return [a.tobytes() for a in arrays], state.step
 
     before = snapshot()

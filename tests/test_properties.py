@@ -20,8 +20,9 @@ from fisherflow.config import RunConfig, parse_config_text
 from fisherflow.densities import GaussianMixture
 from fisherflow.errors import ConvergenceError, NumericError
 
-from helpers import (density_hessian_ratio_reference, fd_divergence, invert_map_reference,
-                     log_density_hessian_reference, responsibilities_reference)
+from helpers import (AdamReference, density_hessian_ratio_reference, fd_divergence,
+                     invert_map_reference, log_density_hessian_reference,
+                     responsibilities_reference)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -304,6 +305,56 @@ def test_cached_backward_matches_recomputed_bit_for_bit(seed, activation, sizes,
         got = tape.d_weights + tape.d_biases + [tape.d_input]
         assert len(got) == len(reference)
         assert all(_same(g, r) for g, r in zip(got, reference))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+       steps=st.integers(1, 6), learning_rate=st.floats(1e-5, 1.0),
+       grad_scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e6]))
+def test_adam_step_matches_the_two_group_update_bit_for_bit(seed, sizes, steps, learning_rate,
+                                                            grad_scale):
+    rng = np.random.default_rng(seed)
+    net = nets.DenseNet.create(sizes, rng=rng)
+    ref_net = net.clone()
+    state, reference = nets.AdamState.for_net(net, learning_rate), AdamReference(net, learning_rate)
+    for _ in range(steps):
+        grads = [grad_scale * rng.standard_normal(p.shape) for p in net.parameters()]
+        layers = len(net.weights)
+        tape = nets.GradientTape(grads[:layers], grads[layers:], None)
+        nets.adam_step(net, tape, state)
+        reference.step_net(ref_net, tape)
+        assert state.step == reference.step
+        assert all(_same(p, r) for p, r in zip(net.parameters(), ref_net.parameters()))
+        assert all(_same(m, r) for m, r in zip(state.m, reference.m_w + reference.m_b))
+        assert all(_same(v, r) for v, r in zip(state.v, reference.v_w + reference.v_b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), rows=st.none() | st.integers(1, 6),
+       spread=st.sampled_from([1.0, 1e3, 1e100]), t=st.floats(0.0, 1.0))
+def test_single_component_matches_the_former_unit_responsibilities_bit_for_bit(seed, d, rows,
+                                                                                spread, t):
+    # a one-column log-sum-exp is the column itself, so the responsibilities are exactly 1.0
+    rng = np.random.default_rng(seed)
+    mix = _random_mixture(rng, 1, d)
+    x = spread * rng.standard_normal(d if rows is None else (rows, d))
+    _freeze([x, mix.weights, mix.means, mix.variances])
+    xb = np.atleast_2d(x)
+    ones = np.ones((xb.shape[0], 1))
+    comp = (mix.means[None, :, :] - xb[:, None, :]) / mix.variances[None, :, :]
+    marg = mix.marginal(t)
+    cond = mix.means[None, :, :] + (t * mix.variances)[None, :, :] * (
+        (xb[:, None, :] - marg.means[None, :, :]) / marg.variances[None, :, :])
+    expected = {"responsibilities": ones, "score": np.sum(ones[:, :, None] * comp, axis=1),
+                "posterior_data_mean": np.sum(ones[:, :, None] * cond, axis=1)}
+    if rows is None:
+        expected = {name: value[0] for name, value in expected.items()}
+    assert _same(mix.responsibilities(x), expected["responsibilities"])
+    assert _same(mix.score(x), expected["score"])
+    saved = []
+    mix.log_density(x, saved)
+    assert _same(mix.score(x, saved), expected["score"])
+    assert _same(mix.posterior_data_mean(t, x), expected["posterior_data_mean"])
 
 
 def _component_log_pdf_reference(mix, x):

@@ -69,18 +69,18 @@ def test_sample_behavioral_degenerate_weights():
     mix = GaussianMixture(np.array([1.0 - 1e-15, 1e-15]), task.behavioral.means,
                           task.behavioral.variances)
     lone = replace(task, behavioral=mix)
-    draws = lone.sample_behavioral(None, np.random.default_rng(2), 500)
+    draws = lone.sample_behavioral(np.random.default_rng(2), 500)
     assert np.all(draws[:, 0] < 0)  # all from the left component
 
 
 def test_sample_behavioral_seeded_and_counted():
     task = tasks.make_task("crescent")
-    a = task.sample_behavioral(None, 7, 64)
-    b = task.sample_behavioral(None, 7, 64)
+    a = task.sample_behavioral(7, 64)
+    b = task.sample_behavioral(7, 64)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (64, 2)
     with pytest.raises(ValueError):
-        task.sample_behavioral(None, 7, 0)
+        task.sample_behavioral(7, 0)
 
 
 def test_q_gradient_zero_at_single_bump_center():

@@ -62,6 +62,14 @@ def test_dual_state_validation():
         training.DualState(lam=-1.0)
     with pytest.raises(ValueError):
         training.DualState(epsilon=0.0)
+    with pytest.raises(ValueError):
+        training.DualState(eta=-1e-3)
+    # nan fails every comparison, so each bound must be written to fail for it
+    for name, word in (("lam", "lambda"), ("epsilon", "epsilon"), ("eta", "eta")):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=word):
+                training.DualState(**{name: bad})
+    training.DualState(lam=0.0, eta=0.0)  # both lower bounds are inclusive
 
 
 # --- closed-form refinement (1/lambda) M^-1 grad Q and the optimality gap ----
@@ -314,9 +322,10 @@ def test_checkpoint_bytes_are_json_dump_of_the_payload(tmp_path, request, run):
     loaded_task, tmap = training.load_checkpoint(path)
     assert loaded_task.name == task.name
     assert tmap.max_displacement == result.transport_map.max_displacement
-    assert tmap.base_policy.steps == result.policy.steps
+    policy = result.transport_map.base_policy
+    assert tmap.base_policy.steps == policy.steps
     for got, saved in [(tmap.residual_net, result.transport_map.residual_net),
-                       (tmap.base_policy.field.net, result.policy.field.net)]:
+                       (tmap.base_policy.field.net, policy.field.net)]:
         assert got.layer_sizes == saved.layer_sizes and got.activation == saved.activation
         assert [p.tobytes() for p in got.parameters()] == [p.tobytes() for p in saved.parameters()]
 
@@ -355,7 +364,7 @@ def small_stream(bimodal_setup):
 def run_fingerprint(result):
     return (json.dumps(result.log), result.final,
             [p.tobytes() for p in result.transport_map.residual_net.parameters()],
-            [p.tobytes() for p in result.policy.field.net.parameters()])
+            [p.tobytes() for p in result.transport_map.base_policy.field.net.parameters()])
 
 
 def test_base_stream_draws_in_loop_order(bimodal_setup, small_stream):

@@ -103,14 +103,15 @@ def test_log_det_expansion_known_gap():
 def test_log_det_constant_residual_is_exact():
     tmap = constant_residual_map(np.array([0.4, 0.1]))
     res = transport.log_det_inverse_approx(tmap, None, np.array([1.0, 2.0]))
-    assert abs(res.log_approx) < 1e-10 and abs(res.log_exact) < 1e-10
+    assert abs(np.log(res.approx_multiplier)) < 1e-10
+    assert abs(np.log(res.exact_multiplier)) < 1e-10
 
 
 def test_log_det_flags_regime_violation():
     tmap = linear_residual_map(2.0 * np.eye(2))  # divergence 4 > 1
     res = transport.log_det_inverse_approx(tmap, None, np.zeros(2))
     assert not res.in_regime
-    assert np.isnan(res.log_approx)
+    assert res.approx_multiplier == 1.0 - res.divergence <= 0.0
 
 
 def test_kl_quadratic_zero_residual():
@@ -223,6 +224,37 @@ def test_grid_spec_2d_mesh_and_coverage():
     mix = GaussianMixture.single([0.0, 0.0], 0.5)
     assert grid.covers(mix)
     assert not grid.covers(GaussianMixture.single([0.0, 0.0], 2.0))
+
+
+STANDARD_1D = GaussianMixture.single([0.0], 1.0)
+# every function that takes a grid, called on a 1-D grid over STANDARD_1D
+GRID_FUNCTIONS = {
+    "kl_quadrature_oracle": lambda grid: transport.kl_quadrature_oracle(
+        STANDARD_1D, lambda a: a + 0.3, None, grid).value,
+    "expected_quadratic_penalty": lambda grid: transport.expected_quadratic_penalty(
+        STANDARD_1D, lambda a: np.full_like(a, 0.3), grid),
+    "curvature_term_diagnostic": lambda grid: transport.curvature_term_diagnostic(
+        STANDARD_1D, lambda a: 0.1 * a, grid),
+    "pushforward_region_mass": lambda grid: transport.pushforward_region_mass(
+        STANDARD_1D, lambda a: a + 0.3, grid, lambda p: p[:, 0] > 0.0),
+    "region_mass": lambda grid: transport.region_mass(
+        STANDARD_1D.density(grid.mesh()), grid, lambda p: p[:, 0] > 0.0),
+    "integrate": lambda grid: grid.integrate(STANDARD_1D.density(grid.mesh())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_FUNCTIONS))
+@pytest.mark.parametrize("lo, hi", [(9.0, -9.0), (1.0, 1.0), (np.nan, 9.0), (-9.0, np.nan),
+                                    (-np.inf, 9.0), (-9.0, np.inf)],
+                         ids=["reversed", "equal", "nan_lo", "nan_hi", "inf_lo", "inf_hi"])
+def test_grid_functions_refuse_bounds_that_are_not_finite_lo_below_hi(name, lo, hi):
+    # integrated over a reversed grid, the trapezoidal rule would return the negated value
+    fn = GRID_FUNCTIONS[name]
+    assert np.isfinite(fn(transport.GridSpec((-9.0,), (9.0,), (4001,))))
+    with pytest.raises(ValueError, match="finite lo < hi"):
+        fn(transport.GridSpec((lo,), (hi,), (4001,)))
+    with pytest.raises(ValueError, match="finite lo < hi"):
+        transport.GridSpec((-9.0, lo), (9.0, hi), (41, 41))
 
 
 def test_pushforward_density_2d_shift():
