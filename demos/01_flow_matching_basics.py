@@ -40,10 +40,10 @@ print(f"samples: {frac_left:.1%} left mode, {frac_right:.1%} right mode, "
 # -- 4. Euler sampler vs the analytic Gaussian oracle --------------------------
 print("\nEuler refinement study on the exact Gaussian-target velocity:")
 oracle = OracleVelocityField(GaussianMixture.single([1.5], 0.6))
-z0 = np.array([0.25])
+z0 = np.array([[0.25]])
 reference = flow.sample_action(flow.FlowPolicy(oracle, steps=16384), None, z0)
-print(f"  reference endpoint (M=16384): {reference[0]:.6f} "
-      f"(exact transport sends z to mu + sigma z = {1.5 + 0.6 * z0[0]:.6f})")
+print(f"  reference endpoint (M=16384): {reference[0, 0]:.6f} "
+      f"(exact transport sends z to mu + sigma z = {1.5 + 0.6 * z0[0, 0]:.6f})")
 for m in (8, 16, 32, 64, 256):
     out = flow.sample_action(flow.FlowPolicy(oracle, steps=m), None, z0)
-    print(f"  M={m:5d}: endpoint {out[0]:.6f}  error {abs(out[0] - reference[0]):.2e}")
+    print(f"  M={m:5d}: endpoint {out[0, 0]:.6f}  error {abs(out[0, 0] - reference[0, 0]):.2e}")

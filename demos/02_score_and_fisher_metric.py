@@ -18,8 +18,8 @@ from fisherflow.validate import EPS_LADDER, RATE_MIXTURE, RATE_PROBE
 # -- 1. the identity is exact for an exact velocity ---------------------------
 gauss = GaussianMixture.single([0.0], 1.0)
 field = OracleVelocityField(gauss)
-est = score.perturbed_score(field, None, np.array([1.0]), t_eps=0.5)
-print(f"N(0,1) target, t=0.5, a=1: estimated score {est[0]:+.12f} "
+est = score.perturbed_score(field, None, np.array([[1.0]]), t_eps=0.5)
+print(f"N(0,1) target, t=0.5, a=1: estimated score {est[0, 0]:+.12f} "
       f"(exact marginal score is -2)")
 
 # -- 2. perturbation error vs epsilon ------------------------------------------
@@ -30,8 +30,8 @@ print(f"\ntwo-mode mixture, probe a={probe:+.6f} "
       f"(where the mean-contraction term vanishes):")
 prev = None
 for eps in EPS_LADDER:
-    s_eps = score.perturbed_score(ofield, None, np.array([probe]), 1.0 - eps)
-    err = float(abs(s_eps[0] - mix.score(np.array([probe]))[0]))
+    s_eps = score.perturbed_score(ofield, None, np.array([[probe]]), 1.0 - eps)
+    err = float(abs(s_eps[0, 0] - mix.score(np.array([[probe]]))[0, 0]))
     note = f"  ratio vs previous {prev / err:.2f}" if prev else ""
     print(f"  eps={eps:6.3f}: |score error| {err:.3e}{note}")
     prev = err

@@ -292,10 +292,8 @@ def cmd_export_plots(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(0)
-    states = task.sample_states(rng, args.samples)
-    z = rng.standard_normal((args.samples, task.action_dim))
-    base = tmap.base_policy.sample(states, z)
-    refined = base + tmap.residual(states, base)
+    states, base = training.evaluation_inputs(tmap.base_policy, task, args.samples, rng)
+    refined = tmap.action_map(states)(base)
     behavioral = task.sample_behavioral(rng, args.samples)
     for name, cloud in (("base", base), ("refined", refined), ("behavioral", behavioral)):
         np.savetxt(out / f"samples_{name}.csv", cloud, delimiter=",", header="a1,a2", comments="")

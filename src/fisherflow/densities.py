@@ -10,6 +10,8 @@ Linear interpolation path: x_t = t * x1 + (1 - t) * x0 with x0 ~ N(0, I)
 and x1 drawn from the mixture. Component j of the time-t marginal is then
 N(t * mu_j, t^2 * var_j + (1 - t)^2).
 
+Every point method takes a (B, d) batch, one point being a batch of one,
+and returns one row (or value) per point; any other shape is a ValueError.
 One component pass serves a whole point set. Given an empty list as
 `saved`, `log_density` (and `density`) put the responsibilities of their
 pass into it; `score`, `density_hessian_ratio` and `log_density_hessian`
@@ -25,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .nets import as_batch
 
 
 @dataclass(frozen=True)
@@ -89,20 +93,19 @@ class GaussianMixture:
         When `saved` is given (an empty list), it receives the (B, k)
         responsibilities of this pass for `score` and `log_density_hessian`.
         """
-        x, single = _as_batch(x, self.dim)
+        x = as_batch(x, self.dim)
         logp, out = self._log_joint(x)
         if saved is not None:
             saved.append(_normalized(logp, out))
-        return out[0] if single else out
+        return out
 
     def density(self, x, saved=None):
         """p(x) per point; `saved` as in `log_density`."""
         return np.exp(self.log_density(x, saved))
 
     def responsibilities(self, x):
-        x, single = _as_batch(x, self.dim)
-        r = _normalized(*self._log_joint(x))
-        return r[0] if single else r
+        x = as_batch(x, self.dim)
+        return _normalized(*self._log_joint(x))
 
     def _responsibilities_of(self, x, saved):
         """Responsibilities for batch x: the ones in `saved` when given, else a fresh pass.
@@ -122,11 +125,10 @@ class GaussianMixture:
         `saved` is the list a `log_density(x, saved)` call filled; without
         one, this runs the responsibilities pass itself.
         """
-        x, single = _as_batch(x, self.dim)
+        x = as_batch(x, self.dim)
         r = self._responsibilities_of(x, saved)
         comp = (self.means[None, :, :] - x[:, None, :]) / self.variances[None, :, :]
-        s = np.sum(r[:, :, None] * comp, axis=1)
-        return s[0] if single else s
+        return np.sum(r[:, :, None] * comp, axis=1)
 
     def sample(self, rng, count):
         """Ancestral sampling: pick components, then draw the Gaussians."""
@@ -140,21 +142,20 @@ class GaussianMixture:
 
         `saved` works as in `score`.
         """
-        x, single = _as_batch(x, self.dim)
-        h, _ = self._hessian_ratio(x, self._responsibilities_of(x, saved))
-        return h[0] if single else h
+        x = as_batch(x, self.dim)
+        return self._hessian_ratio(x, self._responsibilities_of(x, saved))[0]
 
     def log_density_hessian(self, x, saved=None):
         """Hessian of log density: hess p / p - s s^T.
 
         `saved` works as in `score`.
         """
-        x, single = _as_batch(x, self.dim)
+        x = as_batch(x, self.dim)
         r = self._responsibilities_of(x, saved)
         h, u = self._hessian_ratio(x, r)
         s = np.sum(r[:, :, None] * u, axis=1)
         h -= s[:, :, None] * s[:, None, :]
-        return h[0] if single else h
+        return h
 
     def _hessian_ratio(self, x, r):
         """hess p / p of batch x given its responsibilities r, and the (B, k, d) u_j.
@@ -193,15 +194,14 @@ class GaussianMixture:
     def posterior_data_mean(self, t, x):
         """E[x1 | x_t = x]: per-component Gaussian conditioning mixed by responsibilities."""
         t = float(t)
-        x, single = _as_batch(x, self.dim)
+        x = as_batch(x, self.dim)
         marg = self.marginal(t)
         r = marg.responsibilities(x)
         mvar = marg.variances  # t^2 var + (1-t)^2
         cond = self.means[None, :, :] + (t * self.variances)[None, :, :] * (
             (x[:, None, :] - marg.means[None, :, :]) / mvar[None, :, :]
         )
-        out = np.sum(r[:, :, None] * cond, axis=1)
-        return out[0] if single else out
+        return np.sum(r[:, :, None] * cond, axis=1)
 
     def velocity(self, t, x):
         """Exact conditional-expectation velocity E[x1 - x0 | x_t = x].
@@ -253,16 +253,3 @@ def _normalized(logp, lse):
     """exp(logp - lse) per row, written into logp."""
     logp -= lse[:, None]
     return np.exp(logp, out=logp)
-
-
-def _as_batch(x, dim):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:
-        x = x[None]
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise ValueError(f"point has dimension {x.shape[0]}, mixture has {dim}")
-        return x[None, :], True
-    if x.shape[1] != dim:
-        raise ValueError(f"points have dimension {x.shape[1]}, mixture has {dim}")
-    return x, False

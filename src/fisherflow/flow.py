@@ -16,10 +16,11 @@ from .errors import NumericError
 
 
 def state_action_input(s, a, state_dim, t=None) -> np.ndarray:
-    """Net input [s, a] (then a time column t, when given) for one action (d,) or a batch (B, d).
+    """Net input [s, a] (then a time column t, when given) for a batch of actions (B, d).
 
-    `s` is None (a zero state), one state broadcast against every action, or a
-    batch with one row per action. Without state columns or a time, `a`
+    One action is a batch of one; the nets refuse any other shape. `s` is None
+    (a zero state), one state (n,) broadcast against every action, or a batch
+    (B, n) with one row per action. Without state columns or a time, `a`
     itself is returned.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -71,8 +72,8 @@ class FlowPolicy:
 def sample_action(policy: FlowPolicy, s, z) -> np.ndarray:
     """Integrate dz/dt = v(t, s, z) with M explicit Euler steps from t = 0.
 
-    Deterministic given (parameters, s, z). Accepts a single noise vector
-    (d,) or a batch (B, d).
+    Deterministic given (parameters, s, z). `z` is a (B, d) batch of noise,
+    one sample being a batch of one, and the actions come back as (B, d).
     """
     z = np.array(z, dtype=np.float64)
     m = policy.steps
@@ -91,7 +92,7 @@ def flow_matching_loss(field: VelocityField, states, actions, rng):
     v(t, s, x_t) onto (x1 - x0) at x_t = (1-t) x0 + t x1, and returns the
     batch-mean squared error together with a GradientTape for the net.
     """
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    actions = nets.as_batch(actions, field.action_dim, "actions")
     if actions.shape[0] == 0:
         raise ValueError("empty batch")
     if not np.isfinite(actions).all():
@@ -140,7 +141,7 @@ def train_flow(policy: FlowPolicy, states, actions, config: FlowTrainConfig, rng
     of a healthy run trends down (median of the last tenth below the first
     tenth).
     """
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    actions = nets.as_batch(actions, policy.field.action_dim, "actions")
     n = actions.shape[0]
     if n == 0:
         raise ValueError("empty dataset")

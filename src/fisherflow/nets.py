@@ -2,9 +2,9 @@
 
 Everything here is plain float64 numpy. Networks are value-like: `clone()`
 gives an independent copy, and the output of `forward` depends only on
-(parameters, input). Inputs may be a single vector ``(in,)`` or a batch
-``(B, in)``; parameter gradients are summed over the batch, so callers that
-want a mean-reduced loss fold the ``1/B`` factor into ``upstream``.
+(parameters, input). Inputs are ``(B, in)`` batches, one point being a batch
+of one; parameter gradients are summed over the batch, so callers that want
+a mean-reduced loss fold the ``1/B`` factor into ``upstream``.
 
 Gradients take a single pass. Given an empty list as `cache`, `forward`
 fills it with one (layer input, activation derivative) pair per layer, the
@@ -241,15 +241,21 @@ class GradientTape:
     d_input: np.ndarray
 
 
+def as_batch(x, size, what="points"):
+    """`x` as a float64 (B, size) batch; any other shape is a ValueError naming (B, size)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != size:
+        raise ValueError(f"{what} must be a (B, {size}) batch, got shape {x.shape}")
+    return x
+
+
 def forward(net: DenseNet, x, cache=None) -> np.ndarray:
-    """Evaluate the network on a vector (in,) or batch (B, in).
+    """Evaluate the network on a batch (B, in); returns (B, out).
 
     When `cache` is given (an empty list), it receives one (layer input,
     activation derivative) pair per layer for `backward` to consume.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != net.in_size:
-        raise ValueError(f"input size {x.shape[-1]} != expected {net.in_size}")
+    x = as_batch(x, net.in_size, "input")
     act = ACTIVATIONS[net.activation]
     with_grad = cache is not None
     h = x
@@ -268,37 +274,33 @@ def forward(net: DenseNet, x, cache=None) -> np.ndarray:
 
 
 def backward(net: DenseNet, x, upstream, cache=None) -> GradientTape:
-    """Vector-Jacobian product: gradients of <upstream, net(x)> in params and x.
+    """Vector-Jacobian product: gradients of <upstream (B, out), net(x (B, in))> in params and x.
 
     `cache` is the list a `forward(net, x, cache)` call filled; without one,
     backward runs that forward itself.
     """
-    x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    ub = upstream[None, :] if single else upstream
-    if ub.shape != (xb.shape[0], net.out_size):
-        raise ValueError(f"upstream shape {upstream.shape} does not match output size {net.out_size}")
+    x = as_batch(x, net.in_size, "input")
+    upstream = as_batch(upstream, net.out_size, "upstream")
+    if upstream.shape[0] != x.shape[0]:
+        raise ValueError(f"upstream holds {upstream.shape[0]} rows, the input {x.shape[0]}")
     if cache is None:
         cache = []
-        forward(net, xb, cache)
+        forward(net, x, cache)
     elif len(cache) != len(net.weights):
         raise ValueError(f"cache holds {len(cache)} layers, the net has {len(net.weights)}")
 
     d_weights = [None] * len(net.weights)
     d_biases = [None] * len(net.biases)
-    delta = ub
+    delta = upstream
     for k in range(len(cache) - 1, -1, -1):
-        d_weights[k] = np.atleast_2d(cache[k][0]).T @ delta
+        d_weights[k] = cache[k][0].T @ delta
         d_biases[k] = delta.sum(axis=0)
         delta = delta @ net.weights[k].T
         if k > 0:
             delta *= cache[k - 1][1]
     if not np.isfinite(delta).all():
         raise NumericError("non-finite intermediate in backward pass")
-    d_input = delta[0] if single else delta
-    return GradientTape(d_weights, d_biases, d_input)
+    return GradientTape(d_weights, d_biases, delta)
 
 
 # Adam's moment decay rates and the offset of its denominator
@@ -327,6 +329,9 @@ def adam_step(net: DenseNet, tape: GradientTape, state: AdamState):
     Atomic: every new moment and parameter is computed and checked before
     any is written, so a raise leaves the net and the state untouched.
     """
+    shapes = [p.shape for p in net.parameters()]
+    if [np.shape(m) for m in state.m] != shapes or [np.shape(v) for v in state.v] != shapes:
+        raise ValueError("Adam moments must match the net's parameters (AdamState.for_net)")
     t = state.step + 1
     scale = state.learning_rate * np.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t)
     updates = []

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import GaussianMixture
+from .nets import as_batch
 
 DATASET_FORMAT_VERSION = 1
 
@@ -46,16 +47,14 @@ class QLandscape:
         object.__setattr__(self, "widths", widths)
 
     def value_and_gradient(self, a):
-        """Q(a) and its exact gradient from one pass over the bumps."""
-        a = np.asarray(a, dtype=np.float64)
-        single = a.ndim == 1
-        ab = np.atleast_2d(a)
-        diff = ab[:, None, :] - self.centers[None, :, :]
+        """Q (B,) and its exact gradient (B, d) at a (B, d) batch, from one pass over the bumps."""
+        a = as_batch(a, self.centers.shape[1])
+        diff = a[:, None, :] - self.centers[None, :, :]
         expo = np.exp(-0.5 * np.sum(diff**2, axis=2) / self.widths[None, :] ** 2)
         value = expo @ self.amplitudes
         coeff = self.amplitudes[None, :] * expo / self.widths[None, :] ** 2
         grad = -np.sum(coeff[:, :, None] * diff, axis=1)
-        return (float(value[0]), grad[0]) if single else (value, grad)
+        return value, grad
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class SyntheticTask:
         return self.behavioral.sample(rng, count)
 
     def q_value(self, s, a):
-        """Analytic value and exact action gradient of the landscape at `a`.
+        """Analytic values (B,) and exact action gradients (B, d) of the landscape at `a` (B, d).
 
         The landscape ignores `s`: a task's gating only reweights its
         behavioral mixture, never the value.
@@ -104,7 +103,7 @@ class SyntheticTask:
     def corridor_mask(self, points):
         if self.corridor is None:
             raise ValueError(f"task {self.name!r} documents no corridor region")
-        pts = np.atleast_2d(points)
+        pts = as_batch(points, self.action_dim)
         mask = np.ones(pts.shape[0], dtype=bool)
         for i, (lo, hi) in enumerate(self.corridor):
             if lo is not None:
@@ -232,7 +231,7 @@ def make_dataset(task: SyntheticTask, size, seed, mode="bandit", noise=0.0) -> O
     else:
         actions = _gated_actions(task, states, rng)
     values, _ = task.q_value(states, actions)
-    rewards = np.atleast_1d(values) + (noise * rng.standard_normal(size) if noise else 0.0)
+    rewards = values + (noise * rng.standard_normal(size) if noise else 0.0)
     next_states = task.sample_states(rng, size) if mode == "chain" else None
     meta = {"task": task.name, "seed": int(seed), "mode": mode, "noise": float(noise),
             "n": task.state_dim, "d": task.action_dim}

@@ -83,16 +83,13 @@ class Critic:
         adams = tuple(nets.AdamState.for_net(net, learning_rate) for net in online)
         return cls(state_dim, online, target, adams, tau, gamma)
 
-    def net_input(self, s, a):
-        return state_action_input(s, np.atleast_2d(a), self.state_dim)
-
     def target_values(self, s, a):
-        x = self.net_input(s, a)
+        x = state_action_input(s, a, self.state_dim)
         return np.stack([nets.forward(net, x)[:, 0] for net in self.target])
 
     def value_and_action_grad(self, s, a):
         """Pessimistic value and its gradient in the action (per sample)."""
-        x = self.net_input(s, a)
+        x = state_action_input(s, a, self.state_dim)
         caches = [[] for _ in self.online]
         outs = [nets.forward(net, x, cache)[:, 0] for net, cache in zip(self.online, caches)]
         upstream = np.ones((x.shape[0], 1))
@@ -127,8 +124,13 @@ class DualState:
 
 
 def dual_update(dual: DualState, constraint_value: float) -> DualState:
-    """lambda <- relu(lambda + eta (constraint - epsilon))."""
+    """lambda <- relu(lambda + eta (constraint - epsilon)).
+
+    A nan or inf constraint is a NumericError, so the run fails at its step.
+    """
     violation = float(constraint_value) - dual.epsilon
+    if not np.isfinite(violation):
+        raise NumericError(f"non-finite trust-region constraint {float(constraint_value)}")
     return replace(dual, lam=max(0.0, dual.lam + dual.eta * violation))
 
 
@@ -155,8 +157,8 @@ def actor_update(tmap: TransportMap, q_fn, scores, dual: DualState, states, base
     gradient is exactly delta, signed zeros included. Q values are
     normalized by their batch mean absolute value when enabled.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    base = np.atleast_2d(np.asarray(base, dtype=np.float64))
+    states = np.asarray(states, dtype=np.float64)
+    base = np.asarray(base, dtype=np.float64)
     b = states.shape[0]
     if base.shape != (b, tmap.action_dim):
         raise ValueError(f"base actions of shape {base.shape}, want {(b, tmap.action_dim)}")
@@ -164,7 +166,6 @@ def actor_update(tmap: TransportMap, q_fn, scores, dual: DualState, states, base
     delta = tmap.residual(states, base, saved)
     refined = base + delta
     q, dq = q_fn(states, refined)
-    q = np.atleast_1d(q)
     scale = 1.0 / max(float(np.mean(np.abs(q))), 1e-8) if q_normalization else 1.0
     if scores is None:
         scores, normalize, damping = np.full_like(delta, -0.0), False, 1.0
@@ -189,7 +190,7 @@ def td_target(critic: Critic, tmap: TransportMap, rewards, next_states=None, z=N
     target = np.asarray(rewards, dtype=np.float64)
     if z is not None:
         base = tmap.base_policy.sample(next_states, z)
-        next_actions = base + tmap.residual(next_states, base)
+        next_actions = tmap.action_map(next_states)(base)
         target = target + critic.gamma * critic.target_values(next_states, next_actions).min(axis=0)
     if not np.isfinite(target).all():
         raise NumericError("non-finite TD target")
@@ -201,11 +202,10 @@ def critic_update(critic: Critic, states, actions, target, grad_clip=5.0) -> flo
 
     Returns the mean of the two critics' squared TD errors before the step.
     """
-    actions = np.atleast_2d(actions)
-    b = actions.shape[0]
+    b = np.shape(actions)[0]
     if b == 0:
         raise ValueError("empty batch")
-    x = critic.net_input(states, actions)
+    x = state_action_input(states, actions, critic.state_dim)
     total = 0.0
     for net, adam in zip(critic.online, critic.adams):
         cache = []
@@ -379,8 +379,7 @@ def load_checkpoint(path):
 
 def evaluate_policy(tmap: TransportMap, task: SyntheticTask, states, base):
     """Ground-truth mean landscape value of refined and base samples at (states, base)."""
-    refined = base + tmap.residual(states, base)
-    v_refined, _ = task.q_value(states, refined)
+    v_refined, _ = task.q_value(states, tmap.action_map(states)(base))
     v_base, _ = task.q_value(states, base)
     return float(np.mean(v_refined)), float(np.mean(v_base))
 
@@ -427,8 +426,8 @@ def _pretrained_policy(config: RefineConfig, dataset: OfflineDataset, task: Synt
     return policy, float(curve[-1])
 
 
-def _evaluation_inputs(policy: FlowPolicy, task: SyntheticTask, count, rng):
-    """Evaluation states and the policy's base actions at them."""
+def evaluation_inputs(policy: FlowPolicy, task: SyntheticTask, count, rng):
+    """Evaluation states and the policy's base actions at them: states, then noise, from `rng`."""
     states = task.sample_states(rng, count)
     z = rng.standard_normal((count, task.action_dim))
     return states, policy.sample(states, z)
@@ -561,7 +560,7 @@ class BaseStream:
             actions[step] = policy.sample(dataset.states[indices[step]], actions[step])
 
         _each_step(config.steps, euler)
-        eval_states, eval_actions = _evaluation_inputs(policy, task, config.eval_samples, rng_eval)
+        eval_states, eval_actions = evaluation_inputs(policy, task, config.eval_samples, rng_eval)
         for shared in (indices, actions, eval_states, eval_actions):
             shared.flags.writeable = False  # every arm reads them; none may change them
         return cls(tuple(getattr(config, name) for name in STREAM_FIELDS),
@@ -666,7 +665,7 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
     if base is not None:
         eval_states, eval_actions = base.eval_states, base.eval_actions
     else:
-        eval_states, eval_actions = _evaluation_inputs(policy, task, config.eval_samples, rng_eval)
+        eval_states, eval_actions = evaluation_inputs(policy, task, config.eval_samples, rng_eval)
     mean_refined, mean_base = evaluate_policy(tmap, task, eval_states, eval_actions)
     final = {
         "mean_refined_value": mean_refined,

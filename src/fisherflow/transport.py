@@ -92,7 +92,7 @@ class TransportMap:
         [(inp, squashed, cache)] = saved
         chain = 1.0 - squashed ** 2
         tape = nets.backward(self.residual_net, inp, np.asarray(upstream) * chain, cache)
-        return tape, tape.d_input[..., self.state_dim:]
+        return tape, tape.d_input[:, self.state_dim:]
 
     def action_map(self, s):
         """The per-state map a -> T_s(a) as a plain callable (vectorized)."""
@@ -103,41 +103,45 @@ class TransportMap:
 
 
 def displacement_jacobian(tmap: TransportMap, s, a) -> np.ndarray:
-    """Full (d, d) Jacobian of delta w.r.t. the action: one residual pass, one VJP per row."""
-    d = tmap.action_dim
+    """Jacobians (B, d, d) of delta w.r.t. the action at a (B, d) batch.
+
+    One residual pass, then one VJP per output coordinate i, which gives
+    row i of every point's Jacobian at once: jac[b, i, j] = d delta_i / d a_j.
+    """
+    a = np.asarray(a, dtype=np.float64)
     saved = []
     tmap.residual(s, a, saved)
     rows = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
+    for i in range(tmap.action_dim):
+        e = np.zeros_like(a)
+        e[:, i] = 1.0
         _, d_action = tmap.residual_backward(s, a, e, saved)
         rows.append(d_action)
-    return np.stack(rows)
+    return np.stack(rows, axis=1)
 
 
 @dataclass(frozen=True)
 class DetExpansion:
-    """First-order vs exact inverse-Jacobian determinant at one point."""
+    """First-order vs exact inverse-Jacobian determinant, one (B,) entry per point."""
 
-    divergence: float
-    approx_multiplier: float       # 1 - div(delta)
-    exact_multiplier: float        # |det(I + grad delta)|^-1
-    in_regime: bool                # False when 1 - div <= 0 (expansion invalid)
+    divergence: np.ndarray
+    approx_multiplier: np.ndarray  # 1 - div(delta)
+    exact_multiplier: np.ndarray   # |det(I + grad delta)|^-1
+    in_regime: np.ndarray          # False where 1 - div <= 0 (expansion invalid)
 
     @property
     def gap(self):
-        return abs(self.exact_multiplier - self.approx_multiplier)
+        return np.abs(self.exact_multiplier - self.approx_multiplier)
 
 
 def log_det_inverse_approx(tmap: TransportMap, s, a) -> DetExpansion:
-    """First-order determinant expansion of the inverse map at (s, a)."""
+    """First-order determinant expansion of the inverse map at each row of a (B, d) batch."""
     jac = displacement_jacobian(tmap, s, a)
-    div = float(np.trace(jac))
-    exact = 1.0 / abs(np.linalg.det(np.eye(tmap.action_dim) + jac))
+    div = np.trace(jac, axis1=1, axis2=2)
+    exact = 1.0 / np.abs(np.linalg.det(np.eye(tmap.action_dim) + jac))
     approx = 1.0 - div
     return DetExpansion(divergence=div, approx_multiplier=approx,
-                        exact_multiplier=float(exact), in_regime=approx > 0.0)
+                        exact_multiplier=exact, in_regime=approx > 0.0)
 
 
 @dataclass(frozen=True)
@@ -153,11 +157,11 @@ def kl_quadratic(delta_fn, density: GaussianMixture, samples) -> MCEstimate:
     density's exact scores, raw (neither trace-normalized nor damped), the
     form that approximates the KL.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[0] == 0:
         raise ValueError("empty sample set")
-    deltas = np.atleast_2d(delta_fn(samples))
-    scores = np.atleast_2d(density.score(samples))
+    deltas = delta_fn(samples)
+    scores = density.score(samples)
     values, _ = fisher_penalty_batch(scores, deltas, normalize=False)
     n = values.shape[0]
     return MCEstimate(float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
@@ -219,13 +223,13 @@ def invert_map(map_fn, targets, max_iter=100, tol=1e-12):
     compact arrays with their targets) and any row still moving after
     max_iter raises ConvergenceError.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    targets = np.asarray(targets, dtype=np.float64)
     out = np.empty_like(targets)
     rows = np.arange(targets.shape[0])
     goal, a = targets, targets.copy()
     step = np.array([np.inf])  # no step taken yet
     for _ in range(max_iter):
-        new = goal - (np.atleast_2d(map_fn(a)) - a)
+        new = goal - (map_fn(a) - a)
         step = np.abs(new - a).max(axis=1)
         if not np.isfinite(new).all():
             raise ConvergenceError("map inversion diverged to non-finite values")
@@ -241,13 +245,12 @@ def invert_map(map_fn, targets, max_iter=100, tol=1e-12):
 
 def _fd_jacobian_det(map_fn, points):
     """|det grad T| per row via central finite differences of step FD_STEP (oracle path)."""
-    points = np.atleast_2d(points)
-    n, d = points.shape
+    d = points.shape[1]
     cols = []
     for i in range(d):
         e = np.zeros(d)
         e[i] = FD_STEP
-        cols.append((np.atleast_2d(map_fn(points + e)) - np.atleast_2d(map_fn(points - e))) / (2 * FD_STEP))
+        cols.append((map_fn(points + e) - map_fn(points - e)) / (2 * FD_STEP))
     jac = np.stack(cols, axis=2)  # (N, d_out, d_in)
     if d == 1:
         return np.abs(jac[:, 0, 0])
@@ -318,7 +321,7 @@ def expected_quadratic_penalty(density: GaussianMixture, delta_fn, grid: GridSpe
     """Deterministic counterpart of kl_quadratic: quadrature of 0.5 delta^T I delta."""
 
     def integrand(pts):
-        deltas = np.atleast_2d(delta_fn(pts))
+        deltas = delta_fn(pts)
         saved = []
         p = density.density(pts, saved)
         values, _ = fisher_penalty_batch(density.score(pts, saved), deltas, normalize=False)
@@ -336,7 +339,7 @@ def curvature_term_diagnostic(density: GaussianMixture, delta_fn, grid: GridSpec
     """
 
     def integrand(pts):
-        deltas = np.atleast_2d(delta_fn(pts))
+        deltas = delta_fn(pts)
         saved = []
         p = density.density(pts, saved)
         ratio = density.density_hessian_ratio(pts, saved)
@@ -367,4 +370,4 @@ def pushforward_region_mass(density: GaussianMixture, map_fn, grid: GridSpec, ma
     if not callable(mask):
         raise TypeError("pushforward_region_mass takes a callable mask over mapped points")
     return _integrate_blocks(
-        grid, lambda pts: np.where(mask(np.atleast_2d(map_fn(pts))), density.density(pts), 0.0))
+        grid, lambda pts: np.where(mask(map_fn(pts)), density.density(pts), 0.0))

@@ -68,13 +68,13 @@ def suite_score_identity() -> Outcome:
 
 def contraction_coefficient(mix, a, h=1e-6) -> float:
     """First-order mean-contraction error term s(a) + s'(a) a of a 1-D mixture's score."""
-    s = lambda x: float(mix.score(np.array([x]))[0])
+    s = lambda x: float(mix.score(np.array([[x]]))[0, 0])
     return s(a) + (s(a + h) - s(a - h)) / (2 * h) * a
 
 
 def grad_curvature_ratio(mix, a, h=1e-4) -> float:
     """d/da of (lap pi / pi) of a 1-D mixture, the constant in the second-order error term."""
-    p = lambda x: float(mix.density(np.array([x])))
+    p = lambda x: float(mix.density(np.array([[x]]))[0])
     lap_over_p = lambda x: (p(x + h) - 2 * p(x) + p(x - h)) / (h * h * p(x))
     return (lap_over_p(a + h) - lap_over_p(a - h)) / (2 * h)
 
@@ -101,9 +101,9 @@ def suite_perturbation_rate() -> Outcome:
     marginal_dev, errs = 0.0, []
     for eps in EPS_LADDER:
         est = batched_scores(field, None, a, 1.0 - eps)[0]
-        marginal = mix.marginal(1.0 - eps).score(a[0])
+        marginal = mix.marginal(1.0 - eps).score(a)[0]
         marginal_dev = max(marginal_dev, float(np.max(np.abs(est - marginal) / np.abs(marginal))))
-        errs.append(float(np.linalg.norm(est - mix.score(a[0]))))
+        errs.append(float(np.linalg.norm(est - mix.score(a)[0])))
     slope = loglog_slope(EPS_LADDER, errs)
     ok = (abs(contraction) < 1e-9 and abs(curvature) > 1.0 and marginal_dev <= 1e-10
           and 1.7 < slope < 2.3)
@@ -155,7 +155,8 @@ def linear_residual_map(w, cap=1e6) -> TransportMap:
 
 def suite_determinant_expansion() -> Outcome:
     """First-order inverse-determinant expansion has a quadratically small gap."""
-    gaps = [log_det_inverse_approx(linear_residual_map(c * np.eye(2)), None, np.zeros(2)).gap
+    gaps = [log_det_inverse_approx(linear_residual_map(c * np.eye(2)), None,
+                                   np.zeros((1, 2))).gap[0]
             for c in (0.02, 0.01, 0.005)]
     ratios = (gaps[0] / gaps[1], gaps[1] / gaps[2])
     ok = gaps[1] < 3e-4 and min(ratios) >= 3.5

@@ -45,13 +45,13 @@ def rel_error(a, b, floor=1e-12):
 
 
 def fd_divergence(tmap, s, a, step=1e-6):
-    """Central-difference trace of the displacement field's action-Jacobian."""
+    """Central-difference trace of the displacement field's action-Jacobian at a (1, d) point."""
     a = np.asarray(a, dtype=np.float64)
     total = 0.0
-    for i in range(a.size):
-        e = np.zeros(a.size)
-        e[i] = step
-        total += float(tmap.residual(s, a + e)[i] - tmap.residual(s, a - e)[i]) / (2 * step)
+    for i in range(a.shape[1]):
+        e = np.zeros_like(a)
+        e[0, i] = step
+        total += float(tmap.residual(s, a + e)[0, i] - tmap.residual(s, a - e)[0, i]) / (2 * step)
     return total
 
 
@@ -185,8 +185,8 @@ def base_stream_reference(policy, config, dataset, task):
             actions[step] = policy.sample(dataset.states[indices[step]], z)
         except NumericError as exc:
             raise NumericError(f"training step {step}: {exc}") from exc
-    eval_states, eval_actions = training._evaluation_inputs(policy, task, config.eval_samples,
-                                                            rng_eval)
+    eval_states, eval_actions = training.evaluation_inputs(policy, task, config.eval_samples,
+                                                           rng_eval)
     return indices, actions, eval_states, eval_actions
 
 

@@ -179,10 +179,10 @@ def test_criterion_10_gradient_hygiene(bimodal_dataset):
     worst_net = 0.0
     for sizes, act in (([3, 5, 2], "gelu"), ([2, 6, 6, 1], "tanh")):
         net = nets.DenseNet.create(sizes, act, rng=rng)
-        x = rng.standard_normal(sizes[0])
-        up = rng.standard_normal(sizes[-1])
+        x = rng.standard_normal((1, sizes[0]))
+        up = rng.standard_normal((1, sizes[-1]))
         tape = nets.backward(net, x, up)
-        scalar = lambda xv: float(up @ nets.forward(net, xv))
+        scalar = lambda xv: float(np.sum(up * nets.forward(net, xv)))
         worst_net = max(worst_net, rel_error(tape.d_input, fd_gradient(scalar, x, 1e-4)))
         for k in range(len(net.weights)):
             fd = fd_array_gradient(lambda: scalar(x), net.weights[k], 1e-4)
@@ -192,18 +192,18 @@ def test_criterion_10_gradient_hygiene(bimodal_dataset):
     mix = BIMODAL.density()
     worst_score = 0.0
     for _ in range(10):
-        a = rng.uniform(-3, 3, size=2)
-        if mix.density(a) < 1e-8:
+        a = rng.uniform(-3, 3, size=(1, 2))
+        if mix.density(a)[0] < 1e-8:
             continue
-        fd = fd_gradient(lambda v: mix.log_density(v), a, step=1e-5)
+        fd = fd_gradient(lambda v: mix.log_density(v)[0], a, step=1e-5)
         worst_score = max(worst_score, rel_error(mix.score(a), fd))
     assert worst_score < 1e-4
 
     worst_q = 0.0
     for _ in range(10):
-        a = rng.uniform(-3, 3, size=2)
+        a = rng.uniform(-3, 3, size=(1, 2))
         _, grad = BIMODAL.q_value(None, a)
-        fd = fd_gradient(lambda v: BIMODAL.q_value(None, v)[0], a, step=1e-5)
+        fd = fd_gradient(lambda v: BIMODAL.q_value(None, v)[0][0], a, step=1e-5)
         worst_q = max(worst_q, rel_error(grad, fd))
     assert worst_q < 1e-6
 

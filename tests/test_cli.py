@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fisherflow import cli, tasks
+from fisherflow import cli, tasks, training
 from fisherflow.config import RunConfig, parse_config_text
 from fisherflow.training import RefineConfig
 
@@ -82,7 +82,7 @@ def test_train_zero_steps_empty_log_valid_checkpoint(tmp_path):
     assert run_cli("train", "--out", str(out), *ZERO_STEP_TRAIN) == 0
     assert (out / "metrics.jsonl").read_text() == ""
     task, tmap = cli.load_checkpoint(out / "checkpoint.json")
-    a = np.array([0.5, -0.5])
+    a = np.array([[0.5, -0.5]])
     np.testing.assert_array_equal(tmap.action_map(None)(a), a)  # init is the identity map
 
 
@@ -332,6 +332,19 @@ def test_export_plots_outputs_match_requests(tmp_path):
         assert len(rows) == 112  # header + samples
     heat = np.loadtxt(out / "value_heatmap.csv", delimiter=",", skiprows=1)
     assert heat.shape == (21 * 21, 4)
+
+
+def test_export_plots_clouds_are_the_checkpoint_map_at_the_evaluation_inputs(tmp_path):
+    out = tmp_path / "r"
+    assert run_cli("train", "--out", str(out), *FAST_TRAIN) == 0
+    assert run_cli("export-plots", "--run", str(out), "--samples", "111") == 0
+    task, tmap = training.load_checkpoint(out / "checkpoint.json")
+    states, base = training.evaluation_inputs(tmap.base_policy, task, 111,
+                                              np.random.default_rng(0))
+    # %.18e text holds every bit of a float64
+    for name, cloud in (("base", base), ("refined", tmap.action_map(states)(base))):
+        got = np.loadtxt(out / f"samples_{name}.csv", delimiter=",", skiprows=1)
+        assert got.shape == cloud.shape and got.tobytes() == cloud.tobytes()
 
 
 @pytest.fixture(scope="module")

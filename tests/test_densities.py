@@ -38,15 +38,15 @@ def test_score_matches_finite_differences():
     rng = np.random.default_rng(7)
     mix = mixture_2d()
     for _ in range(10):
-        x = rng.uniform(-2.5, 2.5, size=2)
-        fd = fd_gradient(lambda v: mix.log_density(v), x, step=1e-5)
+        x = rng.uniform(-2.5, 2.5, size=(1, 2))
+        fd = fd_gradient(lambda v: mix.log_density(v)[0], x, step=1e-5)
         assert rel_error(mix.score(x), fd) < 1e-4
 
 
 def test_score_survives_deep_tails():
     # log-sum-exp path: no overflow/underflow even 40 sigma out
     mix = asym_mixture()
-    s = mix.score(np.array([25.0]))
+    s = mix.score(np.array([[25.0]]))
     assert np.isfinite(s).all()
 
 
@@ -54,9 +54,10 @@ def test_hessian_matches_finite_differences():
     mix = mixture_2d()
     rng = np.random.default_rng(8)
     for _ in range(5):
-        x = rng.uniform(-2, 2, size=2)
-        h = mix.log_density_hessian(x)
-        fd = np.stack([fd_gradient(lambda v: mix.score(v)[i], x, step=1e-5) for i in range(2)])
+        x = rng.uniform(-2, 2, size=(1, 2))
+        h = mix.log_density_hessian(x)[0]
+        fd = np.stack([fd_gradient(lambda v: mix.score(v)[0, i], x, step=1e-5)[0]
+                       for i in range(2)])
         assert rel_error(h, fd) < 1e-4
         np.testing.assert_allclose(h, h.T, atol=1e-12)
 
@@ -111,25 +112,25 @@ def test_velocity_is_conditional_expectation():
     xt = t * x1 + (1 - t) * x0
     mask = np.abs(xt[:, 0] - probe) < 0.01
     mc = float((x1[mask, 0] - x0[mask, 0]).mean())
-    an = float(mix.velocity(t, np.array([probe]))[0])
+    an = float(mix.velocity(t, np.array([[probe]]))[0, 0])
     assert abs(mc - an) < 0.03
 
 
 def test_velocity_at_time_zero_is_mean_minus_point():
     mix = mixture_2d()
     mixture_mean = np.sum(mix.weights[:, None] * mix.means, axis=0)
-    a = np.array([0.3, -0.8])
+    a = np.array([[0.3, -0.8]])
     np.testing.assert_allclose(mix.velocity(0.0, a), mixture_mean - a, rtol=1e-12)
 
 
 def test_velocity_rejects_t_one():
     with pytest.raises(ValueError):
-        asym_mixture().velocity(1.0, np.array([0.0]))
+        asym_mixture().velocity(1.0, np.array([[0.0]]))
 
 
 def test_standard_gaussian_velocity_antisymmetric_in_time():
     mix = GaussianMixture.single([0.0], 1.0)
-    a = np.array([0.7])
+    a = np.array([[0.7]])
     for t in (0.1, 0.3, 0.45):
         np.testing.assert_allclose(mix.velocity(t, a), -mix.velocity(1.0 - t, a), atol=1e-12)
 
@@ -137,5 +138,5 @@ def test_standard_gaussian_velocity_antisymmetric_in_time():
 def test_oracle_field_adapter_ignores_state():
     mix = mixture_2d()
     field = OracleVelocityField(mix)
-    a = np.array([0.5, 0.5])
+    a = np.array([[0.5, 0.5]])
     np.testing.assert_array_equal(field(0.4, np.zeros(3), a), mix.velocity(0.4, a))

@@ -55,12 +55,12 @@ def test_euler_matches_high_resolution_reference():
         def __call__(self, t, s, a):
             return mix.velocity(t, a)
 
-    z = np.array([0.0])
+    z = np.array([[0.0]])
     coarse = flow.sample_action(flow.FlowPolicy(OracleField(), steps=256), None, z)
     ref = flow.sample_action(flow.FlowPolicy(OracleField(), steps=16384), None, z)
-    assert abs(float(coarse[0] - ref[0])) < 1e-2
+    assert abs(float(coarse[0, 0] - ref[0, 0])) < 1e-2
     # the exact flow of the Gaussian path sends z to mu + sigma z
-    assert abs(float(ref[0]) - 1.5) < 1e-3
+    assert abs(float(ref[0, 0]) - 1.5) < 1e-3
 
 
 def test_euler_error_decreases_as_steps_double():
@@ -70,7 +70,7 @@ def test_euler_error_decreases_as_steps_double():
         def __call__(self, t, s, a):
             return mix.velocity(t, a)
 
-    z = np.array([0.7, -0.2])
+    z = np.array([[0.7, -0.2]])
     ref = flow.sample_action(flow.FlowPolicy(OracleField(), steps=16384), None, z)
     errors = []
     for m in (8, 16, 32, 64):
@@ -81,11 +81,11 @@ def test_euler_error_decreases_as_steps_double():
 
 def test_gaussian_oracle_velocity_known_points():
     # target N(0, 1), t = 0.5, a = 1: conditioning gives E[x1|x_t]=1 so v = 0
-    v = GaussianMixture.single([0.0], 1.0).velocity(0.5, np.array([1.0]))
-    np.testing.assert_allclose(v, [0.0], atol=1e-15)
+    v = GaussianMixture.single([0.0], 1.0).velocity(0.5, np.array([[1.0]]))
+    np.testing.assert_allclose(v, [[0.0]], atol=1e-15)
     # at t = 0 the interpolant is pure noise, independent of x1: v = mu - a
-    v = GaussianMixture.single([2.0, -1.0], 0.7).velocity(0.0, np.array([0.5, 0.5]))
-    np.testing.assert_allclose(v, [1.5, -1.5], rtol=1e-15)
+    v = GaussianMixture.single([2.0, -1.0], 0.7).velocity(0.0, np.array([[0.5, 0.5]]))
+    np.testing.assert_allclose(v, [[1.5, -1.5]], rtol=1e-15)
 
 
 def test_gaussian_oracle_velocity_rejects_bad_inputs():
@@ -99,7 +99,7 @@ def test_gaussian_oracle_velocity_rejects_bad_inputs():
 
 def test_gaussian_oracle_velocity_matches_mixture_path():
     mix = GaussianMixture.single([0.3, -0.7], 0.9)
-    a = np.array([0.25, 1.0])
+    a = np.array([[0.25, 1.0]])
     for t in (0.1, 0.5, 0.9):
         np.testing.assert_allclose(gaussian_oracle_velocity([0.3, -0.7], 0.9, t, a),
                                    mix.velocity(t, a), rtol=1e-12)
@@ -246,7 +246,7 @@ def test_sampling_deterministic_given_parameters():
     field = flow.VelocityField.create(2, 2, rng=rng)
     policy = flow.FlowPolicy(field, steps=10)
     s = np.array([0.1, -0.4])
-    z = np.array([0.9, 0.2])
+    z = np.array([[0.9, 0.2]])
     a = flow.sample_action(policy, s, z)
     b = flow.sample_action(policy, s, z)
     np.testing.assert_array_equal(a, b)
@@ -256,5 +256,5 @@ def test_velocity_field_checkpoint_roundtrip():
     field = flow.VelocityField.create(1, 2, rng=17)
     data = json.loads(json.dumps(net_to_dict(field.net)))
     restored = flow.VelocityField(nets.DenseNet.from_dict(data), 1, 2)
-    s, a = np.array([0.2]), np.array([0.4, -0.1])
+    s, a = np.array([0.2]), np.array([[0.4, -0.1]])
     np.testing.assert_array_equal(field(0.3, s, a), restored(0.3, s, a))

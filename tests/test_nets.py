@@ -25,14 +25,14 @@ def test_forward_zero_weights_returns_biases():
     for w in net.weights:
         w[:] = 0.0
     net.biases[-1][:] = [0.5, -1.5]
-    out = nets.forward(net, np.array([7.0, -3.0, 2.0]))
+    out = nets.forward(net, np.array([[7.0, -3.0, 2.0]]))
     # hidden is gelu(0) = 0, so the output is just the final bias
-    np.testing.assert_allclose(out, [0.5, -1.5])
+    np.testing.assert_allclose(out, [[0.5, -1.5]])
 
 
 def test_forward_identity_layer():
     net = linear_net(np.eye(2))
-    np.testing.assert_allclose(nets.forward(net, [1.0, 2.0]), [1.0, 2.0])
+    np.testing.assert_allclose(nets.forward(net, [[1.0, 2.0]]), [[1.0, 2.0]])
 
 
 def test_forward_matches_hand_evaluation_2_2_1():
@@ -42,7 +42,7 @@ def test_forward_matches_hand_evaluation_2_2_1():
     w1 = np.array([[1.5], [-0.7]])
     b1 = np.array([0.2])
     net = nets.DenseNet([2, 2, 1], [w0, w1], [b0, b1], "tanh")
-    x = np.array([0.4, -1.2])
+    x = np.array([[0.4, -1.2]])
     h = np.tanh(x @ w0 + b0)
     expected = h @ w1 + b1
     np.testing.assert_allclose(nets.forward(net, x), expected, rtol=1e-15)
@@ -50,13 +50,13 @@ def test_forward_matches_hand_evaluation_2_2_1():
 
 def test_forward_rejects_dimension_mismatch():
     net = nets.DenseNet.create([3, 2], rng=0)
-    with pytest.raises(ValueError):
-        nets.forward(net, np.zeros(4))
+    with pytest.raises(ValueError, match=r"\(B, 3\)"):
+        nets.forward(net, np.zeros((1, 4)))
 
 
 def test_forward_is_pure():
     net = nets.DenseNet.create([3, 8, 2], rng=1)
-    x = np.array([0.1, 0.2, 0.3])
+    x = np.array([[0.1, 0.2, 0.3]])
     before = [w.copy() for w in net.weights]
     a = nets.forward(net, x)
     b = nets.forward(net, x)
@@ -68,14 +68,14 @@ def test_forward_is_pure():
 def test_backward_linear_input_gradient_is_weight_row():
     w = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]])  # 2 inputs -> 3 outputs
     net = linear_net(w)
-    tape = nets.backward(net, np.array([0.3, 0.7]), np.array([1.0, 0.0, 0.0]))
+    tape = nets.backward(net, np.array([[0.3, 0.7]]), np.array([[1.0, 0.0, 0.0]]))
     # gradient of output 0 w.r.t. the input: the weights feeding output 0
-    np.testing.assert_allclose(tape.d_input, w[:, 0])
+    np.testing.assert_allclose(tape.d_input, [w[:, 0]])
 
 
 def test_backward_zero_upstream_gives_zero_tape():
     net = nets.DenseNet.create([3, 6, 2], rng=2)
-    tape = nets.backward(net, np.array([0.5, -0.5, 1.0]), np.zeros(2))
+    tape = nets.backward(net, np.array([[0.5, -0.5, 1.0]]), np.zeros((1, 2)))
     assert all(np.all(g == 0) for g in tape.d_weights + tape.d_biases)
     assert np.all(tape.d_input == 0)
 
@@ -89,15 +89,15 @@ def test_backward_zero_upstream_gives_zero_tape():
 def test_backward_matches_finite_differences(sizes, activation):
     rng = np.random.default_rng(42)
     net = nets.DenseNet.create(sizes, activation, rng=rng)
-    x = rng.standard_normal(sizes[0])
-    upstream = rng.standard_normal(sizes[-1])
+    x = rng.standard_normal((1, sizes[0]))
+    upstream = rng.standard_normal((1, sizes[-1]))
     # relu has kinks; keep probes away from them by nudging the input
     if activation == "relu":
         x = x + 0.05
     tape = nets.backward(net, x, upstream)
 
     def scalar(xv):
-        return float(upstream @ nets.forward(net, xv))
+        return float(np.sum(upstream * nets.forward(net, xv)))
 
     assert rel_error(tape.d_input, fd_gradient(scalar, x, step=1e-4)) < 1e-3
     for k in range(len(net.weights)):
@@ -113,18 +113,18 @@ def test_backward_batched_matches_sum_of_singles():
     xs = rng.standard_normal((4, 3))
     ups = rng.standard_normal((4, 2))
     batched = nets.backward(net, xs, ups)
-    singles = [nets.backward(net, xs[i], ups[i]) for i in range(4)]
+    singles = [nets.backward(net, xs[i:i + 1], ups[i:i + 1]) for i in range(4)]
     for k in range(len(net.weights)):
         np.testing.assert_allclose(
             batched.d_weights[k], sum(t.d_weights[k] for t in singles), rtol=1e-12)
     for i in range(4):
-        np.testing.assert_allclose(batched.d_input[i], singles[i].d_input, rtol=1e-12)
+        np.testing.assert_allclose(batched.d_input[i], singles[i].d_input[0], rtol=1e-12)
 
 
 def test_adam_zero_gradient_leaves_parameters():
     net = nets.DenseNet.create([2, 3, 1], rng=4)
     before = [w.copy() for w in net.weights]
-    tape = nets.backward(net, np.zeros(2), np.zeros(1))
+    tape = nets.backward(net, np.zeros((1, 2)), np.zeros((1, 1)))
     state = nets.AdamState.for_net(net)
     nets.adam_step(net, tape, state)
     for w0, w1 in zip(before, net.weights):
@@ -161,6 +161,22 @@ def test_adam_opposite_gradients_return_toward_start():
     assert abs(after_two - expected_two) < 1e-12
     assert abs(after_two - 1.0) < abs(after_one - 1.0)  # moved back toward start
     assert abs(after_two - 1.0) <= lr  # within learning-rate scale
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda net: nets.AdamState(learning_rate=0.1),  # no moments, as the dataclass default
+    lambda net: nets.AdamState.for_net(nets.DenseNet.create([2, 3, 2], rng=1), 0.1),
+])
+def test_adam_refuses_moments_that_do_not_match_the_net(make_state):
+    net = nets.DenseNet.create([2, 2], rng=0)
+    state = make_state(net)
+    tape = nets.backward(net, np.ones((1, 2)), np.ones((1, 2)))
+    before = [p.copy() for p in net.parameters()]
+    with pytest.raises(ValueError, match="AdamState.for_net"):
+        nets.adam_step(net, tape, state)
+    for p0, p1 in zip(before, net.parameters()):
+        np.testing.assert_array_equal(p0, p1)
+    assert state.step == 0
 
 
 def test_adam_rejects_shape_mismatch():
@@ -234,7 +250,7 @@ def test_checkpoint_roundtrip():
     assert loaded.activation == net.activation
     for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
         np.testing.assert_array_equal(a, b)
-    x = np.array([0.1, -0.2, 0.3])
+    x = np.array([[0.1, -0.2, 0.3]])
     np.testing.assert_array_equal(nets.forward(net, x), nets.forward(loaded, x))
 
 

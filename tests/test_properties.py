@@ -5,6 +5,7 @@ here or kept in helpers.py as the reference.
 """
 
 import re
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 from scipy.special import erf, logsumexp
 
-from fisherflow import flow, nets, score, training, transport, validate
+from fisherflow import flow, nets, score, tasks, training, transport, validate
 from fisherflow.config import RunConfig, parse_config_text
 from fisherflow.densities import GaussianMixture
 from fisherflow.errors import ConvergenceError, NumericError
@@ -164,10 +165,83 @@ def test_vjp_divergence_is_jacobian_trace_and_matches_fd(seed, d, state_dim):
     last = tmap.residual_net.weights[-1]
     last[:] = 0.5 * rng.standard_normal(last.shape)
     s = rng.standard_normal(state_dim) if state_dim else None
-    a = rng.standard_normal(d)
-    vjp = transport.log_det_inverse_approx(tmap, s, a).divergence
-    assert vjp == float(np.trace(transport.displacement_jacobian(tmap, s, a)))
+    a = rng.standard_normal((1, d))
+    vjp = transport.log_det_inverse_approx(tmap, s, a).divergence[0]
+    assert vjp == float(np.trace(transport.displacement_jacobian(tmap, s, a)[0]))
     assert abs(vjp - fd_divergence(tmap, s, a)) < 1e-4
+
+
+# --- one point shape -------------------------------------------------------------
+
+def _batch_kernels(d):
+    """Every kernel that takes points, called on `x`, for points of dimension d."""
+    net = nets.DenseNet.create([d, 3, 2], rng=0)
+    upstream_net = nets.DenseNet.create([1, 3, d], rng=0)
+    mix = GaussianMixture.single(np.zeros(d), 1.0)
+    task = tasks.SyntheticTask("flat", mix, tasks.QLandscape([1.0], [np.zeros(d)], [0.5]))
+    policy = flow.FlowPolicy(flow.VelocityField.create(0, d, hidden=(4,), rng=0))
+    tmap = transport.TransportMap.create(0, d, policy, hidden=(4,), rng=0)
+    return {
+        "nets.forward": lambda x: nets.forward(net, x),
+        "nets.backward": lambda x: nets.backward(net, x, np.ones((len(x), 2))).d_input,
+        "nets.backward upstream": lambda x: nets.backward(upstream_net, np.zeros((len(x), 1)),
+                                                          x).d_input,
+        "log_density": mix.log_density,
+        "density": mix.density,
+        "responsibilities": mix.responsibilities,
+        "score": mix.score,
+        "density_hessian_ratio": mix.density_hessian_ratio,
+        "log_density_hessian": mix.log_density_hessian,
+        "posterior_data_mean": lambda x: mix.posterior_data_mean(0.5, x),
+        "velocity": lambda x: mix.velocity(0.5, x),
+        "flow_matching_loss": lambda x: flow.flow_matching_loss(
+            policy.field, None, x, np.random.default_rng(0))[1].d_input,
+        "value_and_gradient": task.landscape.value_and_gradient,
+        "q_value": lambda x: task.q_value(None, x),
+        "displacement_jacobian": lambda x: transport.displacement_jacobian(tmap, None, x),
+        "log_det_inverse_approx": lambda x: astuple(
+            transport.log_det_inverse_approx(tmap, None, x)),
+    }
+
+
+@pytest.mark.parametrize("kernel", sorted(_batch_kernels(1)))
+@pytest.mark.parametrize("d", [1, 2])
+def test_point_kernels_take_only_a_batch_and_keep_a_batch_of_one(kernel, d):
+    call = _batch_kernels(d)[kernel]
+    bad = [np.full(d, 0.5)] + ([np.full(5, 0.5)] if d == 1 else [])  # a (d,) point; a (B,) vector
+    for x in bad:
+        with pytest.raises(ValueError, match=rf"\(B, {d}\) batch, got shape \({len(x)},\)"):
+            call(x)
+    out = call(np.full((1, d), 0.5))
+    assert all(np.shape(part)[0] == 1 for part in (out if isinstance(out, tuple) else (out,)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), state_dim=st.integers(0, 2),
+       rows=st.integers(1, 6))
+def test_batched_displacement_jacobian_matches_rows_and_central_differences(seed, d, state_dim,
+                                                                            rows):
+    # not bit for bit: BLAS may pick another kernel for another row count
+    rng = np.random.default_rng(seed)
+    policy = flow.FlowPolicy(flow.VelocityField.create(state_dim, d, hidden=(4,), rng=rng))
+    tmap = transport.TransportMap.create(state_dim, d, policy, hidden=(8, 8), rng=rng)
+    last = tmap.residual_net.weights[-1]
+    last[:] = 0.5 * rng.standard_normal(last.shape)
+    s = rng.standard_normal((rows, state_dim)) if state_dim else None
+    a = rng.standard_normal((rows, d))
+    jac = transport.displacement_jacobian(tmap, s, a)
+    assert jac.shape == (rows, d, d)
+    for i in range(rows):
+        one = transport.displacement_jacobian(tmap, None if s is None else s[i:i + 1],
+                                              a[i:i + 1])
+        assert np.linalg.norm(jac[i] - one[0]) <= 1e-12 * np.linalg.norm(one[0])
+    h = 1e-6
+    fd = np.empty_like(jac)
+    for j in range(d):
+        e = np.zeros_like(a)
+        e[:, j] = h
+        fd[:, :, j] = (tmap.residual(s, a + e) - tmap.residual(s, a - e)) / (2 * h)
+    assert np.max(np.abs(jac - fd)) < 1e-6
 
 
 # --- state/action input builder ---------------------------------------------------
@@ -260,15 +334,15 @@ def _reference_forward(net, x):
 def _two_pass_backward_reference(net, x, upstream):
     """The former backward: re-runs the forward, then evaluates each derivative (and erf) anew."""
     act_grad = _REFERENCE_ACTIVATIONS[net.activation][1]
-    pre, inputs, _ = _reference_forward(net, np.atleast_2d(x))
-    d_weights, d_biases, delta = [], [], np.atleast_2d(upstream)
+    pre, inputs, _ = _reference_forward(net, x)
+    d_weights, d_biases, delta = [], [], upstream
     for k in range(len(net.weights) - 1, -1, -1):
         d_weights.insert(0, inputs[k].T @ delta)
         d_biases.insert(0, delta.sum(axis=0))
         delta = delta @ net.weights[k].T
         if k > 0:
             delta = delta * act_grad(pre[k - 1])
-    return d_weights + d_biases + [delta[0] if np.ndim(x) == 1 else delta]
+    return d_weights + d_biases + [delta]
 
 
 def _freeze(arrays):
@@ -280,15 +354,14 @@ def _freeze(arrays):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), activation=st.sampled_from(["gelu", "relu", "tanh"]),
-       sizes=st.lists(st.integers(1, 8), min_size=2, max_size=5),
-       rows=st.none() | st.integers(1, 6))
+       sizes=st.lists(st.integers(1, 8), min_size=2, max_size=5), rows=st.integers(1, 6))
 def test_cached_backward_matches_recomputed_bit_for_bit(seed, activation, sizes, rows):
     rng = np.random.default_rng(seed)
     net = nets.DenseNet.create(sizes, activation, rng)
     for b in net.biases:
         b[:] = rng.standard_normal(b.shape)
-    x = 2.0 * rng.standard_normal(sizes[0] if rows is None else (rows, sizes[0]))
-    upstream = rng.standard_normal(x.shape[:-1] + (sizes[-1],))
+    x = 2.0 * rng.standard_normal((rows, sizes[0]))
+    upstream = rng.standard_normal((rows, sizes[-1]))
     _freeze([x, upstream] + net.parameters())
     pre, inputs, out = _reference_forward(net, x)
     act_grad = _REFERENCE_ACTIVATIONS[activation][1]
@@ -330,25 +403,22 @@ def test_adam_step_matches_the_two_group_update_bit_for_bit(seed, sizes, steps, 
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), rows=st.none() | st.integers(1, 6),
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), rows=st.integers(1, 6),
        spread=st.sampled_from([1.0, 1e3, 1e100]), t=st.floats(0.0, 1.0))
 def test_single_component_matches_the_former_unit_responsibilities_bit_for_bit(seed, d, rows,
                                                                                 spread, t):
     # a one-column log-sum-exp is the column itself, so the responsibilities are exactly 1.0
     rng = np.random.default_rng(seed)
     mix = _random_mixture(rng, 1, d)
-    x = spread * rng.standard_normal(d if rows is None else (rows, d))
+    x = spread * rng.standard_normal((rows, d))
     _freeze([x, mix.weights, mix.means, mix.variances])
-    xb = np.atleast_2d(x)
-    ones = np.ones((xb.shape[0], 1))
-    comp = (mix.means[None, :, :] - xb[:, None, :]) / mix.variances[None, :, :]
+    ones = np.ones((rows, 1))
+    comp = (mix.means[None, :, :] - x[:, None, :]) / mix.variances[None, :, :]
     marg = mix.marginal(t)
     cond = mix.means[None, :, :] + (t * mix.variances)[None, :, :] * (
-        (xb[:, None, :] - marg.means[None, :, :]) / marg.variances[None, :, :])
+        (x[:, None, :] - marg.means[None, :, :]) / marg.variances[None, :, :])
     expected = {"responsibilities": ones, "score": np.sum(ones[:, :, None] * comp, axis=1),
                 "posterior_data_mean": np.sum(ones[:, :, None] * cond, axis=1)}
-    if rows is None:
-        expected = {name: value[0] for name, value in expected.items()}
     assert _same(mix.responsibilities(x), expected["responsibilities"])
     assert _same(mix.score(x), expected["score"])
     saved = []
@@ -387,24 +457,21 @@ def _random_mixture(rng, k, d):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 8, 10]), d=st.sampled_from([1, 2]),
-       rows=st.none() | st.integers(1, 7), spread=st.sampled_from([1.0, 30.0]))
+       rows=st.integers(1, 7), spread=st.sampled_from([1.0, 30.0]))
 def test_mixture_pass_and_hessian_match_out_of_place_reference_bit_for_bit(seed, k, d, rows, spread):
     # spread 30 puts points where all but one responsibility underflow to zero,
     # so signed zeros in the component terms must come out as in the reference
     rng = np.random.default_rng(seed)
     mix = _random_mixture(rng, k, d)
-    x = spread * rng.standard_normal(d if rows is None else (rows, d))
+    x = spread * rng.standard_normal((rows, d))
     _freeze([x, mix.weights, mix.means, mix.variances])
-    xb = np.atleast_2d(x)
-    logp = mix._component_log_pdf(xb) + np.log(mix.weights)[None, :]
-    r = responsibilities_reference(mix, xb)
-    comp = (mix.means[None, :, :] - xb[:, None, :]) / mix.variances[None, :, :]
-    score = np.sum((r if k > 1 else np.ones((xb.shape[0], 1)))[:, :, None] * comp, axis=1)
+    logp = mix._component_log_pdf(x) + np.log(mix.weights)[None, :]
+    r = responsibilities_reference(mix, x)
+    comp = (mix.means[None, :, :] - x[:, None, :]) / mix.variances[None, :, :]
+    score = np.sum((r if k > 1 else np.ones((rows, 1)))[:, :, None] * comp, axis=1)
     expected = {"log_density": logsumexp(logp, axis=1), "responsibilities": r, "score": score,
-                "density_hessian_ratio": density_hessian_ratio_reference(mix, xb),
-                "log_density_hessian": log_density_hessian_reference(mix, xb)}
-    if rows is None:
-        expected = {name: value[0] for name, value in expected.items()}
+                "density_hessian_ratio": density_hessian_ratio_reference(mix, x),
+                "log_density_hessian": log_density_hessian_reference(mix, x)}
     assert _same(mix.responsibilities(x), expected["responsibilities"])
     for saved in (None, []):
         assert _same(mix.log_density(x, saved), expected["log_density"])
@@ -428,7 +495,7 @@ def test_saved_pass_of_another_row_count_is_rejected(k):
         with pytest.raises(ValueError, match="3 rows"):
             method(np.zeros((4, 2)), saved)
         with pytest.raises(ValueError, match="3 rows"):
-            method(np.zeros(2), saved)
+            method(np.zeros((1, 2)), saved)
 
 
 @settings(max_examples=40, deadline=None)

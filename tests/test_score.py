@@ -10,8 +10,8 @@ from fisherflow.validate import EPS_LADDER, RATE_MIXTURE, grad_curvature_ratio, 
 def test_perturbed_score_gaussian_oracle_exact():
     # N(0,1) target, t = 0.5: marginal is N(0, 0.5), score at a=1 is exactly -2
     field = OracleVelocityField(GaussianMixture.single([0.0], 1.0))
-    est = score.perturbed_score(field, None, np.array([1.0]), t_eps=0.5)
-    assert abs(est[0] + 2.0) < 1e-12
+    est = score.perturbed_score(field, None, np.array([[1.0]]), t_eps=0.5)
+    assert abs(est[0, 0] + 2.0) < 1e-12
 
 
 def test_perturbed_score_zero_when_tv_equals_a():
@@ -206,7 +206,7 @@ def test_perturbed_score_from_trained_field_tracks_exact_marginal():
 # --- perturbation-rate studies on exact mixture marginals -------------------
 
 def marginal_score_error(mix, a, eps):
-    a = np.atleast_1d(a)
+    a = np.array([[a]])
     return float(np.linalg.norm(mix.marginal(1.0 - eps).score(a) - mix.score(a)))
 
 
@@ -225,8 +225,8 @@ def test_smoothing_error_constant_matches_prediction():
         c = abs(grad_curvature_ratio(RATE_MIXTURE, a))
         for eps in (0.05, 0.025):
             t = 1.0 - eps
-            st = RATE_MIXTURE.marginal(t).score(np.array([t * a]))
-            err = abs(float(t * st[0]) - float(RATE_MIXTURE.score(np.array([a]))[0]))
+            st = RATE_MIXTURE.marginal(t).score(np.array([[t * a]]))
+            err = abs(float(t * st[0, 0]) - float(RATE_MIXTURE.score(np.array([[a]]))[0, 0]))
             width = eps / t
             predicted = 0.5 * width**2 * c
             assert abs(err / predicted - 1.0) < 0.05

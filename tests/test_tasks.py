@@ -43,13 +43,13 @@ def test_q_landscape_bounded_and_smooth():
 def test_analytic_score_single_gaussian():
     task = replace(tasks.make_task("bimodal_asymmetric"),
                    behavioral=GaussianMixture.single([0.0, 0.0], 1.0))
-    a = np.array([0.4, -1.2])
+    a = np.array([[0.4, -1.2]])
     np.testing.assert_allclose(task.density(None).score(a), -a, rtol=1e-12)
 
 
 def test_analytic_score_zero_at_symmetric_midpoint():
     task = tasks.make_task("bimodal_asymmetric")
-    np.testing.assert_allclose(task.density(None).score(np.zeros(2)), 0.0, atol=1e-12)
+    np.testing.assert_allclose(task.density(None).score(np.zeros((1, 2))), 0.0, atol=1e-12)
 
 
 def test_analytic_score_matches_finite_differences():
@@ -57,10 +57,10 @@ def test_analytic_score_matches_finite_differences():
     task = tasks.make_task("bimodal_asymmetric")
     mix = task.density()
     for _ in range(10):
-        a = rng.uniform(-3, 3, size=2)
-        if mix.density(a) < 1e-8:
+        a = rng.uniform(-3, 3, size=(1, 2))
+        if mix.density(a)[0] < 1e-8:
             continue
-        fd = fd_gradient(lambda v: mix.log_density(v), a, step=1e-5)
+        fd = fd_gradient(lambda v: mix.log_density(v)[0], a, step=1e-5)
         assert rel_error(mix.score(a), fd) < 1e-4
 
 
@@ -86,7 +86,7 @@ def test_sample_behavioral_seeded_and_counted():
 def test_q_gradient_zero_at_single_bump_center():
     landscape = tasks.QLandscape([1.0], [[0.5, -0.5]], [0.7])
     task = replace(tasks.make_task("bimodal_asymmetric"), landscape=landscape)
-    _, grad = task.q_value(None, np.array([0.5, -0.5]))
+    _, grad = task.q_value(None, np.array([[0.5, -0.5]]))
     np.testing.assert_allclose(grad, 0.0, atol=1e-14)
 
 
@@ -95,15 +95,15 @@ def test_q_gradient_matches_finite_differences():
     for name in tasks.TASK_NAMES:
         task = tasks.make_task(name)
         for _ in range(5):
-            a = rng.uniform(-3, 3, size=2)
+            a = rng.uniform(-3, 3, size=(1, 2))
             _, grad = task.q_value(None, a)
-            fd = fd_gradient(lambda v: task.q_value(None, v)[0], a, step=1e-5)
+            fd = fd_gradient(lambda v: task.q_value(None, v)[0][0], a, step=1e-5)
             assert rel_error(grad, fd) < 1e-6
 
 
 def test_detached_hotspot_beats_on_support_values():
     task = tasks.make_task("detached_hotspot")
-    hotspot_value = task.q_value(None, np.array([3.2, 3.2]))[0]
+    hotspot_value = task.q_value(None, np.array([[3.2, 3.2]]))[0][0]
     angles = np.linspace(0, np.pi / 2, 200)
     arc = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     on_support = task.q_value(None, arc)[0]
@@ -118,8 +118,7 @@ def test_corridor_documented_for_bimodal():
     # the corridor really is low density: the density at its edge, its highest
     # point on the axis between the modes, sits far below the mode peak
     edge = task.corridor[0][1]
-    ceiling = float(task.density().density(np.array([edge, 0.0])))
-    peak = float(task.density().density(np.array([2.0, 0.0])))
+    ceiling, peak = task.density().density(np.array([[edge, 0.0], [2.0, 0.0]]))
     assert 0 < ceiling < 0.05 * peak
 
 

@@ -57,6 +57,27 @@ def test_dual_update_monotone_in_constraint():
     assert all(a <= b + 1e-15 for a, b in zip(lams, lams[1:]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dual_update_refuses_a_non_finite_constraint(bad):
+    with pytest.raises(NumericError, match=r"^non-finite trust-region constraint"):
+        training.dual_update(training.DualState(lam=5.0), bad)
+
+
+def test_non_finite_constraint_fails_the_run_at_its_step(tmp_path, capsys, monkeypatch):
+    real = training.actor_update
+
+    def nan_constraint(*args, **kwargs):
+        return training.ActorStats(real(*args, **kwargs).mean_q, np.nan)
+
+    monkeypatch.setattr(training, "actor_update", nan_constraint)
+    code = cli.main(["train", "--out", str(tmp_path / "r"), "--set", "train.steps=2",
+                     "--set", "train.flow_steps=0", "--set", "train.hidden=8,8",
+                     "--set", "train.eval_samples=50", "--set", "data.size=64"])
+    assert code == 3
+    assert capsys.readouterr().err == ("numeric failure: training step 0: non-finite "
+                                       "trust-region constraint nan\n")
+
+
 def test_dual_state_validation():
     with pytest.raises(ValueError):
         training.DualState(lam=-1.0)

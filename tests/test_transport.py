@@ -32,13 +32,13 @@ def constant_residual_map(c, cap=1.0):
 
 def test_apply_identity_at_init():
     tmap = make_map()
-    a = np.array([0.7, -1.1])
+    a = np.array([[0.7, -1.1]])
     np.testing.assert_array_equal(tmap.action_map(None)(a), a)
 
 
 def test_apply_constant_residual():
     tmap = constant_residual_map(np.array([0.3, -0.2]))
-    for a in (np.array([0.0, 0.0]), np.array([2.0, 1.0])):
+    for a in (np.array([[0.0, 0.0]]), np.array([[2.0, 1.0]])):
         np.testing.assert_allclose(tmap.action_map(None)(a), a + [0.3, -0.2], rtol=1e-12)
 
 
@@ -46,8 +46,8 @@ def test_apply_matches_manual_composition():
     tmap = make_map(state_dim=1, seed=3)
     tmap.residual_net.weights[-1][:] = np.random.default_rng(4).normal(
         size=tmap.residual_net.weights[-1].shape) * 0.3
-    s, a = np.array([0.5]), np.array([0.2, -0.4])
-    raw = nets.forward(tmap.residual_net, np.concatenate([s, a]))
+    s, a = np.array([0.5]), np.array([[0.2, -0.4]])
+    raw = nets.forward(tmap.residual_net, np.concatenate([s[None], a], axis=1))
     expected = a + 1.0 * np.tanh(raw / 1.0)
     np.testing.assert_allclose(tmap.action_map(s)(a), expected, rtol=1e-12)
 
@@ -55,16 +55,16 @@ def test_apply_matches_manual_composition():
 def test_divergence_linear_field():
     c, d = 0.07, 3
     tmap = linear_residual_map(c * np.eye(d))
-    a = np.array([0.4, -0.2, 1.0])
-    assert abs(transport.log_det_inverse_approx(tmap, None, a).divergence - c * d) < 1e-9
+    a = np.array([[0.4, -0.2, 1.0]])
+    assert abs(transport.log_det_inverse_approx(tmap, None, a).divergence[0] - c * d) < 1e-9
     assert abs(fd_divergence(tmap, None, a) - c * d) < 1e-6
 
 
 def test_divergence_rotation_field_is_zero():
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])  # delta = (-a2, a1)
     tmap = linear_residual_map(w, cap=1.0)  # diagonal entries vanish even with the cap
-    for a in (np.zeros(2), np.array([0.6, -0.3])):
-        assert abs(transport.log_det_inverse_approx(tmap, None, a).divergence) < 1e-12
+    for a in (np.zeros((1, 2)), np.array([[0.6, -0.3]])):
+        assert abs(transport.log_det_inverse_approx(tmap, None, a).divergence[0]) < 1e-12
 
 
 def test_divergence_methods_agree_on_random_nets():
@@ -72,8 +72,8 @@ def test_divergence_methods_agree_on_random_nets():
     for seed in range(5):
         tmap = make_map(seed=seed)
         tmap.residual_net.weights[-1][:] = rng.normal(size=tmap.residual_net.weights[-1].shape) * 0.5
-        a = rng.normal(size=2)
-        vjp = transport.log_det_inverse_approx(tmap, None, a).divergence
+        a = rng.normal(size=(1, 2))
+        vjp = transport.log_det_inverse_approx(tmap, None, a).divergence[0]
         assert abs(vjp - fd_divergence(tmap, None, a)) < 1e-4
 
 
@@ -87,31 +87,31 @@ def test_displacement_jacobian_runs_one_residual_forward(monkeypatch):
 
     monkeypatch.setattr(nets, "forward", counting_forward)
     tmap = make_map(seed=6)
-    transport.log_det_inverse_approx(tmap, None, np.array([0.3, -0.4]))
+    transport.log_det_inverse_approx(tmap, None, np.array([[0.3, -0.4], [0.1, 0.2]]))
     assert calls == [tmap.residual_net]
 
 
 def test_log_det_expansion_known_gap():
     tmap = linear_residual_map(0.01 * np.eye(2))
-    res = transport.log_det_inverse_approx(tmap, None, np.array([0.3, -0.5]))
-    assert abs(res.exact_multiplier - 1.01**-2) < 1e-9
-    assert abs(res.approx_multiplier - 0.98) < 1e-9
-    assert res.gap < 3e-4
-    assert res.in_regime
+    res = transport.log_det_inverse_approx(tmap, None, np.array([[0.3, -0.5]]))
+    assert abs(res.exact_multiplier[0] - 1.01**-2) < 1e-9
+    assert abs(res.approx_multiplier[0] - 0.98) < 1e-9
+    assert res.gap[0] < 3e-4
+    assert res.in_regime[0]
 
 
 def test_log_det_constant_residual_is_exact():
     tmap = constant_residual_map(np.array([0.4, 0.1]))
-    res = transport.log_det_inverse_approx(tmap, None, np.array([1.0, 2.0]))
-    assert abs(np.log(res.approx_multiplier)) < 1e-10
-    assert abs(np.log(res.exact_multiplier)) < 1e-10
+    res = transport.log_det_inverse_approx(tmap, None, np.array([[1.0, 2.0]]))
+    assert abs(np.log(res.approx_multiplier[0])) < 1e-10
+    assert abs(np.log(res.exact_multiplier[0])) < 1e-10
 
 
 def test_log_det_flags_regime_violation():
     tmap = linear_residual_map(2.0 * np.eye(2))  # divergence 4 > 1
-    res = transport.log_det_inverse_approx(tmap, None, np.zeros(2))
-    assert not res.in_regime
-    assert res.approx_multiplier == 1.0 - res.divergence <= 0.0
+    res = transport.log_det_inverse_approx(tmap, None, np.zeros((1, 2)))
+    assert not res.in_regime[0]
+    assert res.approx_multiplier[0] == 1.0 - res.divergence[0] <= 0.0
 
 
 def test_kl_quadratic_zero_residual():
@@ -271,10 +271,10 @@ def test_residual_backward_matches_finite_differences():
     tmap = make_map(seed=9)
     rng = np.random.default_rng(10)
     tmap.residual_net.weights[-1][:] = rng.normal(size=tmap.residual_net.weights[-1].shape) * 0.4
-    a = rng.normal(size=2)
-    upstream = rng.normal(size=2)
+    a = rng.normal(size=(1, 2))
+    upstream = rng.normal(size=(1, 2))
     _, d_action = tmap.residual_backward(None, a, upstream)
-    fd = fd_gradient(lambda v: float(upstream @ tmap.residual(None, v)), a, step=1e-5)
+    fd = fd_gradient(lambda v: float(np.sum(upstream * tmap.residual(None, v))), a, step=1e-5)
     assert rel_error(d_action, fd) < 1e-4
 
 
