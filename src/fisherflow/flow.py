@@ -18,22 +18,24 @@ from .errors import NumericError
 def state_action_input(s, a, state_dim, t=None) -> np.ndarray:
     """Net input [s, a] (then a time column t, when given) for a batch of actions (B, d).
 
-    One action is a batch of one; the nets refuse any other shape. `s` is None
+    One action is a batch of one; any other shape is a ValueError. `s` is None
     (a zero state), one state (n,) broadcast against every action, or a batch
     (B, n) with one row per action. Without state columns or a time, `a`
     itself is returned.
     """
     a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"actions must be a (B, d) batch, got shape {a.shape}")
     s = np.zeros(state_dim) if s is None else np.asarray(s, dtype=np.float64)
     if s.shape[-1] != state_dim:
         raise ValueError(f"state dimension {s.shape[-1]} != expected {state_dim}")
-    if s.ndim == 2 and a.ndim == 2 and s.shape[0] != a.shape[0]:
+    if s.ndim == 2 and s.shape[0] != a.shape[0]:
         raise ValueError("state batch does not match action batch")
     parts = [a]
     if state_dim:
-        parts.insert(0, np.broadcast_to(s, a.shape[:-1] + (state_dim,)))
+        parts.insert(0, np.broadcast_to(s, (a.shape[0], state_dim)))
     if t is not None:
-        parts.append(np.broadcast_to(np.asarray(t, dtype=np.float64), a.shape[:-1] + (1,)))
+        parts.append(np.broadcast_to(np.asarray(t, dtype=np.float64), (a.shape[0], 1)))
     return np.concatenate(parts, axis=-1) if len(parts) > 1 else a
 
 

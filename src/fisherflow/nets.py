@@ -330,14 +330,14 @@ def adam_step(net: DenseNet, tape: GradientTape, state: AdamState):
     any is written, so a raise leaves the net and the state untouched.
     """
     shapes = [p.shape for p in net.parameters()]
-    if [np.shape(m) for m in state.m] != shapes or [np.shape(v) for v in state.v] != shapes:
-        raise ValueError("Adam moments must match the net's parameters (AdamState.for_net)")
+    for name, arrays in (("gradient", tape.d_weights + tape.d_biases), ("Adam moment m", state.m),
+                         ("Adam moment v", state.v)):
+        if [np.shape(x) for x in arrays] != shapes:
+            raise ValueError(f"{name} shapes must equal the net's parameter shapes {shapes}")
     t = state.step + 1
     scale = state.learning_rate * np.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t)
     updates = []
     for p, g, m, v in zip(net.parameters(), tape.d_weights + tape.d_biases, state.m, state.v):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         with np.errstate(invalid="ignore", over="ignore"):
             m_new = m * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
             v_new = v * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g

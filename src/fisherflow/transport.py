@@ -108,7 +108,7 @@ def displacement_jacobian(tmap: TransportMap, s, a) -> np.ndarray:
     One residual pass, then one VJP per output coordinate i, which gives
     row i of every point's Jacobian at once: jac[b, i, j] = d delta_i / d a_j.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = nets.as_batch(a, tmap.action_dim, "actions")
     saved = []
     tmap.residual(s, a, saved)
     rows = []

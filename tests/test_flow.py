@@ -45,7 +45,7 @@ def test_sample_action_reports_bad_step():
 
     policy = flow.FlowPolicy(ExplodingField([0.0]), steps=10)
     with pytest.raises(NumericError, match="step 5"):
-        flow.sample_action(policy, None, np.array([0.0]))
+        flow.sample_action(policy, None, np.array([[0.0]]))
 
 
 def test_euler_matches_high_resolution_reference():
@@ -91,8 +91,8 @@ def test_gaussian_oracle_velocity_known_points():
 def test_gaussian_oracle_velocity_rejects_bad_inputs():
     mix = GaussianMixture.single([0.0], 1.0)
     for t in (1.0, -0.1):
-        with pytest.raises(ValueError):
-            mix.velocity(t, np.array([0.0]))
+        with pytest.raises(ValueError, match="velocity requires t"):
+            mix.velocity(t, np.array([[0.0]]))
     with pytest.raises(ValueError):
         GaussianMixture.single([0.0], 0.0)
 

@@ -172,7 +172,7 @@ def test_adam_refuses_moments_that_do_not_match_the_net(make_state):
     state = make_state(net)
     tape = nets.backward(net, np.ones((1, 2)), np.ones((1, 2)))
     before = [p.copy() for p in net.parameters()]
-    with pytest.raises(ValueError, match="AdamState.for_net"):
+    with pytest.raises(ValueError, match="Adam moment m shapes"):
         nets.adam_step(net, tape, state)
     for p0, p1 in zip(before, net.parameters()):
         np.testing.assert_array_equal(p0, p1)
@@ -182,9 +182,14 @@ def test_adam_refuses_moments_that_do_not_match_the_net(make_state):
 def test_adam_rejects_shape_mismatch():
     net = nets.DenseNet.create([2, 2], rng=0)
     state = nets.AdamState.for_net(net)
-    bad = nets.GradientTape([np.zeros((3, 3))], [np.zeros(2)], np.zeros(2))
-    with pytest.raises(ValueError):
-        nets.adam_step(net, bad, state)
+    before = [p.copy() for p in net.parameters()]
+    for bad in (nets.GradientTape([np.zeros((3, 3))], [np.zeros(2)], np.zeros(2)),  # wrong shape
+                nets.GradientTape([np.zeros((2, 2))], [], np.zeros(2))):  # bias gradient missing
+        with pytest.raises(ValueError, match="gradient shapes"):
+            nets.adam_step(net, bad, state)
+    for p0, p1 in zip(before, net.parameters()):
+        np.testing.assert_array_equal(p0, p1)
+    assert state.step == 0
 
 
 def test_parameters_stay_finite_over_noisy_updates():

@@ -285,23 +285,22 @@ def _same(x, y):
 
 
 @given(seed=st.integers(0, 2**32 - 1), state_dim=st.integers(0, 3), d=st.integers(1, 3),
-       rows=st.none() | st.integers(1, 5), state=st.sampled_from(["none", "single", "batch"]),
+       rows=st.integers(1, 5), state=st.sampled_from(["none", "single", "batch"]),
        t=st.floats(0.0, 1.0))
 def test_state_action_input_matches_former_concatenations(seed, state_dim, d, rows, state, t):
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal(d if rows is None else (rows, d))
-    if state == "batch" and rows is None:
-        state = "single"
+    a = rng.standard_normal((rows, d))
     s = {"none": None,
          "single": rng.standard_normal(state_dim),
-         "batch": rng.standard_normal((rows or 1, state_dim))}[state]
+         "batch": rng.standard_normal((rows, state_dim))}[state]
     assert _same(flow.state_action_input(s, a, state_dim, t),
                  _velocity_input_reference(t, s, a, state_dim))
     assert _same(flow.state_action_input(s, a, state_dim),
                  _transport_input_reference(s, a, state_dim))
     if s is not None or state_dim == 0:  # the critic never ran on a missing nonempty state
-        assert _same(flow.state_action_input(s, np.atleast_2d(a), state_dim),
-                     _critic_input_reference(s, a))
+        assert _same(flow.state_action_input(s, a, state_dim), _critic_input_reference(s, a))
+    with pytest.raises(ValueError, match=r"\(B, d\)"):
+        flow.state_action_input(s, a[0], state_dim)
 
 
 # --- single-pass backward -----------------------------------------------------------

@@ -26,8 +26,8 @@ def test_perturbed_score_zero_when_tv_equals_a():
 def test_perturbed_score_rejects_degenerate_time():
     field = OracleVelocityField(GaussianMixture.single([0.0], 1.0))
     for bad in (1.0, 1.5, 0.0, -0.2):
-        with pytest.raises(ValueError):
-            score.perturbed_score(field, None, np.array([0.0]), t_eps=bad)
+        with pytest.raises(ValueError, match="t_eps"):
+            score.perturbed_score(field, None, np.array([[0.0]]), t_eps=bad)
 
 
 def test_fisher_matrix_outer_product():
