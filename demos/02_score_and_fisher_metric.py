@@ -47,11 +47,12 @@ for f in (0.5, 2.0):
 
 # -- 4. the rank-1 metric prices directions, not magnitudes --------------------
 s_vec = np.array([2.0, 0.0])
-metric = score.fisher_matrix(s_vec, normalize=True, damping=1e-3)
 along = np.array([0.5, 0.0])
 across = np.array([0.0, 0.5])
+penalty, _ = score.fisher_penalty_batch(np.array([s_vec, s_vec]), np.array([along, across]),
+                                        normalize=True, damping=1e-3)
 print(f"\nscore (2, 0), trace-normalized + damped metric:")
-print(f"  penalty of a move along the score : {0.5 * float(along @ metric.matrix @ along):.4f}")
-print(f"  penalty of the same move across it: {0.5 * float(across @ metric.matrix @ across):.4f}")
+print(f"  penalty of a move along the score : {penalty[0]:.4f}")
+print(f"  penalty of the same move across it: {penalty[1]:.4f}")
 print("  displacements off the score direction are nearly free: that is the")
 print("  anisotropy the isotropic baseline cannot express")

@@ -8,6 +8,7 @@ matching the training-time linear interpolation path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -64,8 +65,8 @@ class FlowPolicy:
     steps: int = 10
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, Integral) or self.steps < 1:
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     def sample(self, s, z):
         return sample_action(self, s, z)

@@ -2,12 +2,14 @@
 
 The score of the time-t marginal comes straight out of the velocity field as
 (t v(t, s, a) - a) / (1 - t); evaluating at a perturbed time t_eps < 1 avoids
-the 0/0 limit at t = 1. The local Fisher metric is kept in one factored
-form, M = c s s^T + mu I: the rank-1 outer product of that score, optionally
-trace-normalized to trace = d (c = d / |s|^2), plus damping mu for
-invertibility. The isotropic baseline is the same form with c = 0, mu = 1.
-Products with M, 0.5 delta^T M delta and M^-1 g all come in closed form, so
-the dense matrix is only built on request.
+the 0/0 limit at t = 1. The local Fisher metric of each row of a (B, d)
+batch of scores s is M = c s s^T + mu I: the rank-1 outer product of that
+score, optionally trace-normalized to trace = d (c = d / |s|^2, `rank1_scale`),
+plus damping mu for invertibility. A metric is thus the score rows plus
+`normalize` and `damping`; the isotropic baseline is a zero score at unit
+damping. Products with M, 0.5 delta^T M delta and M^-1 g all come in closed
+form, so no kernel builds a d x d metric; only the eigendecomposition oracle
+of `validate.optimality_gap` does.
 """
 
 from __future__ import annotations
@@ -19,24 +21,6 @@ import numpy as np
 from .errors import NumericError
 
 _DEGENERATE_TRACE = 1e-24
-
-
-@dataclass(frozen=True)
-class FisherMetric:
-    """The damped rank-1 metric M = scale * score score^T + damping * I."""
-
-    score: np.ndarray
-    scale: float
-    damping: float
-
-    @property
-    def dim(self):
-        return self.score.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense symmetric PSD d x d form of M."""
-        return self.scale * np.outer(self.score, self.score) + self.damping * np.eye(self.dim)
 
 
 def perturbed_score(field, s, a, t_eps) -> np.ndarray:
@@ -53,12 +37,12 @@ def perturbed_score(field, s, a, t_eps) -> np.ndarray:
 
 
 def batched_scores(field, s, a, t_eps) -> np.ndarray:
-    """perturbed_score over a batch of actions (B, d) -> (B, d)."""
-    return perturbed_score(field, s, np.atleast_2d(a), t_eps)
+    """perturbed_score over a batch of actions (B, d) -> (B, d); the field refuses other shapes."""
+    return perturbed_score(field, s, a, t_eps)
 
 
-def _rank1_scale(sq, dim, normalize):
-    """Coefficient c of c s s^T given |s|^2: dim / |s|^2 when trace-normalizing, else 1.
+def rank1_scale(sq, dim, normalize):
+    """Coefficient c of c s s^T given |s|^2 per row: dim / |s|^2 when trace-normalizing, else 1.
 
     A score with |s|^2 <= _DEGENERATE_TRACE cannot be normalized; it gets c = 0.
     """
@@ -68,48 +52,51 @@ def _rank1_scale(sq, dim, normalize):
     return np.where(ok, dim / np.where(ok, sq, 1.0), 0.0)
 
 
-def fisher_matrix(score, normalize=False, damping=0.0) -> FisherMetric:
-    """The metric s s^T, rescaled to trace d if requested, plus damping * I.
-
-    Normalizing a zero score drops the rank-1 term, leaving damping * I.
-    """
+def _metric_rows(scores, other, what, damping):
+    """`scores` and `other` as matching float64 (B, d) batches, once damping is known >= 0."""
     if damping < 0:
         raise ValueError("damping must be >= 0")
-    s = np.atleast_1d(np.asarray(score, dtype=np.float64))
-    return FisherMetric(s, float(_rank1_scale(float(s @ s), s.shape[0], normalize)), float(damping))
+    s = np.asarray(scores, dtype=np.float64)
+    x = np.asarray(other, dtype=np.float64)
+    if s.ndim != 2 or x.shape != s.shape:
+        raise ValueError(f"scores and {what} must be matching (B, d) batches, "
+                         f"got shapes {s.shape} and {x.shape}")
+    return s, x
 
 
-def isotropic_metric(dim) -> FisherMetric:
-    """Identity metric of the ablation baseline: zero score, unit damping."""
-    return FisherMetric(np.zeros(dim), 0.0, 1.0)
+def _metric_apply(s, scale, damping, x):
+    """Each row's s . x and M x, for M = scale s s^T + damping I in factored form."""
+    dot = np.sum(s * x, axis=1)
+    return dot, (scale * dot)[:, None] * s + damping * x
 
 
-def damped_inverse_apply(metric: FisherMetric, g) -> np.ndarray:
-    """Solve M x = g in closed form for M = c s s^T + mu I.
+def damped_inverse_apply(scores, g, normalize=False, damping=0.0) -> np.ndarray:
+    """Solve M x = g in closed form for each row's M = c s s^T + mu I; (B, d) -> (B, d).
 
     With damping mu > 0 this is Sherman-Morrison. With mu = 0 the metric is
     rank-1: g inside span(s) gets the minimum-norm solution, anything else is
-    a genuine singularity.
+    a genuine singularity. Any row that cannot be solved, or whose residual
+    against the penalty kernel's M x is too large, raises NumericError.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape[0] != metric.dim:
-        raise ValueError("vector dimension does not match metric")
-    s, c, mu = metric.score, metric.scale, metric.damping
+    s, g = _metric_rows(scores, g, "vectors", damping)
+    sq, sg = np.vecdot(s, s), np.vecdot(s, g)
+    c, mu = rank1_scale(sq, s.shape[1], normalize), float(damping)
     if mu > 0.0:
         x = g / mu
-        if c != 0.0:
-            denom = mu * (mu + c * float(s @ s))
-            if denom == 0.0:
-                raise NumericError("metric damping underflows: mu (mu + c |s|^2) = 0")
-            x = x - (c * float(s @ g) / denom) * s
+        rank1 = c != 0.0
+        denom = mu * (mu + c * sq)
+        if np.any(rank1 & (denom == 0.0)):
+            raise NumericError("metric damping underflows: mu (mu + c |s|^2) = 0")
+        coef = c * sg / np.where(rank1, denom, 1.0)
+        x = np.where(rank1[:, None], x - coef[:, None] * s, x)
     else:
-        sq = float(s @ s)
-        if c == 0.0 or sq <= _DEGENERATE_TRACE:
+        if np.any((c == 0.0) | (sq <= _DEGENERATE_TRACE)):
             raise NumericError("metric is singular: no rank-1 term and no damping")
-        x = (float(s @ g) / (c * sq * sq)) * s
-    resid = np.linalg.norm(metric.matrix @ x - g)
-    if not resid <= 1e-8 * max(float(np.linalg.norm(g)), 1e-300):  # NaN fails too
-        raise NumericError(f"inverse apply residual too large: {resid:.3e}"
+        x = (sg / (c * sq * sq))[:, None] * s
+    resid = np.linalg.norm(_metric_apply(s, c, mu, x)[1] - g, axis=1)
+    bad = ~(resid <= 1e-8 * np.maximum(np.linalg.norm(g, axis=1), 1e-300))  # NaN fails too
+    if bad.any():
+        raise NumericError(f"inverse apply residual too large: {resid[bad].max():.3e}"
                            + ("; the vector lies outside the score span" if mu == 0.0 else ""))
     return x
 
@@ -142,18 +129,12 @@ def optimal_epsilon(c1, c2, machine_delta) -> EpsilonStar:
 def fisher_penalty_batch(scores, deltas, normalize=True, damping=0.0):
     """Vectorized 0.5 delta^T M delta and its delta-gradient M delta, one metric per row.
 
-    Row i uses M = fisher_matrix(scores[i], normalize, damping), read through
-    its factored form, so no d x d matrix is built. Returns (values (B,),
-    gradients (B, d)).
+    Row i uses M = c s s^T + damping I of score s = scores[i], read through
+    its factored form. Scores and displacements are matching (B, d) batches.
+    Returns (values (B,), gradients (B, d)).
     """
-    if damping < 0:
-        raise ValueError("damping must be >= 0")
-    s = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    dl = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
-    if s.shape != dl.shape:
-        raise ValueError("scores and displacements must have matching shapes")
-    scale = _rank1_scale(np.sum(s * s, axis=1), s.shape[1], normalize)
-    dot = np.sum(s * dl, axis=1)
+    s, dl = _metric_rows(scores, deltas, "displacements", damping)
+    scale = rank1_scale(np.sum(s * s, axis=1), s.shape[1], normalize)
+    dot, grads = _metric_apply(s, scale, damping, dl)
     values = 0.5 * scale * dot**2 + 0.5 * damping * np.sum(dl * dl, axis=1)
-    grads = (scale * dot)[:, None] * s + damping * dl
     return values, grads

@@ -18,6 +18,7 @@ whole grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .score import fisher_penalty_batch
 
 GRID_COVER_STD = 6.0  # standard deviations of each mixture component a KL oracle grid spans
 FD_STEP = 1e-5  # central-difference step of the oracle's Jacobian determinant
+INVERT_MAX_ITER = 100  # fixed-point iterations `invert_map` allows before a row fails
+INVERT_TOL = 1e-12  # last-step size below which `invert_map` takes a row as converged
 
 
 @dataclass
@@ -46,6 +49,11 @@ class TransportMap:
     residual_net: nets.DenseNet
     base_policy: FlowPolicy
     max_displacement: float = 1.0
+
+    def __post_init__(self):
+        cap = self.max_displacement
+        if isinstance(cap, bool) or not isinstance(cap, Real) or not 0.0 < cap < np.inf:
+            raise ValueError(f"max_displacement must be a finite number > 0, got {cap!r}")
 
     @classmethod
     def create(cls, state_dim, action_dim, base_policy, hidden=(64, 64),
@@ -215,31 +223,32 @@ class GridSpec:
         return bool(np.all(np.asarray(self.lo) <= lo_need) and np.all(np.asarray(self.hi) >= hi_need))
 
 
-def invert_map(map_fn, targets, max_iter=100, tol=1e-12):
+def invert_map(map_fn, targets):
     """Solve T(a) = a' per row by fixed-point iteration a <- a' - delta(a).
 
     Valid while the displacement Jacobian stays below 1 in norm; rows are
     tracked individually (only the rows still moving are iterated, kept in
-    compact arrays with their targets) and any row still moving after
-    max_iter raises ConvergenceError.
+    compact arrays with their targets) until their last step is below
+    INVERT_TOL, and any row still moving after INVERT_MAX_ITER iterations
+    raises ConvergenceError.
     """
     targets = np.asarray(targets, dtype=np.float64)
     out = np.empty_like(targets)
     rows = np.arange(targets.shape[0])
     goal, a = targets, targets.copy()
     step = np.array([np.inf])  # no step taken yet
-    for _ in range(max_iter):
+    for _ in range(INVERT_MAX_ITER):
         new = goal - (map_fn(a) - a)
         step = np.abs(new - a).max(axis=1)
         if not np.isfinite(new).all():
             raise ConvergenceError("map inversion diverged to non-finite values")
-        still = step >= tol
+        still = step >= INVERT_TOL
         out[rows[~still]] = new[~still]
         rows, goal, a = rows[still], goal[still], new[still]
         if rows.size == 0:
             return out
     raise ConvergenceError(
-        f"map inversion did not converge within {max_iter} iterations: {rows.size} of "
+        f"map inversion did not converge within {INVERT_MAX_ITER} iterations: {rows.size} of "
         f"{targets.shape[0]} rows still moving, largest last step {step.max():.3g}")
 
 

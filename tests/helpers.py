@@ -99,20 +99,41 @@ def log_density_hessian_reference(mix, x):
     return density_hessian_ratio_reference(mix, x) - s[:, :, None] * s[:, None, :]
 
 
-def iterate_quadratic_refine(metric, g, lam, max_steps=200_000, tol=1e-14) -> np.ndarray:
-    """Fixed point of plain ascent on g^T d - (lambda/2) d^T M d.
+def dense_metric_reference(s, normalize, damping):
+    """The dense d x d metric of one score s, c s s^T + damping I, built and symmetrized.
+
+    A zero score that cannot be trace-normalized becomes the zero vector with scale 1.
+    """
+    d, sq, scale = s.shape[0], float(s @ s), 1.0
+    if normalize:
+        if sq <= 1e-24:
+            s = np.zeros(d)
+        else:
+            scale = d / sq
+    m = scale * np.outer(s, s) + damping * np.eye(d)
+    return 0.5 * (m + m.T)
+
+
+def iterate_quadratic_refine(score, g, lam, normalize=False, damping=0.0, max_steps=200_000,
+                             tol=1e-14) -> np.ndarray:
+    """Fixed point of plain ascent on g^T d - (lambda/2) d^T M d, M the metric of one score (d,).
 
     This is the actor update specialized to an exact quadratic surrogate with
-    a free displacement vector; it converges to the closed-form solution
-    (1/lambda) M^-1 g and serves as its independent check (criterion 5).
+    a free displacement vector: each step reads M d from the gradient of
+    `fisher_penalty_batch`, the penalty kernel the actor trains with, and the
+    step size 1 / (lambda lambda_max) uses M's top eigenvalue c |s|^2 + mu in
+    closed form. It converges to the closed-form solution (1/lambda) M^-1 g
+    and serves as its independent check (criterion 5).
     """
+    s = np.asarray(score, dtype=np.float64)[None]
     g = np.asarray(g, dtype=np.float64)
-    m = metric.matrix
-    lam_max = float(np.linalg.eigvalsh(m).max())
-    step = 1.0 / (lam * lam_max + 1e-12)
+    sq = float(s[0] @ s[0])
+    c = (s.shape[1] / sq if sq > 1e-24 else 0.0) if normalize else 1.0
+    step = 1.0 / (lam * (c * sq + damping) + 1e-12)
     d = np.zeros_like(g)
     for _ in range(max_steps):
-        grad = g - lam * (m @ d)
+        _, md = fisher_penalty_batch(s, d[None], normalize, damping)
+        grad = g - lam * md[0]
         d = d + step * grad
         if np.linalg.norm(grad) < tol:
             break

@@ -312,6 +312,10 @@ def test_export_plots_requires_run_dir(tmp_path):
     (lambda payload: {k: v for k, v in payload.items() if k != "flow_net"},
      "the checkpoint lacks flow_net"),
     (lambda payload: {**payload, "flow_net": []}, "a net is a JSON object, got list"),
+    *[(lambda payload, v=value: {**payload, "max_displacement": v},
+       "max_displacement must be a finite number > 0") for value in (float("nan"), -1.0, 0, "x")],
+    *[(lambda payload, v=value: {**payload, "flow_integration_steps": v},
+       "steps must be an integer >= 1") for value in (2.5, "3", True)],
 ])
 def test_export_plots_on_malformed_checkpoint_is_usage_error(tmp_path, capsys, edit, message):
     out = tmp_path / "r"

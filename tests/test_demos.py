@@ -1,7 +1,8 @@
 """Smoke tests: demos 01-03 run to completion.
 
-Demo 04 trains two full refinement arms (about 25 s) and is left out; run
-it by hand with `python3 demos/04_policy_refinement.py`.
+Demo 04 trains two full refinement arms (about 25 s) and is left out; the
+tier-1 workflow runs it as a step of its own, and by hand it is
+`python3 demos/04_policy_refinement.py`.
 """
 
 import os

@@ -21,8 +21,8 @@ from fisherflow.config import RunConfig, parse_config_text
 from fisherflow.densities import GaussianMixture
 from fisherflow.errors import ConvergenceError, NumericError
 
-from helpers import (AdamReference, density_hessian_ratio_reference, fd_divergence,
-                     invert_map_reference, log_density_hessian_reference,
+from helpers import (AdamReference, dense_metric_reference, density_hessian_ratio_reference,
+                     fd_divergence, invert_map_reference, log_density_hessian_reference,
                      responsibilities_reference)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -73,25 +73,20 @@ def test_isotropic_penalty_is_half_squared_norm_bit_for_bit(delta):
 
 # --- factored Fisher metric ----------------------------------------------------
 
-def _dense_metric_reference(s, normalize, damping):
-    # the dense construction the factored metric replaced: a zero score that
-    # cannot be trace-normalized became the zero vector with scale 1
-    d, sq, scale = s.shape[0], float(s @ s), 1.0
-    if normalize:
-        if sq <= 1e-24:
-            s = np.zeros(d)
-        else:
-            scale = d / sq
-    m = scale * np.outer(s, s) + damping * np.eye(d)
-    return 0.5 * (m + m.T)
-
-
 def _sherman_morrison_reference(s, c, mu, g):
     x = g / mu
     if c != 0.0:
         denom = mu * (mu + c * float(s @ s))
         x = x - (c * float(s @ g) / denom) * s
     return x
+
+
+def _solves(s, c, mu, x, g):
+    """Whether x passes the 1e-8 |g| residual bound, with M x = c (s . x) s + mu x as the
+    penalty kernel forms it."""
+    mx = (c * np.sum(s * x, axis=1))[:, None] * s + mu * x
+    return bool(np.linalg.norm(mx - g, axis=1)[0]
+                <= 1e-8 * max(float(np.linalg.norm(g, axis=1)[0]), 1e-300))
 
 
 coordinate = st.floats(-3.0, 3.0)
@@ -115,43 +110,58 @@ def _metric_case(d):
          damping=1e-200)
 def test_factored_metric_matches_dense_forms(case, normalize, damping):
     s, delta, g, v = case
-    metric = score.fisher_matrix(s, normalize=normalize, damping=damping)
-    m = metric.matrix
-    assert m.tobytes() == _dense_metric_reference(s, normalize, damping).tobytes()
-
+    m = dense_metric_reference(s, normalize, damping)
     values, grads = score.fisher_penalty_batch(s[None], delta[None], normalize, damping)
     assert abs(values[0] - 0.5 * float(delta @ m @ delta)) < 1e-12
     assert np.abs(grads[0] - m @ delta).max() < 1e-12
 
+    def solve(rhs):
+        return score.damped_inverse_apply(s[None], rhs[None], normalize, damping)[0]
+
+    sq = float(s @ s)
+    c = (s.shape[0] / sq if sq > 1e-24 else 0.0) if normalize else 1.0
     if damping > 0.0:
         with np.errstate(all="ignore"):
             try:
-                expected = _sherman_morrison_reference(metric.score, metric.scale, damping, g)
+                expected = _sherman_morrison_reference(s, c, damping, g)
             except ZeroDivisionError:  # mu^2 underflows
                 expected = None
-            solved = expected is not None and (
-                np.linalg.norm(m @ expected - g) <= 1e-8 * max(float(np.linalg.norm(g)), 1e-300))
-            if solved:
-                assert score.damped_inverse_apply(metric, g).tobytes() == expected.tobytes()
+            if expected is not None and _solves(s[None], c, damping, expected[None], g[None]):
+                assert solve(g).tobytes() == expected.tobytes()
             else:
                 with pytest.raises(NumericError):
-                    score.damped_inverse_apply(metric, g)
+                    solve(g)
         return
-    sq = float(s @ s)
     if sq <= 1e-24:  # M = 0 (or below the threshold): nothing to invert
-        with pytest.raises(NumericError):
-            score.damped_inverse_apply(metric, g)
+        with pytest.raises(NumericError, match="singular"):
+            solve(g)
         return
     # inside span(s): the minimum-norm solution
     inside = (float(v @ s) / sq) * s
-    x = score.damped_inverse_apply(metric, inside)
+    x = solve(inside)
     least_norm = np.linalg.lstsq(m, inside, rcond=1e-10)[0]
     assert np.linalg.norm(x - least_norm) <= 1e-8 * np.linalg.norm(least_norm)
     # any part off span(s) is a genuine singularity
     off = g - (float(g @ s) / sq) * s
     if np.linalg.norm(off) > 1e-6 * np.linalg.norm(g):
         with pytest.raises(NumericError):
-            score.damped_inverse_apply(metric, g)
+            solve(g)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), d=st.integers(1, 4),
+       normalize=st.booleans(), damping=st.floats(1e-3, 1.0))
+def test_damped_inverse_apply_solves_each_row_alone(seed, rows, d, normalize, damping):
+    # a batch gets the bits of its rows solved as batches of one; one bad row fails it
+    rng = np.random.default_rng(seed)
+    s, g = rng.standard_normal((rows, d)), rng.standard_normal((rows, d))
+    x = score.damped_inverse_apply(s, g, normalize, damping)
+    for i in range(rows):
+        alone = score.damped_inverse_apply(s[i:i + 1], g[i:i + 1], normalize, damping)
+        assert alone.tobytes() == x[i:i + 1].tobytes()
+    s[rng.integers(rows)] = 0.0  # undamped, a zero score is singular
+    with pytest.raises(NumericError, match="singular"):
+        score.damped_inverse_apply(s, g, normalize, 0.0)
 
 
 # --- divergence ----------------------------------------------------------------
@@ -513,8 +523,12 @@ def test_compacted_inversion_matches_masked_reference_bit_for_bit(seed, d, rows,
             return a + c * np.sin(a)
         return map_fn
 
+    def invert_map(map_fn, targets, max_iter):
+        with mock.patch.object(transport, "INVERT_MAX_ITER", max_iter):
+            return transport.invert_map(map_fn, targets)
+
     outcomes = []
-    for invert in (transport.invert_map, invert_map_reference):
+    for invert in (invert_map, invert_map_reference):
         calls = []
         try:
             outcomes.append((invert(recording(calls), targets, max_iter=max_iter).tobytes(), calls))

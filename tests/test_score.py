@@ -6,6 +6,8 @@ from fisherflow.densities import GaussianMixture, OracleVelocityField
 from fisherflow.errors import NumericError
 from fisherflow.validate import EPS_LADDER, RATE_MIXTURE, grad_curvature_ratio, loglog_slope
 
+from helpers import dense_metric_reference
+
 
 def test_perturbed_score_gaussian_oracle_exact():
     # N(0,1) target, t = 0.5: marginal is N(0, 0.5), score at a=1 is exactly -2
@@ -30,32 +32,38 @@ def test_perturbed_score_rejects_degenerate_time():
             score.perturbed_score(field, None, np.array([[0.0]]), t_eps=bad)
 
 
+def metric_matrix(s, normalize=False, damping=0.0):
+    """The d x d metric of score s as the penalty kernel applies it: its gradients M e_i."""
+    d = s.shape[0]
+    _, columns = score.fisher_penalty_batch(np.tile(s, (d, 1)), np.eye(d), normalize, damping)
+    return columns.T
+
+
 def test_fisher_matrix_outer_product():
-    m = score.fisher_matrix(np.array([1.0, 0.0]))
-    np.testing.assert_allclose(m.matrix, [[1.0, 0.0], [0.0, 0.0]])
-    assert m.scale == 1.0 and m.damping == 0.0
+    np.testing.assert_array_equal(metric_matrix(np.array([1.0, 0.0])), [[1.0, 0.0], [0.0, 0.0]])
+    assert score.rank1_scale(np.array([1.0]), 2, normalize=False)[0] == 1.0
 
 
 def test_fisher_matrix_normalize_trace_d():
-    m = score.fisher_matrix(np.array([1.0, 1.0]), normalize=True)
-    np.testing.assert_allclose(m.matrix, [[1.0, 1.0], [1.0, 1.0]])
-    assert abs(np.trace(m.matrix) - 2.0) < 1e-12
+    m = metric_matrix(np.array([1.0, 1.0]), normalize=True)
+    np.testing.assert_allclose(m, [[1.0, 1.0], [1.0, 1.0]])
+    assert abs(np.trace(m) - 2.0) < 1e-12
 
 
 def test_fisher_matrix_normalize_then_damp():
-    m = score.fisher_matrix(np.array([2.0, 0.0]), normalize=True, damping=0.1)
-    np.testing.assert_allclose(m.matrix, [[2.1, 0.0], [0.0, 0.1]])
+    m = metric_matrix(np.array([2.0, 0.0]), normalize=True, damping=0.1)
+    np.testing.assert_allclose(m, [[2.1, 0.0], [0.0, 0.1]])
 
 
 def test_fisher_matrix_degenerate_zero_score():
-    m = score.fisher_matrix(np.zeros(3), normalize=True, damping=0.05)
-    assert m.scale == 0.0  # the rank-1 term is dropped
-    np.testing.assert_allclose(m.matrix, 0.05 * np.eye(3))
+    assert score.rank1_scale(np.zeros(1), 3, normalize=True)[0] == 0.0  # the rank-1 term is dropped
+    np.testing.assert_allclose(metric_matrix(np.zeros(3), normalize=True, damping=0.05),
+                               0.05 * np.eye(3))
 
 
 def test_fisher_matrix_rejects_negative_damping():
-    with pytest.raises(ValueError):
-        score.fisher_matrix(np.ones(2), damping=-1.0)
+    with pytest.raises(ValueError, match="damping must be >= 0"):
+        score.damped_inverse_apply(np.ones((1, 2)), np.ones((1, 2)), damping=-1.0)
 
 
 def test_fisher_penalty_batch_rejects_negative_damping():
@@ -63,19 +71,29 @@ def test_fisher_penalty_batch_rejects_negative_damping():
         score.fisher_penalty_batch(np.ones((3, 2)), np.ones((3, 2)), damping=-1.0)
 
 
+@pytest.mark.parametrize("scores, other", [
+    (np.ones(5), np.ones(5)),  # one (d,) point
+    (np.ones((2, 2, 2)), np.ones((2, 2, 2))),
+    (np.ones((3, 2)), np.ones((3, 1))),
+    (np.ones((3, 2)), np.ones((2, 2))),
+])
+@pytest.mark.parametrize("kernel", [score.fisher_penalty_batch, score.damped_inverse_apply])
+def test_metric_kernels_take_matching_batches_only(kernel, scores, other):
+    with pytest.raises(ValueError, match=r"matching \(B, d\) batches"):
+        kernel(scores, other, normalize=False)
+
+
 def test_fisher_matrix_always_symmetric_psd():
     rng = np.random.default_rng(0)
     for _ in range(50):
         d = rng.integers(1, 5)
         s = rng.normal(size=d) * rng.uniform(0.1, 10)
-        m = score.fisher_matrix(s, normalize=bool(rng.integers(2)),
-                                damping=float(rng.uniform(0, 0.5)))
-        np.testing.assert_allclose(m.matrix, m.matrix.T, atol=1e-12)
-        eig = np.linalg.eigvalsh(m.matrix)
+        m = metric_matrix(s, normalize=bool(rng.integers(2)), damping=float(rng.uniform(0, 0.5)))
+        np.testing.assert_allclose(m, m.T, atol=1e-12)
+        eig = np.linalg.eigvalsh(m)
         assert eig.min() >= -1e-10
         # undamped, unnormalized outer product has rank <= 1
-        base = score.fisher_matrix(s)
-        assert np.linalg.matrix_rank(base.matrix, tol=1e-10) <= 1
+        assert np.linalg.matrix_rank(metric_matrix(s), tol=1e-10) <= 1
 
 
 def test_trace_normalization_scale_invariance():
@@ -83,38 +101,36 @@ def test_trace_normalization_scale_invariance():
     for _ in range(20):
         s = rng.normal(size=3)
         for c in (0.01, 3.0, 250.0):
-            a = score.fisher_matrix(s, normalize=True).matrix
-            b = score.fisher_matrix(c * s, normalize=True).matrix
+            a = metric_matrix(s, normalize=True)
+            b = metric_matrix(c * s, normalize=True)
             np.testing.assert_allclose(a, b, atol=1e-10)
 
 
-def quadratic_penalty(metric, delta):
-    return 0.5 * float(delta @ metric.matrix @ delta)
+def quadratic_penalty(s, delta, normalize=False, damping=0.0):
+    return score.fisher_penalty_batch(s[None], delta[None], normalize, damping)[0][0]
 
 
 def test_quadratic_penalty_values():
-    assert quadratic_penalty(score.isotropic_metric(2), np.zeros(2)) == 0.0
-    assert abs(quadratic_penalty(score.isotropic_metric(2), np.array([3.0, 4.0])) - 12.5) < 1e-12
-    m = score.fisher_matrix(np.array([1.0, 2.0]))
+    # the isotropic metric: a zero score at unit damping
+    assert quadratic_penalty(np.zeros(2), np.zeros(2), damping=1.0) == 0.0
+    assert abs(quadratic_penalty(np.zeros(2), np.array([3.0, 4.0]), damping=1.0) - 12.5) < 1e-12
     perp = np.array([2.0, -1.0])  # orthogonal to the score: rank-1 null space
-    assert abs(quadratic_penalty(m, perp)) < 1e-12
+    assert abs(quadratic_penalty(np.array([1.0, 2.0]), perp)) < 1e-12
     rng = np.random.default_rng(2)
     for _ in range(20):
-        m = score.fisher_matrix(rng.normal(size=3), damping=0.1)
-        assert quadratic_penalty(m, rng.normal(size=3)) >= 0.0
+        assert quadratic_penalty(rng.normal(size=3), rng.normal(size=3), damping=0.1) >= 0.0
 
 
 def test_damped_inverse_apply_known_solution():
-    s = np.array([1.0, 0.0])
-    m = score.fisher_matrix(s, damping=1.0)  # s s^T + I with |s|^2 = 1
-    x = score.damped_inverse_apply(m, s)
+    s = np.array([[1.0, 0.0]])
+    x = score.damped_inverse_apply(s, s, damping=1.0)  # s s^T + I with |s|^2 = 1
     np.testing.assert_allclose(x, s / 2.0, rtol=1e-12)
 
 
 def test_damped_inverse_apply_identity():
-    m = score.isotropic_metric(3)
-    g = np.array([0.3, -0.2, 1.1])
-    np.testing.assert_allclose(score.damped_inverse_apply(m, g), g, rtol=1e-12)
+    g = np.array([[0.3, -0.2, 1.1]])
+    np.testing.assert_allclose(score.damped_inverse_apply(np.zeros((1, 3)), g, damping=1.0), g,
+                               rtol=1e-12)
 
 
 def test_damped_inverse_apply_methods_agree():
@@ -122,25 +138,30 @@ def test_damped_inverse_apply_methods_agree():
     for _ in range(25):
         d = int(rng.integers(1, 5))
         s = rng.normal(size=d)
-        m = score.fisher_matrix(s, normalize=bool(rng.integers(2)),
-                                damping=float(rng.uniform(1e-3, 1.0)))
+        normalize, damping = bool(rng.integers(2)), float(rng.uniform(1e-3, 1.0))
+        m = metric_matrix(s, normalize, damping)
         g = rng.normal(size=d)
-        sm = score.damped_inverse_apply(m, g)
-        direct = np.linalg.solve(m.matrix, g)
+        sm = score.damped_inverse_apply(s[None], g[None], normalize, damping)[0]
+        direct = np.linalg.solve(m, g)
         np.testing.assert_allclose(sm, direct, rtol=1e-8, atol=1e-12)
-        assert np.linalg.norm(m.matrix @ sm - g) < 1e-8 * np.linalg.norm(g)
+        assert np.linalg.norm(m @ sm - g) < 1e-8 * np.linalg.norm(g)
 
 
 def test_damped_inverse_apply_singularities():
-    m = score.fisher_matrix(np.array([1.0, 0.0]))  # rank-1, no damping
-    with pytest.raises(NumericError):
-        score.damped_inverse_apply(m, np.array([0.0, 1.0]))
+    s = np.array([[1.0, 0.0]])  # rank-1, no damping
+    with pytest.raises(NumericError, match="outside the score span"):
+        score.damped_inverse_apply(s, np.array([[0.0, 1.0]]))
     # inside the span the minimum-norm solution exists
-    x = score.damped_inverse_apply(m, np.array([2.0, 0.0]))
-    np.testing.assert_allclose(x, [2.0, 0.0], rtol=1e-12)
-    zero = score.FisherMetric(np.array([1.0, 2.0]), 0.0, 0.0)  # M = 0 with a nonzero score
+    x = score.damped_inverse_apply(s, np.array([[2.0, 0.0]]))
+    np.testing.assert_allclose(x, [[2.0, 0.0]], rtol=1e-12)
+    # M = 0: a score too small to trace-normalize and no damping
+    for zero in (np.zeros((1, 2)), np.full((1, 2), 1e-13)):
+        with pytest.raises(NumericError, match="singular"):
+            score.damped_inverse_apply(zero, np.array([[1.0, 2.0]]), normalize=True)
+    # one singular row fails the whole batch
     with pytest.raises(NumericError, match="singular"):
-        score.damped_inverse_apply(zero, np.array([1.0, 2.0]))
+        score.damped_inverse_apply(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones((2, 2)),
+                                   normalize=True)
 
 
 def test_optimal_epsilon_values():
@@ -174,9 +195,9 @@ def test_fisher_penalty_batch_matches_per_sample_ops():
         for damping in (0.0, 0.05):
             values, grads = score.fisher_penalty_batch(scores, deltas, normalize, damping)
             for i in range(16):
-                m = score.fisher_matrix(scores[i], normalize=normalize, damping=damping)
-                assert abs(values[i] - quadratic_penalty(m, deltas[i])) < 1e-12
-                np.testing.assert_allclose(grads[i], m.matrix @ deltas[i], atol=1e-12)
+                m = dense_metric_reference(scores[i], normalize, damping)
+                assert abs(values[i] - 0.5 * float(deltas[i] @ m @ deltas[i])) < 1e-12
+                np.testing.assert_allclose(grads[i], m @ deltas[i], atol=1e-12)
 
 
 def test_perturbed_score_from_trained_field_tracks_exact_marginal():

@@ -95,38 +95,22 @@ def test_dual_state_validation():
 
 # --- closed-form refinement (1/lambda) M^-1 grad Q and the optimality gap ----
 
-def test_closed_form_refine_isotropic():
-    metric = score.isotropic_metric(2)
-    out = score.damped_inverse_apply(metric, np.array([1.0, 0.0])) / 2.0
-    np.testing.assert_allclose(out, [0.5, 0.0], rtol=1e-12)
-
-
-def test_closed_form_refine_sherman_morrison_case():
-    s = np.array([1.0, 0.0])
-    metric = score.fisher_matrix(s, damping=1.0)
-    out = score.damped_inverse_apply(metric, s)  # lambda = 1
-    np.testing.assert_allclose(out, s / 2.0, rtol=1e-12)
-
-
 def test_iterated_update_stationary_point_does_not_move():
-    metric = score.fisher_matrix(np.array([0.6, -0.2]), damping=0.3)
-    g = np.array([0.5, 1.0])
-    lam = 2.0
-    star = score.damped_inverse_apply(metric, g) / lam
-    grad = g - lam * metric.matrix @ star
+    s, g, lam = np.array([[0.6, -0.2]]), np.array([0.5, 1.0]), 2.0
+    star = score.damped_inverse_apply(s, g[None], damping=0.3) / lam
+    _, m_star = score.fisher_penalty_batch(s, star, normalize=False, damping=0.3)
+    grad = g - lam * m_star[0]
     assert np.linalg.norm(grad) < 1e-10  # zero gradient: the update magnitude vanishes
 
 
 def test_optimality_gap_zero_gradient():
-    metric = score.fisher_matrix(np.array([1.0, 2.0]), damping=0.5)
-    res = validate.optimality_gap(metric, np.zeros(2), 1.0)
+    res = validate.optimality_gap(np.array([1.0, 2.0]), np.zeros(2), 1.0, damping=0.5)
     assert res.direct == 0.0
 
 
 def test_optimality_gap_rejects_singular_metric():
-    metric = score.fisher_matrix(np.array([1.0, 0.0]))  # rank-1, undamped
-    with pytest.raises(NumericError):
-        validate.optimality_gap(metric, np.array([0.3, 0.4]), 1.0)
+    with pytest.raises(NumericError):  # rank-1, undamped
+        validate.optimality_gap(np.array([1.0, 0.0]), np.array([0.3, 0.4]), 1.0)
 
 
 # --- critic -----------------------------------------------------------------
