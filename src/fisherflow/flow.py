@@ -19,22 +19,21 @@ from .errors import NumericError
 def state_action_input(s, a, state_dim, t=None) -> np.ndarray:
     """Net input [s, a] (then a time column t, when given) for a batch of actions (B, d).
 
-    One action is a batch of one; any other shape is a ValueError. `s` is None
-    (a zero state), one state (n,) broadcast against every action, or a batch
-    (B, n) with one row per action. Without state columns or a time, `a`
-    itself is returned.
+    One action is a batch of one, and `s` is None (a zero state) or a batch
+    (B, n) with one row per action, one state being a batch of one; any other
+    shape is a ValueError. Without state columns or a time, `a` itself is
+    returned.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"actions must be a (B, d) batch, got shape {a.shape}")
-    s = np.zeros(state_dim) if s is None else np.asarray(s, dtype=np.float64)
-    if s.shape[-1] != state_dim:
-        raise ValueError(f"state dimension {s.shape[-1]} != expected {state_dim}")
-    if s.ndim == 2 and s.shape[0] != a.shape[0]:
-        raise ValueError("state batch does not match action batch")
+    if s is not None:
+        s = nets.as_batch(s, state_dim, "states")
+        if s.shape[0] != a.shape[0]:
+            raise ValueError(f"{s.shape[0]} state rows for {a.shape[0]} actions")
     parts = [a]
     if state_dim:
-        parts.insert(0, np.broadcast_to(s, (a.shape[0], state_dim)))
+        parts.insert(0, np.zeros((a.shape[0], state_dim)) if s is None else s)
     if t is not None:
         parts.append(np.broadcast_to(np.asarray(t, dtype=np.float64), (a.shape[0], 1)))
     return np.concatenate(parts, axis=-1) if len(parts) > 1 else a
@@ -49,9 +48,9 @@ class VelocityField:
     action_dim: int
 
     @classmethod
-    def create(cls, state_dim, action_dim, hidden=(64, 64), activation="gelu", rng=None):
+    def create(cls, state_dim, action_dim, hidden=(64, 64), rng=None):
         sizes = [state_dim + action_dim + 1, *hidden, action_dim]
-        return cls(nets.DenseNet.create(sizes, activation, rng), state_dim, action_dim)
+        return cls(nets.DenseNet.create(sizes, rng), state_dim, action_dim)
 
     def __call__(self, t, s, a):
         return nets.forward(self.net, state_action_input(s, a, self.state_dim, t))

@@ -14,7 +14,7 @@ from the erf of its own value); the output layer is linear and stores None.
 it runs `forward` itself.
 
 The kernels work in place, but only on arrays the layer itself created: the
-bias is added into the fresh matmul product, an activation overwrites the
+bias is added into the fresh matmul product, the GELU overwrites the
 pre-activation it is given (after building its derivative from it), and
 backward scales the fresh `delta @ W.T` by the cached derivative. Nothing
 the caller passes (input, upstream gradient, parameters, cache) is written.
@@ -77,12 +77,12 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-# Each activation maps a fresh pre-activation z to (value, derivative at z),
-# the derivative only when asked for and otherwise None. The value is written
-# into z, so z is the returned value and the caller must own it.
+# the one hidden activation; checkpoints name it in each net's "activation" key
+ACTIVATION = "gelu"
 
 
 def _gelu(z, with_grad):
+    """(GELU of z, its derivative at z or None), the value written into z, which the caller owns."""
     e = np.multiply(z, _INV_SQRT2)
     erf(e, out=e)
     e += 1.0  # 2 Phi(z)
@@ -102,35 +102,19 @@ def _gelu(z, with_grad):
     return z, e
 
 
-def _relu(z, with_grad):
-    grad = (z > 0.0).astype(np.float64) if with_grad else None
-    return np.maximum(z, 0.0, out=z), grad
-
-
-def _tanh(z, with_grad):
-    np.tanh(z, out=z)
-    return z, (1.0 - z**2 if with_grad else None)
-
-
-ACTIVATIONS = {"gelu": _gelu, "relu": _relu, "tanh": _tanh}
-
-
 @dataclass
 class DenseNet:
-    """MLP with hidden activations and a linear output layer.
+    """MLP with GELU hidden activations and a linear output layer.
 
-    weights[k] has shape (layer_sizes[k], layer_sizes[k+1]); the activation is
+    weights[k] has shape (layer_sizes[k], layer_sizes[k+1]); the GELU is
     applied after every layer except the last.
     """
 
     layer_sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "gelu"
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if any(n <= 0 for n in self.layer_sizes):
             raise ValueError("layer sizes must be positive")
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -139,7 +123,7 @@ class DenseNet:
                 raise ValueError(f"layer {k}: parameter shapes {w.shape}/{b.shape} do not chain {want}")
 
     @classmethod
-    def create(cls, layer_sizes, activation="gelu", rng=None):
+    def create(cls, layer_sizes, rng=None):
         """Seedable init: W ~ U(+-1/sqrt(fan_in)), zero biases."""
         rng = np.random.default_rng(rng)
         weights, biases = [], []
@@ -147,7 +131,7 @@ class DenseNet:
             bound = 1.0 / np.sqrt(fan_in)
             weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
-        return cls(list(layer_sizes), weights, biases, activation)
+        return cls(list(layer_sizes), weights, biases)
 
     @property
     def in_size(self):
@@ -158,12 +142,8 @@ class DenseNet:
         return self.layer_sizes[-1]
 
     def clone(self):
-        return DenseNet(
-            list(self.layer_sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
+        return DenseNet(list(self.layer_sizes), [w.copy() for w in self.weights],
+                        [b.copy() for b in self.biases])
 
     def parameters(self):
         return list(self.weights) + list(self.biases)
@@ -171,15 +151,16 @@ class DenseNet:
     def write_json(self, fh):
         """Write this net to text file `fh` as the JSON object `from_dict` reads.
 
-        The keys are format_version, layer_sizes, activation, weights (each
-        matrix flattened in C order) and biases, with `json.dump`'s default
-        separators, so the bytes are those of `json.dump` of that dict. The
-        parameters go through `json.dumps` in slices of `JSON_SLICE_VALUES`,
-        so at most one slice is held as Python floats and text at a time.
+        The keys are format_version, layer_sizes, activation (always
+        `ACTIVATION`), weights (each matrix flattened in C order) and biases,
+        with `json.dump`'s default separators, so the bytes are those of
+        `json.dump` of that dict. The parameters go through `json.dumps` in
+        slices of `JSON_SLICE_VALUES`, so at most one slice is held as Python
+        floats and text at a time.
         """
         fh.write(f'{{"format_version": {CHECKPOINT_FORMAT_VERSION}, '
                  f'"layer_sizes": {json.dumps(list(self.layer_sizes))}, '
-                 f'"activation": {json.dumps(self.activation)}, "weights": ')
+                 f'"activation": {json.dumps(ACTIVATION)}, "weights": ')
         _write_json_arrays(fh, [w.ravel(order="C") for w in self.weights])
         fh.write(', "biases": ')
         _write_json_arrays(fh, self.biases)
@@ -190,8 +171,8 @@ class DenseNet:
         """The net `write_json` wrote, from its parsed JSON object.
 
         Anything but an object of the current format version with
-        layer_sizes, activation, weights and biases whose shapes chain is a
-        ValueError.
+        layer_sizes, activation `ACTIVATION`, weights and biases whose shapes
+        chain is a ValueError.
         """
         if not isinstance(data, dict):
             raise ValueError(f"a net is a JSON object, got {type(data).__name__}")
@@ -202,8 +183,8 @@ class DenseNet:
                    if key not in data]
         if missing:
             raise ValueError(f"a net lacks {', '.join(missing)}")
-        if not isinstance(data["activation"], str):
-            raise ValueError(f"a net's activation is a string, got {data['activation']!r}")
+        if data["activation"] != ACTIVATION:
+            raise ValueError(f"a net's activation is {ACTIVATION!r}, got {data['activation']!r}")
         try:
             sizes = [operator.index(n) for n in data["layer_sizes"]]
             if not len(sizes) - 1 == len(data["weights"]) == len(data["biases"]) >= 1:
@@ -216,7 +197,7 @@ class DenseNet:
             biases = [np.asarray(b, dtype=np.float64) for b in data["biases"]]
         except TypeError as exc:
             raise ValueError(f"malformed net: {exc}") from exc
-        return cls(sizes, weights, biases, data["activation"])
+        return cls(sizes, weights, biases)
 
 
 def _write_json_arrays(fh, arrays):
@@ -256,7 +237,6 @@ def forward(net: DenseNet, x, cache=None) -> np.ndarray:
     activation derivative) pair per layer for `backward` to consume.
     """
     x = as_batch(x, net.in_size, "input")
-    act = ACTIVATIONS[net.activation]
     with_grad = cache is not None
     h = x
     last = len(net.weights) - 1
@@ -267,7 +247,7 @@ def forward(net: DenseNet, x, cache=None) -> np.ndarray:
         h += b
         grad = None
         if k != last:
-            h, grad = act(h, with_grad)
+            h, grad = _gelu(h, with_grad)
         if with_grad:
             cache.append((layer_input, grad))
     return h

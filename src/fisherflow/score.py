@@ -76,7 +76,9 @@ def damped_inverse_apply(scores, g, normalize=False, damping=0.0) -> np.ndarray:
     With damping mu > 0 this is Sherman-Morrison. With mu = 0 the metric is
     rank-1: g inside span(s) gets the minimum-norm solution, anything else is
     a genuine singularity. Any row that cannot be solved, or whose residual
-    against the penalty kernel's M x is too large, raises NumericError.
+    against the penalty kernel's M x exceeds 1e-8 max(|g|, |M| |x|), raises
+    NumericError: |M| = c |s|^2 + mu admits a backward-stable solve's eps |M| |x|
+    at any conditioning, and at mu = 0 the bound is 1e-8 |g|.
     """
     s, g = _metric_rows(scores, g, "vectors", damping)
     sq, sg = np.vecdot(s, s), np.vecdot(s, g)
@@ -94,7 +96,9 @@ def damped_inverse_apply(scores, g, normalize=False, damping=0.0) -> np.ndarray:
             raise NumericError("metric is singular: no rank-1 term and no damping")
         x = (sg / (c * sq * sq))[:, None] * s
     resid = np.linalg.norm(_metric_apply(s, c, mu, x)[1] - g, axis=1)
-    bad = ~(resid <= 1e-8 * np.maximum(np.linalg.norm(g, axis=1), 1e-300))  # NaN fails too
+    size = np.maximum(np.linalg.norm(g, axis=1), np.linalg.norm((c * sq + mu)[:, None] * x, axis=1))
+    bound = 1e-8 * np.maximum(size, 1e-300)
+    bad = ~(resid <= bound) | ~(bound < np.inf)  # NaN fails too, and so does an overflowed x
     if bad.any():
         raise NumericError(f"inverse apply residual too large: {resid[bad].max():.3e}"
                            + ("; the vector lies outside the score span" if mu == 0.0 else ""))

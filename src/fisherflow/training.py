@@ -75,10 +75,10 @@ class Critic:
 
     @classmethod
     def create(cls, state_dim, action_dim, hidden=(64, 64), learning_rate=3e-4,
-               tau=0.005, gamma=0.99, activation="gelu", rng=None):
+               tau=0.005, gamma=0.99, rng=None):
         rng = np.random.default_rng(rng)
         sizes = [state_dim + action_dim, *hidden, 1]
-        online = tuple(nets.DenseNet.create(sizes, activation, rng) for _ in range(2))
+        online = tuple(nets.DenseNet.create(sizes, rng) for _ in range(2))
         target = tuple(net.clone() for net in online)
         adams = tuple(nets.AdamState.for_net(net, learning_rate) for net in online)
         return cls(state_dim, online, target, adams, tau, gamma)
@@ -124,7 +124,7 @@ class DualState:
 
 
 def dual_update(dual: DualState, constraint_value: float) -> DualState:
-    """lambda <- relu(lambda + eta (constraint - epsilon)).
+    """lambda <- max(0, lambda + eta (constraint - epsilon)).
 
     A nan or inf constraint is a NumericError, so the run fails at its step.
     """
@@ -141,8 +141,7 @@ class ActorStats:
 
 
 def actor_update(tmap: TransportMap, q_fn, scores, dual: DualState, states, base,
-                 adam: nets.AdamState, normalize=True, damping=1e-3, q_normalization=True,
-                 grad_clip=5.0) -> ActorStats:
+                 adam: nets.AdamState, normalize=True, damping=1e-3, grad_clip=5.0) -> ActorStats:
     """One ascent step on the residual net against the Lagrangian.
 
     `q_fn(s, a)` returns Q values and their action gradients (a task's
@@ -154,8 +153,8 @@ def actor_update(tmap: TransportMap, q_fn, scores, dual: DualState, states, base
     `fisher_penalty_batch` metric under `normalize` and `damping`; with
     `scores=None` (the isotropic arm) it is the L2 baseline 0.5 |delta|^2,
     from negative-zero scores at unit damping without normalization, so its
-    gradient is exactly delta, signed zeros included. Q values are
-    normalized by their batch mean absolute value when enabled.
+    gradient is exactly delta, signed zeros included. Q values are always
+    scaled by 1 / max(batch mean |Q|, 1e-8), as in TD3+BC.
     """
     states = np.asarray(states, dtype=np.float64)
     base = np.asarray(base, dtype=np.float64)
@@ -166,7 +165,7 @@ def actor_update(tmap: TransportMap, q_fn, scores, dual: DualState, states, base
     delta = tmap.residual(states, base, saved)
     refined = base + delta
     q, dq = q_fn(states, refined)
-    scale = 1.0 / max(float(np.mean(np.abs(q))), 1e-8) if q_normalization else 1.0
+    scale = 1.0 / max(float(np.mean(np.abs(q))), 1e-8)
     if scores is None:
         scores, normalize, damping = np.full_like(delta, -0.0), False, 1.0
     pen, pen_grad = fisher_penalty_batch(scores, delta, normalize, damping)
@@ -262,7 +261,6 @@ class RefineConfig:
     grad_clip: float = 5.0
     hidden: tuple = (64, 64)
     flow_integration_steps: int = 10
-    activation: str = "gelu"
     max_displacement: float = 1.0
     metric: str = "fisher"            # "fisher" | "isotropic"
     t_eps: float = 0.8
@@ -271,7 +269,6 @@ class RefineConfig:
     epsilon: float = 0.1
     eta: float = 1e-3
     lambda_init: float = 10.0
-    q_normalization: bool = True
     mode: str = "bandit"              # "bandit" (gamma = 0) | "td"
     analytic_q: bool = True
     gamma: float = 0.99
@@ -305,9 +302,6 @@ class RefineConfig:
         self.hidden = tuple(self.hidden)
         if not all(width >= 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden!r}")
-        if self.activation not in nets.ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}, "
-                             f"want one of {', '.join(nets.ACTIVATIONS)}")
 
 
 @dataclass
@@ -386,7 +380,7 @@ def evaluate_policy(tmap: TransportMap, task: SyntheticTask, states, base):
 
 # RefineConfig fields that, with the seed's dataset and task, fix a run's base stream
 STREAM_FIELDS = ("seed", "flow_steps", "steps", "batch_size", "learning_rate", "grad_clip",
-                 "hidden", "activation", "flow_integration_steps", "eval_samples")
+                 "hidden", "flow_integration_steps", "eval_samples")
 
 
 def _run_rngs(seed):
@@ -414,8 +408,7 @@ def _pretrained_policy(config: RefineConfig, dataset: OfflineDataset, task: Synt
                        rng_init, rng_flow):
     """Behavioral flow policy fitted to the dataset, and its last loss (nan without training)."""
     policy = FlowPolicy(
-        VelocityField.create(task.state_dim, task.action_dim, config.hidden, config.activation,
-                             rng_init),
+        VelocityField.create(task.state_dim, task.action_dim, config.hidden, rng_init),
         steps=config.flow_integration_steps)
     if config.flow_steps == 0:
         return policy, float("nan")
@@ -603,14 +596,13 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
         policy, flow_loss = _pretrained_policy(config, dataset, task, rng_flow_init, rng_flow)
     else:
         policy, flow_loss = base.policy, base.flow_loss
-    tmap = TransportMap.create(n, d, policy, config.hidden, config.activation,
-                               config.max_displacement, rng_res)
+    tmap = TransportMap.create(n, d, policy, config.hidden, config.max_displacement, rng_res)
     fisher = config.metric == "fisher"
     critic = stream_scores = None
     if base is None:
         gamma = 0.0 if config.mode == "bandit" else config.gamma
         critic = Critic.create(n, d, config.hidden, config.learning_rate,
-                               config.tau, gamma, config.activation, rng_critic)
+                               config.tau, gamma, rng_critic)
         q_fn = critic.value_and_action_grad
         flow_adam = nets.AdamState.for_net(policy.field.net, config.learning_rate)
     else:
@@ -652,8 +644,7 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
                              config.grad_clip, config.t_eps, fisher)], threads)
                 td_loss = critic_update(critic, states, actions, target, config.grad_clip)
             stats = actor_update(tmap, q_fn, scores, dual, states, base_actions, actor_adam,
-                                 config.normalize_metric, config.damping,
-                                 config.q_normalization, config.grad_clip)
+                                 config.normalize_metric, config.damping, config.grad_clip)
             dual = dual_update(dual, stats.constraint)
         except NumericError as exc:
             raise NumericError(f"training step {step}: {exc}") from exc

@@ -57,8 +57,8 @@ class TransportMap:
 
     @classmethod
     def create(cls, state_dim, action_dim, base_policy, hidden=(64, 64),
-               activation="gelu", max_displacement=1.0, rng=None):
-        net = nets.DenseNet.create([state_dim + action_dim, *hidden, action_dim], activation, rng)
+               max_displacement=1.0, rng=None):
+        net = nets.DenseNet.create([state_dim + action_dim, *hidden, action_dim], rng)
         # zero final layer: the map starts as an exact identity
         net.weights[-1][:] = 0.0
         net.biases[-1][:] = 0.0

@@ -67,15 +67,22 @@ def suite_score_identity() -> Outcome:
     return Outcome(ok, f"max rel err {worst:.2e}; N(0,1) t=0.5 a=1 score {point:+.12f}")
 
 
-def contraction_coefficient(mix, a, h=1e-6) -> float:
+# central-difference steps of the two error-term coefficients below
+CONTRACTION_FD_STEP = 1e-6
+CURVATURE_FD_STEP = 1e-4
+
+
+def contraction_coefficient(mix, a) -> float:
     """First-order mean-contraction error term s(a) + s'(a) a of a 1-D mixture's score."""
     s = lambda x: float(mix.score(np.array([[x]]))[0, 0])
+    h = CONTRACTION_FD_STEP
     return s(a) + (s(a + h) - s(a - h)) / (2 * h) * a
 
 
-def grad_curvature_ratio(mix, a, h=1e-4) -> float:
+def grad_curvature_ratio(mix, a) -> float:
     """d/da of (lap pi / pi) of a 1-D mixture, the constant in the second-order error term."""
     p = lambda x: float(mix.density(np.array([[x]]))[0])
+    h = CURVATURE_FD_STEP
     lap_over_p = lambda x: (p(x + h) - 2 * p(x) + p(x - h)) / (h * h * p(x))
     return (lap_over_p(a + h) - lap_over_p(a - h)) / (2 * h)
 
@@ -149,7 +156,7 @@ def linear_residual_map(w, cap=1e6) -> TransportMap:
     With the default cap the tanh is the identity to machine precision.
     """
     d = w.shape[0]
-    net = nets.DenseNet([d, d], [np.asarray(w, dtype=np.float64)], [np.zeros(d)], "gelu")
+    net = nets.DenseNet([d, d], [np.asarray(w, dtype=np.float64)], [np.zeros(d)])
     policy = FlowPolicy(VelocityField.create(0, d, hidden=(4,), rng=0), steps=2)
     return TransportMap(net, policy, max_displacement=cap)
 

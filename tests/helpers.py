@@ -253,7 +253,7 @@ def net_to_dict(net):
     return {
         "format_version": nets.CHECKPOINT_FORMAT_VERSION,
         "layer_sizes": list(net.layer_sizes),
-        "activation": net.activation,
+        "activation": "gelu",
         "weights": [w.ravel(order="C").tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }

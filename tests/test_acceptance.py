@@ -208,8 +208,8 @@ def test_criterion_10_gradient_hygiene(bimodal_dataset):
 
     rng = np.random.default_rng(10)
     worst_net = 0.0
-    for sizes, act in (([3, 5, 2], "gelu"), ([2, 6, 6, 1], "tanh")):
-        net = nets.DenseNet.create(sizes, act, rng=rng)
+    for sizes in ([3, 5, 2], [2, 6, 6, 1]):
+        net = nets.DenseNet.create(sizes, rng=rng)
         x = rng.standard_normal((1, sizes[0]))
         up = rng.standard_normal((1, sizes[-1]))
         tape = nets.backward(net, x, up)

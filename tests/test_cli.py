@@ -260,7 +260,6 @@ def test_fisher_t_eps_outside_unit_interval_is_usage_error(tmp_path, capsys, com
     "train.damping=-5",
     "train.hidden=0",
     "train.hidden=8,-3",
-    "train.activation=foo",
 ])
 def test_out_of_range_training_value_is_usage_error(tmp_path, capsys, setting):
     out = tmp_path / "r"
@@ -316,6 +315,8 @@ def test_export_plots_requires_run_dir(tmp_path):
        "max_displacement must be a finite number > 0") for value in (float("nan"), -1.0, 0, "x")],
     *[(lambda payload, v=value: {**payload, "flow_integration_steps": v},
        "steps must be an integer >= 1") for value in (2.5, "3", True)],
+    (lambda payload: {**payload, "residual_net": {**payload["residual_net"], "activation": "relu"}},
+     "a net's activation is 'gelu', got 'relu'"),
 ])
 def test_export_plots_on_malformed_checkpoint_is_usage_error(tmp_path, capsys, edit, message):
     out = tmp_path / "r"
@@ -394,11 +395,32 @@ def test_every_config_field_has_a_key():
     assert train == {f.name for f in fields(RefineConfig)}
 
 
+# keys no config has any more, as configs written before their removal still carry them
+REMOVED_KEYS = {"train.dual_log": "true", "train.activation": "gelu",
+                "train.q_normalization": "true"}
+
+
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        RunConfig.from_entries({"trian.steps": "10"})
-    with pytest.raises(ValueError):
-        RunConfig.from_entries({"train.stepz": "10"})
+    for key, value in {"trian.steps": "10", "train.stepz": "10", **REMOVED_KEYS}.items():
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            RunConfig.from_entries({key: value})
+
+
+@pytest.mark.parametrize("source", ["config", "set"])
+@pytest.mark.parametrize("setting", [*(f"{key}={value}" for key, value in REMOVED_KEYS.items()),
+                                     "train.activation=foo"])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, setting, source):
+    out = tmp_path / "r"
+    key, value = setting.split("=")
+    if source == "config":
+        conf = tmp_path / "c.txt"
+        conf.write_text(f"{key} = {value}\n")
+        args = ["--config", str(conf)]
+    else:
+        args = ["--set", setting]
+    assert run_cli("train", "--out", str(out), *FAST_TRAIN, *args) == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any output or training
 
 
 def test_cli_set_overrides_take_precedence(tmp_path):

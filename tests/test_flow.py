@@ -245,7 +245,7 @@ def test_sampling_deterministic_given_parameters():
     rng = np.random.default_rng(16)
     field = flow.VelocityField.create(2, 2, rng=rng)
     policy = flow.FlowPolicy(field, steps=10)
-    s = np.array([0.1, -0.4])
+    s = np.array([[0.1, -0.4]])
     z = np.array([[0.9, 0.2]])
     a = flow.sample_action(policy, s, z)
     b = flow.sample_action(policy, s, z)
@@ -256,5 +256,5 @@ def test_velocity_field_checkpoint_roundtrip():
     field = flow.VelocityField.create(1, 2, rng=17)
     data = json.loads(json.dumps(net_to_dict(field.net)))
     restored = flow.VelocityField(nets.DenseNet.from_dict(data), 1, 2)
-    s, a = np.array([0.2]), np.array([[0.4, -0.1]])
+    s, a = np.array([[0.2]]), np.array([[0.4, -0.1]])
     np.testing.assert_array_equal(field(0.3, s, a), restored(0.3, s, a))

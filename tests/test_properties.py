@@ -82,11 +82,11 @@ def _sherman_morrison_reference(s, c, mu, g):
 
 
 def _solves(s, c, mu, x, g):
-    """Whether x passes the 1e-8 |g| residual bound, with M x = c (s . x) s + mu x as the
-    penalty kernel forms it."""
+    """Whether x passes the 1e-8 max(|g|, |M| |x|) residual bound, |M| = c |s|^2 + mu, with
+    M x = c (s . x) s + mu x as the penalty kernel forms it."""
     mx = (c * np.sum(s * x, axis=1))[:, None] * s + mu * x
-    return bool(np.linalg.norm(mx - g, axis=1)[0]
-                <= 1e-8 * max(float(np.linalg.norm(g, axis=1)[0]), 1e-300))
+    size = max(float(np.linalg.norm(g)), float(np.linalg.norm((c * float(np.sum(s * s)) + mu) * x)))
+    return size < np.inf and bool(np.linalg.norm(mx - g) <= 1e-8 * max(size, 1e-300))
 
 
 coordinate = st.floats(-3.0, 3.0)
@@ -108,6 +108,11 @@ def _metric_case(d):
          damping=1e-200)
 @example(case=(np.zeros(2), np.ones(2), np.ones(2), np.ones(2)), normalize=False,
          damping=1e-200)
+# kappa = (|s|^2 + mu) / mu is about 4e18: the correct solution's rounding residual, 39.4, is of
+# order eps |M| |x|, so a bound of 1e-8 |g| alone refused it
+@example(case=(np.array([0.8217701239287258, -1.3812797174167781]), np.ones(2),
+               np.array([-0.40763925235760556, 0.6699686080433098]), np.ones(2)),
+         normalize=False, damping=6.083492784550457e-19)
 def test_factored_metric_matches_dense_forms(case, normalize, damping):
     s, delta, g, v = case
     m = dense_metric_reference(s, normalize, damping)
@@ -174,7 +179,7 @@ def test_vjp_divergence_is_jacobian_trace_and_matches_fd(seed, d, state_dim):
     tmap = transport.TransportMap.create(state_dim, d, policy, hidden=(8, 8), rng=rng)
     last = tmap.residual_net.weights[-1]
     last[:] = 0.5 * rng.standard_normal(last.shape)
-    s = rng.standard_normal(state_dim) if state_dim else None
+    s = rng.standard_normal((1, state_dim)) if state_dim else None
     a = rng.standard_normal((1, d))
     vjp = transport.log_det_inverse_approx(tmap, s, a).divergence[0]
     assert vjp == float(np.trace(transport.displacement_jacobian(tmap, s, a)[0]))
@@ -303,6 +308,10 @@ def test_state_action_input_matches_former_concatenations(seed, state_dim, d, ro
     s = {"none": None,
          "single": rng.standard_normal(state_dim),
          "batch": rng.standard_normal((rows, state_dim))}[state]
+    if state == "single":  # a lone state is refused: one state is a batch of one
+        with pytest.raises(ValueError, match=rf"\(B, {state_dim}\)"):
+            flow.state_action_input(s, a, state_dim, t)
+        return
     assert _same(flow.state_action_input(s, a, state_dim, t),
                  _velocity_input_reference(t, s, a, state_dim))
     assert _same(flow.state_action_input(s, a, state_dim),
@@ -318,31 +327,29 @@ def test_state_action_input_matches_former_concatenations(seed, state_dim, d, ro
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-_REFERENCE_ACTIVATIONS = {  # (value, derivative), each from the pre-activation alone
-    "gelu": (lambda x: 0.5 * x * (1.0 + erf(x * _INV_SQRT2)),
-             lambda x: (0.5 * (1.0 + erf(x * _INV_SQRT2))
-                        + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x)))),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(np.float64)),
-    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
-}
+# the GELU's value and derivative, each from the pre-activation alone
+def _reference_gelu(x):
+    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+
+
+def _reference_gelu_grad(x):
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
 
 
 def _reference_forward(net, x):
     """Out-of-place forward: (pre-activations, layer inputs, output), every step a new array."""
-    act = _REFERENCE_ACTIVATIONS[net.activation][0]
     last = len(net.weights) - 1
     pre, inputs, h = [], [], x
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(h)
         z = h @ w + b
         pre.append(z)
-        h = act(z) if k != last else z
+        h = _reference_gelu(z) if k != last else z
     return pre, inputs, h
 
 
 def _two_pass_backward_reference(net, x, upstream):
     """The former backward: re-runs the forward, then evaluates each derivative (and erf) anew."""
-    act_grad = _REFERENCE_ACTIVATIONS[net.activation][1]
     pre, inputs, _ = _reference_forward(net, x)
     d_weights, d_biases, delta = [], [], upstream
     for k in range(len(net.weights) - 1, -1, -1):
@@ -350,7 +357,7 @@ def _two_pass_backward_reference(net, x, upstream):
         d_biases.insert(0, delta.sum(axis=0))
         delta = delta @ net.weights[k].T
         if k > 0:
-            delta = delta * act_grad(pre[k - 1])
+            delta = delta * _reference_gelu_grad(pre[k - 1])
     return d_weights + d_biases + [delta]
 
 
@@ -362,25 +369,24 @@ def _freeze(arrays):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), activation=st.sampled_from(["gelu", "relu", "tanh"]),
-       sizes=st.lists(st.integers(1, 8), min_size=2, max_size=5), rows=st.integers(1, 6))
-def test_cached_backward_matches_recomputed_bit_for_bit(seed, activation, sizes, rows):
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 8), min_size=2, max_size=5),
+       rows=st.integers(1, 6))
+def test_cached_backward_matches_recomputed_bit_for_bit(seed, sizes, rows):
     rng = np.random.default_rng(seed)
-    net = nets.DenseNet.create(sizes, activation, rng)
+    net = nets.DenseNet.create(sizes, rng)
     for b in net.biases:
         b[:] = rng.standard_normal(b.shape)
     x = 2.0 * rng.standard_normal((rows, sizes[0]))
     upstream = rng.standard_normal((rows, sizes[-1]))
     _freeze([x, upstream] + net.parameters())
     pre, inputs, out = _reference_forward(net, x)
-    act_grad = _REFERENCE_ACTIVATIONS[activation][1]
     cache = []
     assert _same(nets.forward(net, x, cache), out)
     assert _same(nets.forward(net, x), out)
     assert len(cache) == len(pre)
     for k, (layer_input, grad) in enumerate(cache):
         assert _same(layer_input, inputs[k])
-        assert grad is None if k == len(pre) - 1 else _same(grad, act_grad(pre[k]))
+        assert grad is None if k == len(pre) - 1 else _same(grad, _reference_gelu_grad(pre[k]))
         _freeze([layer_input, grad])
     reference = _two_pass_backward_reference(net, x, upstream)
     for tape in (nets.backward(net, x, upstream, cache), nets.backward(net, x, upstream)):
@@ -563,7 +569,6 @@ run_configs = st.builds(
         lambda arm, kind, **kw: training.RefineConfig(**arm, **kind, **kw),
         metric_arms, critic_kinds, seed=st.integers(0, 2**31), steps=st.integers(0, 10**5),
         hidden=st.lists(st.integers(1, 512), min_size=1, max_size=3).map(tuple),
-        activation=st.sampled_from(["gelu", "relu", "tanh"]),
         normalize_metric=st.booleans(),
         damping=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
         gamma=st.floats(0.0, 1.0), tau=st.floats(0.0, 1.0, exclude_min=True)))

@@ -240,13 +240,10 @@ def test_actor_update_zero_lambda_ascends_quadratic_value():
     adam = nets.AdamState.for_net(tmap.residual_net, 1e-3)
     states = np.zeros((128, 0))
     base = sampled_base(policy, states, np.random.default_rng(21))
-    q0 = training.actor_update(tmap, quadratic_q, None, dual, states, base, adam,
-                               q_normalization=False).mean_q
+    q0 = training.actor_update(tmap, quadratic_q, None, dual, states, base, adam).mean_q
     for _ in range(200):
-        training.actor_update(tmap, quadratic_q, None, dual, states, base, adam,
-                              q_normalization=False)
-    q1 = training.actor_update(tmap, quadratic_q, None, dual, states, base, adam,
-                               q_normalization=False).mean_q
+        training.actor_update(tmap, quadratic_q, None, dual, states, base, adam)
+    q1 = training.actor_update(tmap, quadratic_q, None, dual, states, base, adam).mean_q
     assert q1 > q0
 
 
@@ -331,7 +328,7 @@ def test_checkpoint_bytes_are_json_dump_of_the_payload(tmp_path, request, run):
     assert tmap.base_policy.steps == policy.steps
     for got, saved in [(tmap.residual_net, result.transport_map.residual_net),
                        (tmap.base_policy.field.net, policy.field.net)]:
-        assert got.layer_sizes == saved.layer_sizes and got.activation == saved.activation
+        assert got.layer_sizes == saved.layer_sizes
         assert [p.tobytes() for p in got.parameters()] == [p.tobytes() for p in saved.parameters()]
 
 
@@ -426,9 +423,9 @@ def test_base_stream_rejects_a_run_it_does_not_fit(bimodal_setup, small_stream, 
 # analytic-Q only); a new field fails the test below until it is listed here
 OTHER_VALUES = dict(
     seed=12, steps=4, flow_steps=6, batch_size=8, learning_rate=1e-3, grad_clip=1e-3,
-    hidden=(8, 4), flow_integration_steps=5, activation="tanh", eval_samples=20,
+    hidden=(8, 4), flow_integration_steps=5, eval_samples=20,
     max_displacement=0.5, metric="isotropic", t_eps=0.7, normalize_metric=False, damping=0.01,
-    epsilon=0.05, eta=0.01, lambda_init=3.0, q_normalization=False, gamma=0.5, tau=0.1,
+    epsilon=0.05, eta=0.01, lambda_init=3.0, gamma=0.5, tau=0.1,
     log_interval=1)
 
 

@@ -26,7 +26,7 @@ def constant_residual_map(c, cap=1.0):
     c = np.asarray(c, dtype=np.float64)
     d = c.size
     raw = cap * np.arctanh(c / cap)
-    net = nets.DenseNet([d, d], [np.zeros((d, d))], [raw], "gelu")
+    net = nets.DenseNet([d, d], [np.zeros((d, d))], [raw])
     return transport.TransportMap(net, make_policy(0, d), max_displacement=cap)
 
 
@@ -46,8 +46,8 @@ def test_apply_matches_manual_composition():
     tmap = make_map(state_dim=1, seed=3)
     tmap.residual_net.weights[-1][:] = np.random.default_rng(4).normal(
         size=tmap.residual_net.weights[-1].shape) * 0.3
-    s, a = np.array([0.5]), np.array([[0.2, -0.4]])
-    raw = nets.forward(tmap.residual_net, np.concatenate([s[None], a], axis=1))
+    s, a = np.array([[0.5]]), np.array([[0.2, -0.4]])
+    raw = nets.forward(tmap.residual_net, np.concatenate([s, a], axis=1))
     expected = a + 1.0 * np.tanh(raw / 1.0)
     np.testing.assert_allclose(tmap.action_map(s)(a), expected, rtol=1e-12)
 
