@@ -6,7 +6,8 @@ lines, so persisting a resolved config and re-reading it round-trips
 byte-for-byte and a re-launch reproduces the run exactly.
 
 Keys are field names: a `RunConfig` field's first '_' becomes '.'
-(`data_size` is `data.size`), a `RefineConfig` field `f` is `train.f`. Every
+(`data_size` is `data.size`), a `RefineConfig` field `f` is `train.f`,
+except `seed`, which each run takes from `seeds`. Every
 value parses to the type of its field's default (lists and tuples
 comma-separated, booleans true/false) and formats back (floats by repr).
 """
@@ -62,15 +63,19 @@ class RunConfig:
         for key, text in entries.items():
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = _parse(text, defaults[key])
+            try:
+                values[key] = _parse(text, defaults[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from exc
         train = {k[len("train."):]: v for k, v in values.items() if k.startswith("train.")}
         top = {k.replace(".", "_"): v for k, v in values.items() if not k.startswith("train.")}
         return cls(**top, train=RefineConfig(**train))
 
     def _values(self) -> dict:
-        """Config key -> field value, for every field."""
+        """Config key -> field value, for every field but `train.seed`: `seeds` sets each run's."""
         values = asdict(self)
         train = values.pop("train")
+        del train["seed"]
         keyed = {name.replace("_", ".", 1): value for name, value in values.items()}
         keyed.update((f"train.{name}", value) for name, value in train.items())
         return keyed

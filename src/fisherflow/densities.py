@@ -140,37 +140,20 @@ class GaussianMixture:
     def density_hessian_ratio(self, x, saved=None):
         """hess p / p = sum_j r_j (u_j u_j^T - diag(1/var_j)), u_j = (mu_j - x) / var_j.
 
-        `saved` works as in `score`.
-        """
-        x = as_batch(x, self.dim)
-        return self._hessian_ratio(x, self._responsibilities_of(x, saved))[0]
-
-    def log_density_hessian(self, x, saved=None):
-        """Hessian of log density: hess p / p - s s^T.
-
-        `saved` works as in `score`.
+        `saved` works as in `score`. For d >= 2 the component terms are added
+        one at a time into one (N, d, d) array, from zero in component order,
+        which is how np.sum over the component axis adds them; no (N, k, d, d)
+        tensor is held.
         """
         x = as_batch(x, self.dim)
         r = self._responsibilities_of(x, saved)
-        h, u = self._hessian_ratio(x, r)
-        s = np.sum(r[:, :, None] * u, axis=1)
-        h -= s[:, :, None] * s[:, None, :]
-        return h
-
-    def _hessian_ratio(self, x, r):
-        """hess p / p of batch x given its responsibilities r, and the (B, k, d) u_j.
-
-        For d >= 2 the component terms are added one at a time into one
-        (N, d, d) array, from zero in component order, which is how np.sum
-        over the component axis adds them; no (N, k, d, d) tensor is held.
-        """
         u = (self.means[None, :, :] - x[:, None, :]) / self.variances[None, :, :]
         inv_var = 1.0 / self.variances
         if self.dim == 1:
             # scalar terms, where np.sum adds each row of k pairwise; (N, k) is the
             # size of r, so they are summed as one array in that order
             u1 = u[:, :, 0]
-            return np.sum(r * (u1 * u1 - inv_var[:, 0]), axis=1)[:, None, None], u
+            return np.sum(r * (u1 * u1 - inv_var[:, 0]), axis=1)[:, None, None]
         h = np.zeros((x.shape[0], self.dim, self.dim))
         idx = np.arange(self.dim)
         for j in range(self.n_components):
@@ -178,7 +161,16 @@ class GaussianMixture:
             term[:, idx, idx] -= inv_var[j]
             term *= r[:, j, None, None]
             h += term
-        return h, u
+        return h
+
+    def log_density_hessian(self, x, saved=None):
+        """Hessian of log density: hess p / p - s s^T, both from one pass; `saved` as in `score`."""
+        if saved is None:
+            saved = [self.responsibilities(x)]
+        h = self.density_hessian_ratio(x, saved)
+        s = self.score(x, saved)
+        h -= s[:, :, None] * s[:, None, :]
+        return h
 
     def marginal(self, t):
         """Time-t marginal of the linear interpolation path, again a mixture."""

@@ -109,7 +109,7 @@ def flow_matching_loss(field: VelocityField, states, actions, rng):
     pred = nets.forward(field.net, inp, cache)
     resid = pred - target
     loss = float(np.sum(resid * resid) / b)
-    tape = nets.backward(field.net, inp, (2.0 / b) * resid, cache)
+    tape = nets.backward(field.net, (2.0 / b) * resid, cache)
     return loss, tape
 
 

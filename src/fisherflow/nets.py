@@ -10,8 +10,8 @@ Gradients take a single pass. Given an empty list as `cache`, `forward`
 fills it with one (layer input, activation derivative) pair per layer, the
 derivative computed from values the forward already holds (for the GELU,
 from the erf of its own value); the output layer is linear and stores None.
-`backward` consumes that cache and runs no forward of its own; without one,
-it runs `forward` itself.
+`backward` takes the upstream gradient and that cache, the pass it
+continues, and runs no forward of its own.
 
 The kernels work in place, but only on arrays the layer itself created: the
 bias is added into the fresh matmul product, the GELU overwrites the
@@ -215,7 +215,7 @@ def _write_json_arrays(fh, arrays):
 
 @dataclass
 class GradientTape:
-    """Parameter gradients mirroring DenseNet shapes plus the input gradient."""
+    """`backward`'s result: parameter gradients in DenseNet shapes, and the gradient in x."""
 
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
@@ -253,21 +253,16 @@ def forward(net: DenseNet, x, cache=None) -> np.ndarray:
     return h
 
 
-def backward(net: DenseNet, x, upstream, cache=None) -> GradientTape:
-    """Vector-Jacobian product: gradients of <upstream (B, out), net(x (B, in))> in params and x.
+def backward(net: DenseNet, upstream, cache) -> GradientTape:
+    """Gradients of <upstream (B, out), net(x)> in params and x, for a cached pass.
 
-    `cache` is the list a `forward(net, x, cache)` call filled; without one,
-    backward runs that forward itself.
+    `cache` is the list `forward(net, x, cache)` filled; `upstream` has a row per row of x.
     """
-    x = as_batch(x, net.in_size, "input")
     upstream = as_batch(upstream, net.out_size, "upstream")
-    if upstream.shape[0] != x.shape[0]:
-        raise ValueError(f"upstream holds {upstream.shape[0]} rows, the input {x.shape[0]}")
-    if cache is None:
-        cache = []
-        forward(net, x, cache)
-    elif len(cache) != len(net.weights):
+    if len(cache) != len(net.weights):
         raise ValueError(f"cache holds {len(cache)} layers, the net has {len(net.weights)}")
+    if (rows := cache[0][0].shape[0]) != upstream.shape[0]:
+        raise ValueError(f"upstream holds {upstream.shape[0]} rows, the cached pass {rows}")
 
     d_weights = [None] * len(net.weights)
     d_biases = [None] * len(net.biases)

@@ -93,7 +93,7 @@ class Critic:
         caches = [[] for _ in self.online]
         outs = [nets.forward(net, x, cache)[:, 0] for net, cache in zip(self.online, caches)]
         upstream = np.ones((x.shape[0], 1))
-        grads = [nets.backward(net, x, upstream, cache).d_input[:, self.state_dim:]
+        grads = [nets.backward(net, upstream, cache).d_input[:, self.state_dim:]
                  for net, cache in zip(self.online, caches)]
         first_wins = (outs[0] <= outs[1])[:, None]
         return np.minimum(*outs), np.where(first_wins, grads[0], grads[1])
@@ -172,7 +172,7 @@ def actor_update(tmap: TransportMap, q_fn, scores, dual: DualState, states, base
     constraint = float(pen.mean())
     # ascent on the Lagrangian = descent on its negation
     upstream = -(scale * dq - dual.lam * pen_grad) / b
-    tape, _ = tmap.residual_backward(states, base, upstream, saved)
+    tape, _ = tmap.residual_backward(upstream, saved)
     nets.clip_gradients(tape, grad_clip)
     nets.adam_step(tmap.residual_net, tape, adam)
     return ActorStats(float(q.mean()), constraint)
@@ -211,7 +211,7 @@ def critic_update(critic: Critic, states, actions, target, grad_clip=5.0) -> flo
         pred = nets.forward(net, x, cache)[:, 0]
         resid = pred - target
         total += float(np.mean(resid**2))
-        tape = nets.backward(net, x, (2.0 / b) * resid[:, None], cache)
+        tape = nets.backward(net, (2.0 / b) * resid[:, None], cache)
         nets.clip_gradients(tape, grad_clip)
         nets.adam_step(net, tape, adam)
     critic.soft_update()
@@ -283,8 +283,11 @@ class RefineConfig:
         if self.mode not in ("bandit", "td"):
             raise ValueError(f"unknown mode {self.mode!r}")
         for f in fields(self):
-            if isinstance(f.default, float) and not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            value, flag = getattr(self, f.name), isinstance(f.default, bool)
+            if isinstance(value, bool) != flag:  # a flag takes only a bool, no other field one
+                raise ValueError(f"{f.name} must {'' if flag else 'not '}be a bool, got {value!r}")
+            if isinstance(f.default, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name, least in _LEAST_VALUES.items():
             if not getattr(self, name) >= least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")

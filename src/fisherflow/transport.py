@@ -76,8 +76,8 @@ class TransportMap:
         """delta(s, a) = cap * tanh(raw / cap) of the residual net's raw output.
 
         When `saved` is given (an empty list), it receives this pass as
-        (net input, tanh(raw / cap), the net's forward cache) for
-        residual_backward to consume.
+        (tanh(raw / cap), the net's forward cache) for residual_backward to
+        consume.
         """
         inp = state_action_input(s, a, self.state_dim)
         cache = None if saved is None else []
@@ -85,21 +85,20 @@ class TransportMap:
         cap = self.max_displacement
         squashed = np.tanh(raw / cap)
         if saved is not None:
-            saved.append((inp, squashed, cache))
+            saved.append((squashed, cache))
         return cap * squashed
 
-    def residual_backward(self, s, a, upstream, saved=None):
-        """VJP of the capped residual: net tape plus gradient w.r.t. the action.
+    def residual_backward(self, upstream, saved):
+        """VJP of the capped residual pass a `residual(s, a, saved)` call put in `saved`.
 
-        `saved` is the list a `residual(s, a, saved)` call filled; without
-        one, this runs that pass itself.
+        Returns the net's tape and the gradient in the action; `upstream`
+        has the (B, d) shape of that pass's output.
         """
-        if saved is None:
-            saved = []
-            self.residual(s, a, saved)
-        [(inp, squashed, cache)] = saved
+        [(squashed, cache)] = saved
+        if np.shape(upstream) != squashed.shape:
+            raise ValueError(f"upstream has shape {np.shape(upstream)}, the pass {squashed.shape}")
         chain = 1.0 - squashed ** 2
-        tape = nets.backward(self.residual_net, inp, np.asarray(upstream) * chain, cache)
+        tape = nets.backward(self.residual_net, np.asarray(upstream) * chain, cache)
         return tape, tape.d_input[:, self.state_dim:]
 
     def action_map(self, s):
@@ -123,7 +122,7 @@ def displacement_jacobian(tmap: TransportMap, s, a) -> np.ndarray:
     for i in range(tmap.action_dim):
         e = np.zeros_like(a)
         e[:, i] = 1.0
-        _, d_action = tmap.residual_backward(s, a, e, saved)
+        _, d_action = tmap.residual_backward(e, saved)
         rows.append(d_action)
     return np.stack(rows, axis=1)
 

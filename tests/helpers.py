@@ -44,6 +44,13 @@ def rel_error(a, b, floor=1e-12):
     return float(np.max(np.abs(a - b) / scale))
 
 
+def vjp(net, x, upstream):
+    """`nets.backward`'s tape for `upstream` at batch x: one cached forward, then the backward."""
+    cache = []
+    nets.forward(net, x, cache)
+    return nets.backward(net, upstream, cache)
+
+
 def fd_divergence(tmap, s, a, step=1e-6):
     """Central-difference trace of the displacement field's action-Jacobian at a (1, d) point."""
     a = np.asarray(a, dtype=np.float64)
@@ -288,4 +295,13 @@ REFUSED_SETTINGS = [
     (dict(max_displacement=float("inf")), "max_displacement"),
     (dict(mode="td"), "analytic_q"),  # the default analytic Q
     (dict(t_eps=1.0), "t_eps"),  # the default fisher metric
+]
+# settings only a library caller can make: the config codec parses each value to its field's type
+LIBRARY_REFUSED_SETTINGS = [
+    (dict(analytic_q="false"), "analytic_q"),  # a truthy string
+    (dict(normalize_metric="false"), "normalize_metric"),
+    (dict(normalize_metric=1), "normalize_metric"),
+    (dict(steps=True), "steps"),
+    (dict(eval_samples=True), "eval_samples"),
+    (dict(learning_rate=False), "learning_rate"),
 ]

@@ -204,7 +204,7 @@ def test_criterion_9_perturbed_time_sweep_shape(bimodal_runs):
 
 def test_criterion_10_gradient_hygiene(bimodal_dataset):
     from fisherflow import nets
-    from helpers import fd_array_gradient, fd_gradient, rel_error
+    from helpers import fd_array_gradient, fd_gradient, rel_error, vjp
 
     rng = np.random.default_rng(10)
     worst_net = 0.0
@@ -212,7 +212,7 @@ def test_criterion_10_gradient_hygiene(bimodal_dataset):
         net = nets.DenseNet.create(sizes, rng=rng)
         x = rng.standard_normal((1, sizes[0]))
         up = rng.standard_normal((1, sizes[-1]))
-        tape = nets.backward(net, x, up)
+        tape = vjp(net, x, up)
         scalar = lambda xv: float(np.sum(up * nets.forward(net, xv)))
         worst_net = max(worst_net, rel_error(tape.d_input, fd_gradient(scalar, x, 1e-4)))
         for k in range(len(net.weights)):

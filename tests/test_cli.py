@@ -392,12 +392,13 @@ def test_every_config_field_has_a_key():
     top = {k.replace(".", "_") for k in keys if not k.startswith("train.")}
     train = {k[len("train."):] for k in keys if k.startswith("train.")}
     assert top == {f.name for f in fields(RunConfig)} - {"train"}
-    assert train == {f.name for f in fields(RefineConfig)}
+    # each run takes its seed from `seeds`, so `train.seed` is no key
+    assert train == {f.name for f in fields(RefineConfig)} - {"seed"}
 
 
 # keys no config has any more, as configs written before their removal still carry them
 REMOVED_KEYS = {"train.dual_log": "true", "train.activation": "gelu",
-                "train.q_normalization": "true"}
+                "train.q_normalization": "true", "train.seed": "0"}
 
 
 def test_config_rejects_unknown_keys():
@@ -406,21 +407,39 @@ def test_config_rejects_unknown_keys():
             RunConfig.from_entries({key: value})
 
 
-@pytest.mark.parametrize("source", ["config", "set"])
-@pytest.mark.parametrize("setting", [*(f"{key}={value}" for key, value in REMOVED_KEYS.items()),
-                                     "train.activation=foo"])
-def test_unknown_config_key_is_usage_error(tmp_path, capsys, setting, source):
+def refused_setting_error(tmp_path, capsys, key, value, source):
+    """stderr of a `train` given key = value in a config file or by `--set`, which must exit 2."""
     out = tmp_path / "r"
-    key, value = setting.split("=")
     if source == "config":
         conf = tmp_path / "c.txt"
         conf.write_text(f"{key} = {value}\n")
         args = ["--config", str(conf)]
     else:
-        args = ["--set", setting]
-    assert run_cli("train", "--out", str(out), *FAST_TRAIN, *args) == 2
-    assert f"unknown config key '{key}'" in capsys.readouterr().err
+        args = ["--set", f"{key}={value}"]
+    # a --set wins over the file, so FAST_TRAIN leaves the key under test out
+    fast = [arg for flag, pair in zip(FAST_TRAIN[::2], FAST_TRAIN[1::2])
+            if not pair.startswith(f"{key}=") for arg in (flag, pair)]
+    assert run_cli("train", "--out", str(out), *fast, *args) == 2
     assert not out.exists()  # rejected before any output or training
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config", "set"])
+@pytest.mark.parametrize("setting", [*(f"{key}={value}" for key, value in REMOVED_KEYS.items()),
+                                     "train.activation=foo"])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, setting, source):
+    key, value = setting.split("=")
+    err = refused_setting_error(tmp_path, capsys, key, value, source)
+    assert f"unknown config key '{key}'" in err
+
+
+@pytest.mark.parametrize("source", ["config", "set"])
+@pytest.mark.parametrize("key, value", [("train.steps", "abc"), ("train.eta", "0.1x"),
+                                        ("train.analytic_q", "maybe"), ("seeds", "0,one"),
+                                        ("train.hidden", "16,1.5")])
+def test_malformed_config_value_names_its_key(tmp_path, capsys, key, value, source):
+    # one value of each kind: int, float, bool, list and tuple
+    assert refused_setting_error(tmp_path, capsys, key, value, source).startswith(f"error: {key}: ")
 
 
 def test_cli_set_overrides_take_precedence(tmp_path):

@@ -12,7 +12,7 @@ from scipy.special import erf
 from fisherflow import nets
 from fisherflow.errors import NumericError
 
-from helpers import fd_array_gradient, fd_gradient, net_to_dict, rel_error
+from helpers import fd_array_gradient, fd_gradient, net_to_dict, rel_error, vjp
 
 
 def linear_net(w, b=None):
@@ -70,14 +70,14 @@ def test_forward_is_pure():
 def test_backward_linear_input_gradient_is_weight_row():
     w = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]])  # 2 inputs -> 3 outputs
     net = linear_net(w)
-    tape = nets.backward(net, np.array([[0.3, 0.7]]), np.array([[1.0, 0.0, 0.0]]))
+    tape = vjp(net, np.array([[0.3, 0.7]]), np.array([[1.0, 0.0, 0.0]]))
     # gradient of output 0 w.r.t. the input: the weights feeding output 0
     np.testing.assert_allclose(tape.d_input, [w[:, 0]])
 
 
 def test_backward_zero_upstream_gives_zero_tape():
     net = nets.DenseNet.create([3, 6, 2], rng=2)
-    tape = nets.backward(net, np.array([[0.5, -0.5, 1.0]]), np.zeros((1, 2)))
+    tape = vjp(net, np.array([[0.5, -0.5, 1.0]]), np.zeros((1, 2)))
     assert all(np.all(g == 0) for g in tape.d_weights + tape.d_biases)
     assert np.all(tape.d_input == 0)
 
@@ -88,7 +88,7 @@ def test_backward_matches_finite_differences(sizes):
     net = nets.DenseNet.create(sizes, rng=rng)
     x = rng.standard_normal((1, sizes[0]))
     upstream = rng.standard_normal((1, sizes[-1]))
-    tape = nets.backward(net, x, upstream)
+    tape = vjp(net, x, upstream)
 
     def scalar(xv):
         return float(np.sum(upstream * nets.forward(net, xv)))
@@ -106,8 +106,8 @@ def test_backward_batched_matches_sum_of_singles():
     net = nets.DenseNet.create([3, 5, 2], rng=rng)
     xs = rng.standard_normal((4, 3))
     ups = rng.standard_normal((4, 2))
-    batched = nets.backward(net, xs, ups)
-    singles = [nets.backward(net, xs[i:i + 1], ups[i:i + 1]) for i in range(4)]
+    batched = vjp(net, xs, ups)
+    singles = [vjp(net, xs[i:i + 1], ups[i:i + 1]) for i in range(4)]
     for k in range(len(net.weights)):
         np.testing.assert_allclose(
             batched.d_weights[k], sum(t.d_weights[k] for t in singles), rtol=1e-12)
@@ -115,10 +115,21 @@ def test_backward_batched_matches_sum_of_singles():
         np.testing.assert_allclose(batched.d_input[i], singles[i].d_input[0], rtol=1e-12)
 
 
+def test_backward_refuses_a_cache_of_another_pass():
+    net = nets.DenseNet.create([3, 5, 2], rng=3)
+    cache = []
+    nets.forward(net, np.zeros((4, 3)), cache)
+    with pytest.raises(ValueError, match="upstream holds 3 rows, the cached pass 4"):
+        nets.backward(net, np.ones((3, 2)), cache)
+    deeper = nets.DenseNet.create([3, 5, 5, 2], rng=3)
+    with pytest.raises(ValueError, match="cache holds 2 layers, the net has 3"):
+        nets.backward(deeper, np.ones((4, 2)), cache)
+
+
 def test_adam_zero_gradient_leaves_parameters():
     net = nets.DenseNet.create([2, 3, 1], rng=4)
     before = [w.copy() for w in net.weights]
-    tape = nets.backward(net, np.zeros((1, 2)), np.zeros((1, 1)))
+    tape = vjp(net, np.zeros((1, 2)), np.zeros((1, 1)))
     state = nets.AdamState.for_net(net)
     nets.adam_step(net, tape, state)
     for w0, w1 in zip(before, net.weights):
@@ -164,7 +175,7 @@ def test_adam_opposite_gradients_return_toward_start():
 def test_adam_refuses_moments_that_do_not_match_the_net(make_state):
     net = nets.DenseNet.create([2, 2], rng=0)
     state = make_state(net)
-    tape = nets.backward(net, np.ones((1, 2)), np.ones((1, 2)))
+    tape = vjp(net, np.ones((1, 2)), np.ones((1, 2)))
     before = [p.copy() for p in net.parameters()]
     with pytest.raises(ValueError, match="Adam moment m shapes"):
         nets.adam_step(net, tape, state)
@@ -193,7 +204,7 @@ def test_parameters_stay_finite_over_noisy_updates():
     for _ in range(50):
         x = rng.standard_normal((8, 3))
         up = rng.standard_normal((8, 2))
-        tape = nets.backward(net, x, up)
+        tape = vjp(net, x, up)
         nets.clip_gradients(tape, 5.0)
         nets.adam_step(net, tape, state)
     assert all(np.isfinite(w).all() for w in net.weights)
@@ -227,9 +238,9 @@ def test_adam_failure_leaves_net_and_state_untouched():
     rng = np.random.default_rng(7)
     net = nets.DenseNet.create([3, 4, 2], rng=rng)
     state = nets.AdamState.for_net(net, learning_rate=1e-2)
-    nets.adam_step(net, nets.backward(net, rng.standard_normal((5, 3)),
-                                      rng.standard_normal((5, 2))), state)
-    tape = nets.backward(net, rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+    nets.adam_step(net, vjp(net, rng.standard_normal((5, 3)), rng.standard_normal((5, 2))),
+                   state)
+    tape = vjp(net, rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
     tape.d_weights[1][0, 0] = np.inf  # a later layer: weights[0] would already be updated
 
     def snapshot():

@@ -23,7 +23,7 @@ from fisherflow.errors import ConvergenceError, NumericError
 
 from helpers import (AdamReference, dense_metric_reference, density_hessian_ratio_reference,
                      fd_divergence, invert_map_reference, log_density_hessian_reference,
-                     responsibilities_reference)
+                     responsibilities_reference, vjp)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -40,7 +40,7 @@ class FixedDisplacement:
     def residual(self, s, a, saved=None):
         return self.delta
 
-    def residual_backward(self, s, a, upstream, saved=None):
+    def residual_backward(self, upstream, saved):
         return nets.GradientTape([np.zeros((1, 1))], [np.zeros(1)], None), None
 
 
@@ -191,6 +191,7 @@ def test_vjp_divergence_is_jacobian_trace_and_matches_fd(seed, d, state_dim):
 def _batch_kernels(d):
     """Every kernel that takes points, called on `x`, for points of dimension d."""
     net = nets.DenseNet.create([d, 3, 2], rng=0)
+    linear_net = nets.DenseNet.create([1, d], rng=0)
     upstream_net = nets.DenseNet.create([1, 3, d], rng=0)
     mix = GaussianMixture.single(np.zeros(d), 1.0)
     task = tasks.SyntheticTask("flat", mix, tasks.QLandscape([1.0], [np.zeros(d)], [0.5]))
@@ -198,9 +199,9 @@ def _batch_kernels(d):
     tmap = transport.TransportMap.create(0, d, policy, hidden=(4,), rng=0)
     return {
         "nets.forward": lambda x: nets.forward(net, x),
-        "nets.backward": lambda x: nets.backward(net, x, np.ones((len(x), 2))).d_input,
-        "nets.backward upstream": lambda x: nets.backward(upstream_net, np.zeros((len(x), 1)),
-                                                          x).d_input,
+        # backward takes no points: x is its upstream, on a cached pass of len(x) rows
+        "nets.backward": lambda x: vjp(linear_net, np.zeros((len(x), 1)), x).d_input,
+        "nets.backward upstream": lambda x: vjp(upstream_net, np.zeros((len(x), 1)), x).d_input,
         "log_density": mix.log_density,
         "density": mix.density,
         "responsibilities": mix.responsibilities,
@@ -389,10 +390,10 @@ def test_cached_backward_matches_recomputed_bit_for_bit(seed, sizes, rows):
         assert grad is None if k == len(pre) - 1 else _same(grad, _reference_gelu_grad(pre[k]))
         _freeze([layer_input, grad])
     reference = _two_pass_backward_reference(net, x, upstream)
-    for tape in (nets.backward(net, x, upstream, cache), nets.backward(net, x, upstream)):
-        got = tape.d_weights + tape.d_biases + [tape.d_input]
-        assert len(got) == len(reference)
-        assert all(_same(g, r) for g, r in zip(got, reference))
+    tape = nets.backward(net, upstream, cache)
+    got = tape.d_weights + tape.d_biases + [tape.d_input]
+    assert len(got) == len(reference)
+    assert all(_same(g, r) for g, r in zip(got, reference))
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,8 @@ import pytest
 from fisherflow import cli, flow, nets, score, tasks, training, validate
 from fisherflow.errors import NumericError
 
-from helpers import REFUSED_SETTINGS, base_stream_reference, checkpoint_payload
+from helpers import (LIBRARY_REFUSED_SETTINGS, REFUSED_SETTINGS, base_stream_reference,
+                     checkpoint_payload)
 
 
 def small_config(**kw):
@@ -486,7 +487,7 @@ def test_config_validation():
         training.RefineConfig(mode="online")
 
 
-@pytest.mark.parametrize("change, key", REFUSED_SETTINGS)
+@pytest.mark.parametrize("change, key", REFUSED_SETTINGS + LIBRARY_REFUSED_SETTINGS)
 def test_refused_setting_raises_before_training(gated_chain, monkeypatch, change, key):
     task, dataset = gated_chain  # chain data: rewards and next states for every critic
     refuse_training(monkeypatch)

@@ -273,9 +273,20 @@ def test_residual_backward_matches_finite_differences():
     tmap.residual_net.weights[-1][:] = rng.normal(size=tmap.residual_net.weights[-1].shape) * 0.4
     a = rng.normal(size=(1, 2))
     upstream = rng.normal(size=(1, 2))
-    _, d_action = tmap.residual_backward(None, a, upstream)
+    saved = []
+    tmap.residual(None, a, saved)
+    _, d_action = tmap.residual_backward(upstream, saved)
     fd = fd_gradient(lambda v: float(np.sum(upstream * tmap.residual(None, v))), a, step=1e-5)
     assert rel_error(d_action, fd) < 1e-4
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_residual_backward_refuses_an_upstream_of_another_row_count(rows):
+    # one row would broadcast against the pass's two without the check
+    tmap, saved = make_map(), []
+    tmap.residual(None, np.zeros((2, 2)), saved)
+    with pytest.raises(ValueError, match=rf"upstream has shape \({rows}, 2\), the pass \(2, 2\)"):
+        tmap.residual_backward(np.ones((rows, 2)), saved)
 
 
 BIMODAL_TASK = tasks.make_task("bimodal_asymmetric")
