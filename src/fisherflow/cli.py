@@ -1,8 +1,8 @@
 """Command-line orchestration: dataset generation, runs, sweeps, oracle suites.
 
-Exit codes: 0 success, 2 usage error, 3 numeric failure. Outputs are plain
-delimited text and line-delimited JSON records so any plotting tool can
-consume them; this tool emits plot data, not plots.
+Exit codes: 0 success, 2 usage or file error, 3 numeric failure. Outputs
+are plain delimited text and line-delimited JSON records so any plotting
+tool can consume them; this tool emits plot data, not plots.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -52,6 +52,11 @@ class VelocityField:
         sizes = [state_dim + action_dim + 1, *hidden, action_dim]
         return cls(nets.DenseNet.create(sizes, rng), state_dim, action_dim)
 
+    def __post_init__(self):
+        n, d = self.state_dim, self.action_dim
+        if [self.net.in_size, self.net.out_size] != [n + d + 1, d]:
+            raise ValueError(f"a velocity net maps {n + d + 1} -> {d}, got {self.net.layer_sizes}")
+
     def __call__(self, t, s, a):
         return nets.forward(self.net, state_action_input(s, a, self.state_dim, t))
 
@@ -66,9 +71,6 @@ class FlowPolicy:
     def __post_init__(self):
         if isinstance(self.steps, bool) or not isinstance(self.steps, Integral) or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
-
-    def sample(self, s, z):
-        return sample_action(self, s, z)
 
 
 def sample_action(policy: FlowPolicy, s, z) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Dense networks with hand-rolled reverse-mode gradients and Adam.
 
 Everything here is plain float64 numpy. Networks are value-like: `clone()`
-gives an independent copy, and the output of `forward` depends only on
-(parameters, input). Inputs are ``(B, in)`` batches, one point being a batch
-of one; parameter gradients are summed over the batch, so callers that want
-a mean-reduced loss fold the ``1/B`` factor into ``upstream``.
+and `from_dict(net.to_dict())` copy a net, and `forward`'s output depends
+only on (parameters, input). Inputs are ``(B, in)`` batches, one point
+being a batch of one; parameter gradients are summed over the batch, so
+callers that want a mean-reduced loss fold ``1/B`` into ``upstream``.
 
 Gradients take a single pass. Given an empty list as `cache`, `forward`
 fills it with one (layer input, activation derivative) pair per layer, the
@@ -70,7 +70,7 @@ def _load_erf():
 erf = _load_erf()
 
 CHECKPOINT_FORMAT_VERSION = 1
-# parameters per json.dumps call when a net is written (DenseNet.write_json)
+# array values per json.dumps call in `write_json`, the one JSON writer (checkpoints)
 JSON_SLICE_VALUES = 4096
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -148,31 +148,18 @@ class DenseNet:
     def parameters(self):
         return list(self.weights) + list(self.biases)
 
-    def write_json(self, fh):
-        """Write this net to text file `fh` as the JSON object `from_dict` reads.
-
-        The keys are format_version, layer_sizes, activation (always
-        `ACTIVATION`), weights (each matrix flattened in C order) and biases,
-        with `json.dump`'s default separators, so the bytes are those of
-        `json.dump` of that dict. The parameters go through `json.dumps` in
-        slices of `JSON_SLICE_VALUES`, so at most one slice is held as Python
-        floats and text at a time.
-        """
-        fh.write(f'{{"format_version": {CHECKPOINT_FORMAT_VERSION}, '
-                 f'"layer_sizes": {json.dumps(list(self.layer_sizes))}, '
-                 f'"activation": {json.dumps(ACTIVATION)}, "weights": ')
-        _write_json_arrays(fh, [w.ravel(order="C") for w in self.weights])
-        fh.write(', "biases": ')
-        _write_json_arrays(fh, self.biases)
-        fh.write("}")
+    def to_dict(self):
+        """The object `from_dict` reads, holding this net's own arrays for `write_json`."""
+        return dict(format_version=CHECKPOINT_FORMAT_VERSION, layer_sizes=list(self.layer_sizes),
+                    activation=ACTIVATION, weights=list(self.weights), biases=list(self.biases))
 
     @classmethod
     def from_dict(cls, data):
-        """The net `write_json` wrote, from its parsed JSON object.
+        """The net of a `to_dict` object, parsed from JSON or not; its arrays are copies.
 
         Anything but an object of the current format version with
-        layer_sizes, activation `ACTIVATION`, weights and biases whose shapes
-        chain is a ValueError.
+        layer_sizes, activation `ACTIVATION`, and finite weights and biases
+        whose shapes chain is a ValueError.
         """
         if not isinstance(data, dict):
             raise ValueError(f"a net is a JSON object, got {type(data).__name__}")
@@ -191,26 +178,46 @@ class DenseNet:
                 raise ValueError(f"{len(data['weights'])} weights and {len(data['biases'])} "
                                  f"biases for layer sizes {sizes}")
             weights = [
-                np.asarray(flat, dtype=np.float64).reshape(sizes[k], sizes[k + 1])
+                np.array(flat, dtype=np.float64).reshape(sizes[k], sizes[k + 1])
                 for k, flat in enumerate(data["weights"])
             ]
-            biases = [np.asarray(b, dtype=np.float64) for b in data["biases"]]
+            biases = [np.array(b, dtype=np.float64) for b in data["biases"]]
         except TypeError as exc:
             raise ValueError(f"malformed net: {exc}") from exc
+        if not all(np.isfinite(p).all() for p in weights + biases):
+            raise ValueError("a net's parameters must be finite")
         return cls(sizes, weights, biases)
 
 
-def _write_json_arrays(fh, arrays):
-    """A JSON list holding one list per 1-D array, in `JSON_SLICE_VALUES`-value slices."""
-    fh.write("[")
-    for k, a in enumerate(arrays):
-        fh.write(", [" if k else "[")
-        for i in range(0, a.size, JSON_SLICE_VALUES):
-            if i:
-                fh.write(", ")
-            fh.write(json.dumps(a[i:i + JSON_SLICE_VALUES].tolist())[1:-1])
+def write_json(fh, obj):
+    """Write the bytes of `json.dump(obj, fh)`, each numpy array `a` as `a.ravel().tolist()`.
+
+    Dicts, lists and tuples are walked and all else goes to `json.dumps`.
+    An array goes through `json.dumps` in `JSON_SLICE_VALUES`-value slices,
+    each written before the next is made, so at most one slice is held as
+    Python floats and text at a time.
+    """
+    if isinstance(obj, np.ndarray):
+        flat = obj.ravel(order="C")
+        fh.write("[")
+        for i in range(0, flat.size, JSON_SLICE_VALUES):
+            fh.write((", " if i else "") + json.dumps(flat[i:i + JSON_SLICE_VALUES].tolist())[1:-1])
         fh.write("]")
-    fh.write("]")
+    elif isinstance(obj, dict):
+        fh.write("{")
+        for k, (key, value) in enumerate(obj.items()):
+            # a one-entry dict renders the key as json.dump does, a non-str key too
+            fh.write((", " if k else "") + json.dumps({key: None})[1:-len(": null}")] + ": ")
+            write_json(fh, value)
+        fh.write("}")
+    elif isinstance(obj, (list, tuple)):
+        fh.write("[")
+        for k, value in enumerate(obj):
+            fh.write(", " if k else "")
+            write_json(fh, value)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj))
 
 
 @dataclass

@@ -53,7 +53,7 @@ from functools import partial
 
 import numpy as np
 
-from . import nets
+from . import flow, nets
 from .errors import NumericError
 from .flow import (FlowPolicy, FlowTrainConfig, VelocityField, flow_matching_loss,
                    state_action_input, train_flow)
@@ -182,13 +182,13 @@ def td_target(critic: Critic, tmap: TransportMap, rewards, next_states=None, z=N
     """TD target: r + gamma * min of the target critics at the refined next action.
 
     The next action is `tmap`'s refined Euler sample at `next_states` from
-    noise `z`: base + residual(base), base = tmap.base_policy.sample. Without
-    `z` (gamma = 0) the target is the rewards. Forward passes only; a
-    non-finite target is a NumericError.
+    noise `z`: base + residual(base), base being `flow.sample_action` of
+    the base policy. Without `z` (gamma = 0) the target is the rewards.
+    Forward passes only; a non-finite target is a NumericError.
     """
     target = np.asarray(rewards, dtype=np.float64)
     if z is not None:
-        base = tmap.base_policy.sample(next_states, z)
+        base = flow.sample_action(tmap.base_policy, next_states, z)
         next_actions = tmap.action_map(next_states)(base)
         target = target + critic.gamma * critic.target_values(next_states, next_actions).min(axis=0)
     if not np.isfinite(target).all():
@@ -228,7 +228,7 @@ def _flow_step(policy: FlowPolicy, adam: nets.AdamState, states, actions, rng, g
     loss, tape = flow_matching_loss(policy.field, states, actions, rng)
     nets.clip_gradients(tape, grad_clip)
     nets.adam_step(policy.field.net, tape, adam)
-    base = policy.sample(states, rng.standard_normal(actions.shape))
+    base = flow.sample_action(policy, states, rng.standard_normal(actions.shape))
     return loss, base, batched_scores(policy.field, states, base, t_eps) if fisher else None
 
 
@@ -321,32 +321,18 @@ def save_checkpoint(result: RunResult, task_name, path):
 
     Keys in order: format_version, task, flow_net, flow_integration_steps,
     residual_net, max_displacement, critic_nets (the online critics, or null
-    without a critic) and dual (lam, epsilon, eta). The frame is written by
-    hand and each net streams its parameters (`DenseNet.write_json`), so the
-    bytes are those of one `json.dump` of that dict while only a slice of a
-    parameter array is held as text at a time.
+    without a critic) and dual (lam, epsilon, eta): one dict, each net's
+    `to_dict` holding its parameter arrays, that `nets.write_json` streams.
     """
-    dual = {"lam": result.dual.lam, "epsilon": result.dual.epsilon, "eta": result.dual.eta}
-    tmap = result.transport_map
+    tmap, critic, dual = result.transport_map, result.critic, result.dual
     with open(path, "w") as fh:
-        fh.write(f'{{"format_version": {nets.CHECKPOINT_FORMAT_VERSION}, '
-                 f'"task": {json.dumps(task_name)}, "flow_net": ')
-        tmap.base_policy.field.net.write_json(fh)
-        fh.write(f', "flow_integration_steps": {json.dumps(tmap.base_policy.steps)}, '
-                 f'"residual_net": ')
-        tmap.residual_net.write_json(fh)
-        fh.write(f', "max_displacement": {json.dumps(tmap.max_displacement)}, '
-                 f'"critic_nets": ')
-        if result.critic is None:
-            fh.write("null")
-        else:
-            fh.write("[")
-            for k, net in enumerate(result.critic.online):
-                if k:
-                    fh.write(", ")
-                net.write_json(fh)
-            fh.write("]")
-        fh.write(f', "dual": {json.dumps(dual)}}}')
+        nets.write_json(fh, {
+            "format_version": nets.CHECKPOINT_FORMAT_VERSION, "task": task_name,
+            "flow_net": tmap.base_policy.field.net.to_dict(),
+            "flow_integration_steps": tmap.base_policy.steps,
+            "residual_net": tmap.residual_net.to_dict(), "max_displacement": tmap.max_displacement,
+            "critic_nets": None if critic is None else [net.to_dict() for net in critic.online],
+            "dual": {"lam": dual.lam, "epsilon": dual.epsilon, "eta": dual.eta}})
 
 
 def load_checkpoint(path):
@@ -426,7 +412,7 @@ def evaluation_inputs(policy: FlowPolicy, task: SyntheticTask, count, rng):
     """Evaluation states and the policy's base actions at them: states, then noise, from `rng`."""
     states = task.sample_states(rng, count)
     z = rng.standard_normal((count, task.action_dim))
-    return states, policy.sample(states, z)
+    return states, flow.sample_action(policy, states, z)
 
 
 def _source_of(dataset: OfflineDataset, task: SyntheticTask):
@@ -553,7 +539,7 @@ class BaseStream:
             rng_loop.standard_normal(out=actions[step])
 
         def euler(step):
-            actions[step] = policy.sample(dataset.states[indices[step]], actions[step])
+            actions[step] = flow.sample_action(policy, dataset.states[indices[step]], actions[step])
 
         _each_step(config.steps, euler)
         eval_states, eval_actions = evaluation_inputs(policy, task, config.eval_samples, rng_eval)

@@ -54,6 +54,9 @@ class TransportMap:
         cap = self.max_displacement
         if isinstance(cap, bool) or not isinstance(cap, Real) or not 0.0 < cap < np.inf:
             raise ValueError(f"max_displacement must be a finite number > 0, got {cap!r}")
+        net, n, d = self.residual_net, self.state_dim, self.action_dim
+        if [net.in_size, net.out_size] != [n + d, d]:
+            raise ValueError(f"a residual net maps {n + d} -> {d}, got {net.layer_sizes}")
 
     @classmethod
     def create(cls, state_dim, action_dim, base_policy, hidden=(64, 64),

@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.special import logsumexp
 
-from fisherflow import nets, training, transport
+from fisherflow import flow, nets, training, transport
 from fisherflow.errors import ConvergenceError, NumericError
 from fisherflow.score import fisher_penalty_batch
 
@@ -210,7 +210,7 @@ def base_stream_reference(policy, config, dataset, task):
         try:
             indices[step] = rng_loop.integers(0, size, size=b)
             z = rng_loop.standard_normal((b, d))
-            actions[step] = policy.sample(dataset.states[indices[step]], z)
+            actions[step] = flow.sample_action(policy, dataset.states[indices[step]], z)
         except NumericError as exc:
             raise NumericError(f"training step {step}: {exc}") from exc
     eval_states, eval_actions = training.evaluation_inputs(policy, task, config.eval_samples,

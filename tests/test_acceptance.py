@@ -246,7 +246,8 @@ def test_criterion_10_gradient_hygiene(bimodal_dataset):
     adam = nets.AdamState.for_net(tmap.residual_net)
     states = bimodal_dataset.states[:64]
     for _ in range(10):
-        base = policy.sample(states, np.random.default_rng(5).standard_normal((64, 2)))
+        base = flow.sample_action(policy, states,
+                                  np.random.default_rng(5).standard_normal((64, 2)))
         training.actor_update(tmap, BIMODAL.q_value, score.batched_scores(field, states, base, 0.8),
                               training.DualState(), states, base, adam)
     assert [p.tobytes() for p in field.net.parameters()] == snapshot

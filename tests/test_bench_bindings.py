@@ -4,7 +4,7 @@ bench/tracer.py patches library names where their callers look them up
 (`owner.__dict__[attr]`), so deleting or re-importing one of those names
 breaks a traced benchmark run with a KeyError. These tests install and
 uninstall the tracer to catch that here, and check that the training loop
-still reaches the penalty and score layers through those bindings.
+still reaches the penalty, score and Euler sampler layers through those bindings.
 """
 
 import importlib.util
@@ -59,7 +59,8 @@ def tiny_config(**kw):
                                            hidden=(8, 8), eval_samples=20), **kw})
 
 
-PENALTY_LAYERS = ("training.actor_update", "score.fisher_penalty_batch", "score.batched_scores")
+PENALTY_LAYERS = ("training.actor_update", "score.fisher_penalty_batch", "score.batched_scores",
+                  "flow.sample_action")
 
 
 def test_each_actor_step_reaches_the_penalty_and_score_spans(monkeypatch):
@@ -83,5 +84,8 @@ def test_each_actor_step_reaches_the_penalty_and_score_spans(monkeypatch):
     finally:
         tracer.uninstall()
     # running totals after the fisher arm, the isotropic arm and a TD fisher run of 4 steps:
-    # one actor step and one penalty per step, and scores for the fisher runs only
-    assert seen == [(4, 4, 4), (8, 8, 4), (12, 12, 8)]
+    # one actor step and one penalty per step, and scores for the fisher runs only; Euler
+    # samples once per step and for evaluation in the stream both arms share, and twice per
+    # step (base and next actions) plus evaluation in the TD run, each through the module's
+    # `flow.sample_action`, the one binding the tracer patches
+    assert seen == [(4, 4, 4, 5), (8, 8, 4, 5), (12, 12, 8, 14)]

@@ -306,6 +306,27 @@ def test_export_plots_requires_run_dir(tmp_path):
     assert run_cli("export-plots", "--run", str(tmp_path / "missing")) == 2
 
 
+def with_net(payload, name, **entries):
+    """`payload` with some entries of its net `name` replaced."""
+    return {**payload, name: {**payload[name], **entries}}
+
+
+def nan_residual_bias(payload):
+    biases = payload["residual_net"]["biases"]
+    return with_net(payload, "residual_net", biases=[[float("nan"), *biases[0][1:]], *biases[1:]])
+
+
+def first_output_only(name):
+    """A checkpoint edit that cuts net `name` down to its first output."""
+    def edit(payload):
+        net = payload[name]
+        width = net["layer_sizes"][-1]
+        return with_net(payload, name, layer_sizes=[*net["layer_sizes"][:-1], 1],
+                        weights=[*net["weights"][:-1], net["weights"][-1][::width]],
+                        biases=[*net["biases"][:-1], net["biases"][-1][:1]])
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda payload: [payload], "a checkpoint is a JSON object, got list"),
     (lambda payload: {k: v for k, v in payload.items() if k != "flow_net"},
@@ -317,6 +338,10 @@ def test_export_plots_requires_run_dir(tmp_path):
        "steps must be an integer >= 1") for value in (2.5, "3", True)],
     (lambda payload: {**payload, "residual_net": {**payload["residual_net"], "activation": "relu"}},
      "a net's activation is 'gelu', got 'relu'"),
+    (nan_residual_bias, "a net's parameters must be finite"),
+    # one velocity for a 2-D action would broadcast to both coordinates
+    (first_output_only("flow_net"), "a velocity net maps 3 -> 2, got [3, 8, 8, 1]"),
+    (first_output_only("residual_net"), "a residual net maps 2 -> 2, got [2, 8, 8, 1]"),
 ])
 def test_export_plots_on_malformed_checkpoint_is_usage_error(tmp_path, capsys, edit, message):
     out = tmp_path / "r"
@@ -325,6 +350,21 @@ def test_export_plots_on_malformed_checkpoint_is_usage_error(tmp_path, capsys, e
     ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
     assert run_cli("export-plots", "--run", str(out)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train --out FILE", "train --config DIR",
+                                     "gen-data --out FILE/x.txt"])
+def test_a_path_the_cli_cannot_use_is_usage_error(tmp_path, capsys, command):
+    # FileExistsError, IsADirectoryError and FileExistsError: an OSError, not a traceback
+    (tmp_path / "FILE").write_text("")
+    argv = command.replace("FILE", str(tmp_path / "FILE")).replace("DIR", str(tmp_path)).split()
+    if argv[0] == "gen-data":
+        argv += ["--task", "bimodal_asymmetric", "--size", "8"]
+    else:
+        argv += ZERO_STEP_TRAIN
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and "Traceback" not in err
 
 
 def test_export_plots_outputs_match_requests(tmp_path):

@@ -269,11 +269,19 @@ def test_write_json_matches_json_dump_of_the_dict(sizes):
     net = nets.DenseNet.create(sizes, rng=len(sizes))
     net.biases[-1] += 0.1  # non-zero biases, so their text is exercised too
     buf = io.StringIO()
-    net.write_json(buf)
+    nets.write_json(buf, net.to_dict())
     assert buf.getvalue() == json.dumps(net_to_dict(net))
     loaded = nets.DenseNet.from_dict(json.loads(buf.getvalue()))
     for a, b in zip(net.parameters(), loaded.parameters()):
         assert a.tobytes() == b.tobytes()
+
+
+def test_from_dict_of_to_dict_is_an_independent_copy():
+    net = nets.DenseNet.create([3, 8, 2], rng=5)
+    copy = nets.DenseNet.from_dict(net.to_dict())
+    assert copy.layer_sizes == net.layer_sizes
+    assert [p.tobytes() for p in copy.parameters()] == [p.tobytes() for p in net.parameters()]
+    assert not any(np.shares_memory(a, b) for a in copy.parameters() for b in net.parameters())
 
 
 def test_checkpoint_rejects_unknown_version():
@@ -327,6 +335,8 @@ def test_erf_falls_back_to_the_package_import(monkeypatch):
     lambda data: {**data, "weights": [{}, {}]},
     lambda data: {**data, "activation": ["gelu"]},
     lambda data: {**data, "activation": "relu"},  # GELU is the one activation
+    lambda data: {**data, "biases": [data["biases"][0], [float("nan"), 0.0]]},
+    lambda data: {**data, "weights": [[float("inf")] * 24, data["weights"][1]]},
 ])
 def test_malformed_net_entry_is_a_value_error(edit):
     data = json.loads(json.dumps(net_to_dict(nets.DenseNet.create([3, 8, 2], rng=0))))

@@ -4,6 +4,8 @@ Each one pins a merged or simplified path to the form it replaced, inlined
 here or kept in helpers.py as the reference.
 """
 
+import io
+import json
 import re
 from dataclasses import astuple
 from unittest import mock
@@ -592,3 +594,43 @@ def test_rate_probe_point_is_scipys_root():
 def test_perturbation_rate_fails_off_the_probe(monkeypatch):
     monkeypatch.setattr(validate, "RATE_PROBE", -0.5)
     assert validate.suite_perturbation_rate().passed is False
+
+
+# --- one JSON writer ---------------------------------------------------------------
+
+SLICE = nets.JSON_SLICE_VALUES
+json_floats = st.floats() | st.sampled_from([-0.0, 1e-300, float("nan"), float("inf")])
+# 1-D and 2-D arrays of 0, 1, one slice and one slice plus one values, some of them transposed
+json_arrays = st.builds(
+    lambda a, transpose: a.T if transpose else a,
+    st.sampled_from([(0,), (1,), (SLICE,), (SLICE + 1,), (0, 3), (1, 1), (2, SLICE // 2),
+                     (SLICE + 1, 1), (3, 5)]).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=json_floats)),
+    st.booleans())
+json_keys = st.text() | st.integers() | st.booleans() | st.none() | json_floats
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_floats | st.text() | json_arrays,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=8)
+
+
+def with_arrays_as_lists(obj):
+    """`obj` with each numpy array replaced by its flat C-order list, for `json.dumps`."""
+    if isinstance(obj, np.ndarray):
+        return obj.ravel().tolist()
+    if isinstance(obj, dict):
+        return {key: with_arrays_as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [with_arrays_as_lists(value) for value in obj]
+    return obj
+
+
+@settings(max_examples=80, deadline=None)
+@given(json_values)
+@example({'say "hi"': [np.array([-0.0, 1e-300, np.nan, np.inf]), None, True, 7],
+          "grüße ☃": {"": np.zeros((0, 3))}, "x": np.arange(6.0).reshape(2, 3).T,
+          2: "two", None: 0.5, False: [], 1.5: {}})
+def test_write_json_writes_json_dumps_with_arrays_as_flat_lists(obj):
+    buf = io.StringIO()
+    nets.write_json(buf, obj)
+    assert buf.getvalue() == json.dumps(with_arrays_as_lists(obj))

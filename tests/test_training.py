@@ -129,7 +129,8 @@ def transport_map(policy, state_dim, action_dim, seed):
 
 def sampled_base(policy, states, rng):
     """Base actions of the policy at `states` from fresh Euler noise."""
-    return policy.sample(states, rng.standard_normal((len(states), policy.field.action_dim)))
+    return flow.sample_action(policy, states,
+                              rng.standard_normal((len(states), policy.field.action_dim)))
 
 
 def test_critic_bandit_regresses_to_rewards():
@@ -380,7 +381,8 @@ def test_base_stream_draws_in_loop_order(bimodal_setup, small_stream):
         z = rng.standard_normal((cfg.batch_size, task.action_dim))
         np.testing.assert_array_equal(small_stream.indices[step], idx)
         np.testing.assert_array_equal(
-            small_stream.actions[step], small_stream.policy.sample(dataset.states[idx], z))
+            small_stream.actions[step],
+            flow.sample_action(small_stream.policy, dataset.states[idx], z))
     assert small_stream.eval_actions.shape == (cfg.eval_samples, task.action_dim)
     assert not small_stream.actions.flags.writeable  # shared by every arm
 
@@ -629,14 +631,14 @@ def test_record_raises_the_lowest_failing_step_after_every_thread_ends(bimodal_s
     task, dataset = bimodal_setup
     config = tiny_stream_config(steps=9)
     noise = loop_noise(config, dataset, task)
-    real = flow.FlowPolicy.sample
+    real = flow.sample_action
 
     def failing_sample(policy, s, z):
         if any(np.array_equal(z, noise[k]) for k in FAILING_STEPS):
             raise NumericError("injected failure")
         return real(policy, s, z)
 
-    monkeypatch.setattr(flow.FlowPolicy, "sample", failing_sample)
+    monkeypatch.setattr(flow, "sample_action", failing_sample)
     use_cores(monkeypatch, cores)
     before = threading.active_count()
     with pytest.raises(NumericError) as threaded:
