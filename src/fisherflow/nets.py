@@ -18,6 +18,11 @@ bias is added into the fresh matmul product, the GELU overwrites the
 pre-activation it is given (after building its derivative from it), and
 backward scales the fresh `delta @ W.T` by the cached derivative. Nothing
 the caller passes (input, upstream gradient, parameters, cache) is written.
+
+The GELU takes scipy's `erf` of |z|/sqrt(2) and copies z's sign back onto
+it. scipy computes erf of a negative argument as -erf(-x), so the bits are
+those of erf(z/sqrt(2)); on |z| the sign branch at the top of scipy's erf
+always goes one way instead of mispredicting on about half the elements.
 """
 
 from __future__ import annotations
@@ -83,8 +88,12 @@ ACTIVATION = "gelu"
 
 def _gelu(z, with_grad):
     """(GELU of z, its derivative at z or None), the value written into z, which the caller owns."""
+    # erf(|z|/sqrt2) with z's sign copied back has the bits of erf(z/sqrt2), since scipy
+    # computes erf(x < 0) as -erf(-x); on |z| its sign branch no longer mispredicts
     e = np.multiply(z, _INV_SQRT2)
+    np.abs(e, out=e)
     erf(e, out=e)
+    np.copysign(e, z, out=e)
     e += 1.0  # 2 Phi(z)
     if with_grad:
         # d/dz z Phi(z) = Phi(z) + z phi(z): z phi(z) here, Phi(z) from e once the value is out
@@ -117,6 +126,9 @@ class DenseNet:
     def __post_init__(self):
         if any(n <= 0 for n in self.layer_sizes):
             raise ValueError("layer sizes must be positive")
+        if not len(self.layer_sizes) - 1 == len(self.weights) == len(self.biases) >= 1:
+            raise ValueError(f"{len(self.weights)} weights and {len(self.biases)} biases "
+                             f"for layer sizes {list(self.layer_sizes)}")
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             want = (self.layer_sizes[k], self.layer_sizes[k + 1])
             if w.shape != want or b.shape != (want[1],):
@@ -159,7 +171,10 @@ class DenseNet:
 
         Anything but an object of the current format version with
         layer_sizes, activation `ACTIVATION`, and finite weights and biases
-        whose shapes chain is a ValueError.
+        whose shapes chain is a ValueError. A weight entry is its layer's
+        (n, m) matrix or that matrix's n*m values as one flat list, the form
+        `write_json` writes; any other shape (a transposed matrix too) is
+        refused, not reshaped.
         """
         if not isinstance(data, dict):
             raise ValueError(f"a net is a JSON object, got {type(data).__name__}")
@@ -174,16 +189,13 @@ class DenseNet:
             raise ValueError(f"a net's activation is {ACTIVATION!r}, got {data['activation']!r}")
         try:
             sizes = [operator.index(n) for n in data["layer_sizes"]]
-            if not len(sizes) - 1 == len(data["weights"]) == len(data["biases"]) >= 1:
-                raise ValueError(f"{len(data['weights'])} weights and {len(data['biases'])} "
-                                 f"biases for layer sizes {sizes}")
-            weights = [
-                np.array(flat, dtype=np.float64).reshape(sizes[k], sizes[k + 1])
-                for k, flat in enumerate(data["weights"])
-            ]
+            weights = [np.array(w, dtype=np.float64) for w in data["weights"]]
             biases = [np.array(b, dtype=np.float64) for b in data["biases"]]
         except TypeError as exc:
             raise ValueError(f"malformed net: {exc}") from exc
+        for k, (w, n, m) in enumerate(zip(weights, sizes[:-1], sizes[1:])):
+            if w.shape == (n * m,):
+                weights[k] = w.reshape(n, m)
         if not all(np.isfinite(p).all() for p in weights + biases):
             raise ValueError("a net's parameters must be finite")
         return cls(sizes, weights, biases)

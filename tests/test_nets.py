@@ -50,6 +50,38 @@ def test_forward_matches_hand_evaluation_2_2_1():
     np.testing.assert_allclose(nets.forward(net, x), expected, rtol=1e-15)
 
 
+@pytest.mark.parametrize("with_grad", [False, True])
+def test_gelu_bits_are_the_plain_formulas(with_grad):
+    # the kernel takes erf of |z|/sqrt2 and copies the sign back; the plain formulas take
+    # erf of the signed argument, with the kernel's constants and operation order
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, np.nextafter(1.0, 0.0),
+             np.nextafter(1.0, 2.0), 6.0, 27.0, 1e308, np.inf]
+    z = np.array(edges + [-x for x in edges])
+    c, c_pi = 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0 * np.pi)
+    with np.errstate(invalid="ignore", over="ignore"):
+        value, derivative = nets._gelu(z.copy(), with_grad)
+        plain = 0.5 * z * (1.0 + erf(z * c))
+        plain_derivative = 0.5 * (1.0 + erf(z * c)) + np.exp(-0.5 * z * z) * c_pi * z
+    assert value.view(np.int64).tolist() == plain.view(np.int64).tolist()
+    if with_grad:
+        assert derivative.view(np.int64).tolist() == plain_derivative.view(np.int64).tolist()
+    else:
+        assert derivative is None
+
+
+def test_erf_is_odd_bit_for_bit():
+    # what `_gelu` relies on: scipy computes erf of a negative argument as -erf(-x)
+    rng = np.random.default_rng(27)
+    n = 250_000
+    x = np.concatenate([
+        rng.normal(0.0, 0.6, n),
+        rng.uniform(-30.0, 30.0, n),
+        rng.normal(0.0, 4.0, n),
+        np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1074, 1024, n)),
+    ])
+    assert (nets.erf(-x).view(np.int64) == (-nets.erf(x)).view(np.int64)).all()
+
+
 def test_forward_rejects_dimension_mismatch():
     net = nets.DenseNet.create([3, 2], rng=0)
     with pytest.raises(ValueError, match=r"\(B, 3\)"):
@@ -282,6 +314,43 @@ def test_from_dict_of_to_dict_is_an_independent_copy():
     assert copy.layer_sizes == net.layer_sizes
     assert [p.tobytes() for p in copy.parameters()] == [p.tobytes() for p in net.parameters()]
     assert not any(np.shares_memory(a, b) for a in copy.parameters() for b in net.parameters())
+
+
+@pytest.mark.parametrize("sizes, n_weights, n_biases", [
+    ([3, 8, 2], 1, 1),  # `zip` would stop at the one layer given
+    ([3, 8, 2], 2, 1),
+    ([3, 8, 2], 1, 2),
+    ([3, 8], 2, 2),
+    ([3], 0, 0),
+])
+def test_dense_net_refuses_a_parameter_count_that_does_not_match_its_layers(sizes, n_weights,
+                                                                             n_biases):
+    shapes = [(3, 8), (8, 2)]
+    with pytest.raises(ValueError, match="weights and"):
+        nets.DenseNet(sizes, [np.zeros(s) for s in shapes[:n_weights]],
+                      [np.zeros(s[1]) for s in shapes[:n_biases]])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda w: w.T.tolist(),  # a nested list of the transposed matrix
+    lambda w: w.T.copy(),
+    lambda w: w.ravel()[:-1].tolist(),
+    lambda w: w.reshape(24, 1),
+    lambda w: w.reshape(2, 12).tolist(),
+])
+def test_from_dict_refuses_a_weight_entry_of_another_shape(entry):
+    net = nets.DenseNet.create([3, 8, 2], rng=0)
+    data = net.to_dict()
+    data["weights"] = [entry(net.weights[0]), net.weights[1]]
+    with pytest.raises(ValueError, match="layer 0"):
+        nets.DenseNet.from_dict(data)
+
+
+def test_from_dict_reads_a_weight_entry_given_as_its_nested_matrix():
+    # the flat lists `write_json` writes and `to_dict`'s arrays load in the round-trip tests
+    net = nets.DenseNet.create([3, 8, 2], rng=0)
+    loaded = nets.DenseNet.from_dict({**net.to_dict(), "weights": [w.tolist() for w in net.weights]})
+    assert [w.tobytes() for w in loaded.weights] == [w.tobytes() for w in net.weights]
 
 
 def test_checkpoint_rejects_unknown_version():
