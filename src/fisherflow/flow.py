@@ -16,6 +16,12 @@ from . import nets
 from .errors import NumericError
 
 
+def check_count(name, value, least):
+    """Raise ValueError naming `name` unless `value` is an integer (not a bool) >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def state_action_input(s, a, state_dim, t=None) -> np.ndarray:
     """Net input [s, a] (then a time column t, when given) for a batch of actions (B, d).
 
@@ -69,8 +75,7 @@ class FlowPolicy:
     steps: int = 10
 
     def __post_init__(self):
-        if isinstance(self.steps, bool) or not isinstance(self.steps, Integral) or self.steps < 1:
-            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
+        check_count("steps", self.steps, 1)
 
 
 def sample_action(policy: FlowPolicy, s, z) -> np.ndarray:
@@ -128,10 +133,8 @@ class FlowTrainConfig:
     grad_clip: float = 5.0
 
     def __post_init__(self):
-        if not self.steps >= 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps!r}")
-        if not self.batch_size >= 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        check_count("steps", self.steps, 0)
+        check_count("batch_size", self.batch_size, 1)
         for name in ("learning_rate", "grad_clip"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")

@@ -8,9 +8,11 @@ default synthetic protocol is a bandit: gamma = 0 with an analytic value
 landscape, which freezes steps (1)-(2) after pretraining and isolates the
 metric choice (fisher vs isotropic) that the ablations compare.
 
-Each actor step gets its step's fisher scores (`batched_scores` at the base
-actions), or None for the isotropic arm, and `actor_update` builds the
-penalty 0.5 delta^T M delta from them: one penalty path for both metrics.
+Each actor step gets its step's fisher scores, made by the one
+`batched_scores` call in the step loop from the flow as it stands at the
+step's base actions, or None for the isotropic arm, and `actor_update`
+builds the penalty 0.5 delta^T M delta from them: one penalty path for both
+metrics and both kinds of run.
 
 With an analytic Q (`analytic_q=True`) the flow is frozen after
 pretraining, so the pretrained flow, every step's minibatch indices and
@@ -20,26 +22,23 @@ every arm of one seed (fisher or isotropic metric, any t_eps, epsilon,
 eta, ...) can replay it through `run_refinement(..., base=stream)` and gets
 exactly the run it would have got alone. `run_arms` runs the arms of one
 seed that way, the one place paired comparisons share a stream. It holds about
-steps x batch x (8 + 8 d) bytes (int64 indices and float64 base actions).
-A fisher arm that replays a stream computes its trust-region scores for
-every step before its first step, 8 x steps x batch x d bytes that it frees
-when it returns. Recording and that score pass run their independent steps
-on up to `MAX_STEP_WORKERS` threads, one per usable core, each step with the
-same calls and shapes as a serial loop, so the bits are the same for any
-core count. Runs with a learned critic (TD runs) train the flow every step
-and sample their base actions live; they take no stream, and a fisher TD
-run scores each step's base actions just before its actor step.
+steps x batch x (8 + 8 d) bytes (int64 indices and float64 base actions);
+no scores are stored. Recording runs its independent Euler steps on up to
+`MAX_STEP_WORKERS` threads, one per usable core, each step with the same
+calls and shapes as a serial loop, so the bits are the same for any core
+count. Runs with a learned critic (TD runs) train the flow every step and
+sample their base actions live; they take no stream.
 
 A TD step with a next-action sample (gamma > 0) overlaps its two Euler
 integrations within the same `MAX_STEP_WORKERS` budget: a worker thread
 computes the critic target (`td_target`, forward passes only) through a
 frozen copy of the flow as it was before the step, while the calling
-thread updates the flow and samples and scores the step's base actions
-(`_flow_step`). After both end, the online critics fit the target
-(`critic_update`), then the actor and dual steps run. Every call keeps its
-inputs and shapes, so the bits are the same on any core count. With one
-usable core or gamma = 0 the step runs serially on the caller, target
-first.
+thread updates the flow and samples the step's base actions (`_flow_step`).
+After both end, the online critics fit the target (`critic_update`), then
+the updated flow scores the base actions and the actor and dual steps run.
+Every call keeps its inputs and shapes, so the bits are the same on any
+core count. With one usable core or gamma = 0 the step runs serially on the
+caller, target first.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ import numpy as np
 
 from . import flow, nets
 from .errors import NumericError
-from .flow import (FlowPolicy, FlowTrainConfig, VelocityField, flow_matching_loss,
-                   state_action_input, train_flow)
+from .flow import (FlowPolicy, FlowTrainConfig, VelocityField, check_count,
+                   flow_matching_loss, state_action_input, train_flow)
 from .score import batched_scores, fisher_penalty_batch
 from .tasks import OfflineDataset, SyntheticTask, make_task
 from .transport import TransportMap
@@ -218,18 +217,16 @@ def critic_update(critic: Critic, states, actions, target, grad_clip=5.0) -> flo
     return total / 2.0
 
 
-def _flow_step(policy: FlowPolicy, adam: nets.AdamState, states, actions, rng, grad_clip,
-               t_eps, fisher):
+def _flow_step(policy: FlowPolicy, adam: nets.AdamState, states, actions, rng, grad_clip):
     """One flow-matching update, then the updated flow's base actions at `states`.
 
-    Returns (flow loss, base actions, their fisher scores at t_eps, or None
-    unless `fisher`). Draws the loss's t and x0, then the Euler noise, from `rng`.
+    Returns (flow loss, base actions). Draws the loss's t and x0, then the
+    Euler noise, from `rng`.
     """
     loss, tape = flow_matching_loss(policy.field, states, actions, rng)
     nets.clip_gradients(tape, grad_clip)
     nets.adam_step(policy.field.net, tape, adam)
-    base = flow.sample_action(policy, states, rng.standard_normal(actions.shape))
-    return loss, base, batched_scores(policy.field, states, base, t_eps) if fisher else None
+    return loss, flow.sample_action(policy, states, rng.standard_normal(actions.shape))
 
 
 def _frozen_map(tmap: TransportMap) -> TransportMap:
@@ -239,10 +236,11 @@ def _frozen_map(tmap: TransportMap) -> TransportMap:
     return replace(tmap, base_policy=replace(policy, field=field))
 
 
-# smallest allowed value of each RefineConfig count and nonnegative training value
-_LEAST_VALUES = {"steps": 0, "flow_steps": 0, "log_interval": 0, "batch_size": 1,
-                 "eval_samples": 1, "flow_integration_steps": 1,
-                 "damping": 0.0, "eta": 0.0, "lambda_init": 0.0, "gamma": 0.0}
+# smallest allowed value of each RefineConfig count (an integer, not a bool)
+_LEAST_COUNTS = {"seed": 0, "steps": 0, "flow_steps": 0, "log_interval": 0, "batch_size": 1,
+                 "eval_samples": 1, "flow_integration_steps": 1}
+# smallest allowed value of each nonnegative RefineConfig training value
+_LEAST_VALUES = {"damping": 0.0, "eta": 0.0, "lambda_init": 0.0, "gamma": 0.0}
 # RefineConfig values that must be strictly positive
 _POSITIVE_VALUES = ("max_displacement", "epsilon", "learning_rate", "grad_clip", "tau")
 # largest allowed value of each RefineConfig rate
@@ -288,6 +286,8 @@ class RefineConfig:
                 raise ValueError(f"{f.name} must {'' if flag else 'not '}be a bool, got {value!r}")
             if isinstance(f.default, float) and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
+        for name, least in _LEAST_COUNTS.items():
+            check_count(name, getattr(self, name), least)
         for name, least in _LEAST_VALUES.items():
             if not getattr(self, name) >= least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
@@ -303,8 +303,8 @@ class RefineConfig:
         if self.mode == "td" and self.analytic_q:
             raise ValueError("mode 'td' trains a learned critic: set analytic_q to false")
         self.hidden = tuple(self.hidden)
-        if not all(width >= 1 for width in self.hidden):
-            raise ValueError(f"hidden widths must be >= 1, got {self.hidden!r}")
+        for width in self.hidden:
+            check_count("hidden width", width, 1)
 
 
 @dataclass
@@ -587,7 +587,7 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
         policy, flow_loss = base.policy, base.flow_loss
     tmap = TransportMap.create(n, d, policy, config.hidden, config.max_displacement, rng_res)
     fisher = config.metric == "fisher"
-    critic = stream_scores = None
+    critic = None
     if base is None:
         gamma = 0.0 if config.mode == "bandit" else config.gamma
         critic = Critic.create(n, d, config.hidden, config.learning_rate,
@@ -596,16 +596,6 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
         flow_adam = nets.AdamState.for_net(policy.field.net, config.learning_rate)
     else:
         q_fn = task.q_value
-        if fisher:
-            # the frozen flow's scores at every replayed step, made before the first step
-            stream_scores = np.empty(base.actions.shape)
-
-            def score(step):
-                stream_scores[step] = batched_scores(
-                    policy.field, dataset.states[base.indices[step]], base.actions[step],
-                    config.t_eps)
-
-            _each_step(config.steps, score)
     dual = DualState(config.lambda_init, config.epsilon, config.eta)
     actor_adam = nets.AdamState.for_net(tmap.residual_net, config.learning_rate)
 
@@ -617,7 +607,6 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
         try:
             if base is not None:
                 states, base_actions = dataset.states[base.indices[step]], base.actions[step]
-                scores = None if stream_scores is None else stream_scores[step]
             else:
                 idx = rng_loop.integers(0, size, size=min(config.batch_size, size))
                 states, actions = dataset.states[idx], dataset.actions[idx]
@@ -627,11 +616,15 @@ def run_refinement(config: RefineConfig, dataset: OfflineDataset, task: Syntheti
                 # the TD target reads a frozen copy of the flow as it was before this step's
                 # update, so with a next-action sample it can run on a second core
                 threads = 1 if z is None else _thread_count(2)
-                target, (flow_loss, base_actions, scores) = _run_parts(
+                target, (flow_loss, base_actions) = _run_parts(
                     [partial(td_target, critic, _frozen_map(tmap), rewards, next_states, z),
                      partial(_flow_step, policy, flow_adam, states, actions, rng_loop,
-                             config.grad_clip, config.t_eps, fisher)], threads)
+                             config.grad_clip)], threads)
                 td_loss = critic_update(critic, states, actions, target, config.grad_clip)
+            # the flow as it stands (frozen on replay; after a TD step's flow update, which
+            # the critic fit leaves alone) scores the base actions: the run's one score call
+            scores = (batched_scores(policy.field, states, base_actions, config.t_eps)
+                      if fisher else None)
             stats = actor_update(tmap, q_fn, scores, dual, states, base_actions, actor_adam,
                                  config.normalize_metric, config.damping, config.grad_clip)
             dual = dual_update(dual, stats.constraint)

@@ -304,4 +304,15 @@ LIBRARY_REFUSED_SETTINGS = [
     (dict(steps=True), "steps"),
     (dict(eval_samples=True), "eval_samples"),
     (dict(learning_rate=False), "learning_rate"),
+    # every count is an integer, and the seed one >= 0
+    (dict(steps=2.5), "steps"),
+    (dict(flow_steps=2.5), "flow_steps"),
+    (dict(batch_size=16.0), "batch_size"),
+    (dict(hidden=(8.5,)), "hidden"),
+    (dict(hidden=(True, 4)), "hidden"),
+    (dict(eval_samples=10.5), "eval_samples"),
+    (dict(log_interval=1.5), "log_interval"),
+    (dict(flow_integration_steps=2.5), "flow_integration_steps"),
+    (dict(seed=1.5), "seed"),
+    (dict(seed=-1), "seed"),
 ]

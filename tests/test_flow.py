@@ -232,7 +232,8 @@ def test_train_flow_default_config_matches_contract():
 
 
 @pytest.mark.parametrize("name, value", [
-    ("steps", -1), ("batch_size", 0), ("learning_rate", -0.1), ("learning_rate", 0.0),
+    ("steps", -1), ("batch_size", 0), ("steps", 3.5), ("steps", True), ("batch_size", 8.0),
+    ("learning_rate", -0.1), ("learning_rate", 0.0),
     ("learning_rate", np.nan), ("learning_rate", np.inf), ("grad_clip", -1.0),
     ("grad_clip", 0.0), ("grad_clip", np.nan), ("grad_clip", np.inf)])
 def test_train_flow_config_refuses_bad_fields(name, value):

@@ -283,17 +283,30 @@ def test_td_fisher_actor_steps_get_live_scores(monkeypatch):
     dataset = tasks.make_dataset(task, 256, seed=1, mode="chain", noise=0.05)
     cfg = small_config(seed=9, mode="td", analytic_q=False, steps=6, flow_steps=10,
                        batch_size=32, hidden=(8, 8), eval_samples=50, t_eps=0.7)
-    mismatched, real = [], training.actor_update
+    updated, mismatched = [], []
+    real_flow, real_update = training._flow_step, training.actor_update
+
+    def flow_step(policy, *args):
+        out = real_flow(policy, *args)
+        updated.append(replace(policy.field, net=policy.field.net.clone()))
+        return out
 
     def checked(tmap, q_fn, scores, dual, states, base, *rest):
-        # the flow trains every step: score it as it stands at this actor step
-        live = score.batched_scores(tmap.base_policy.field, states, base, cfg.t_eps)
-        mismatched.append(scores.tobytes() != live.tobytes())
-        return real(tmap, q_fn, scores, dual, states, base, *rest)
+        # the flow trains every step: score it as its update left it, which the critic fit
+        # between that update and this actor step must not change
+        for field in (tmap.base_policy.field, updated[-1]):
+            live = score.batched_scores(field, states, base, cfg.t_eps)
+            mismatched.append(scores.tobytes() != live.tobytes())
+        return real_update(tmap, q_fn, scores, dual, states, base, *rest)
 
+    monkeypatch.setattr(training, "_flow_step", flow_step)
     monkeypatch.setattr(training, "actor_update", checked)
-    training.run_refinement(cfg, dataset, task)
-    assert mismatched == [False] * cfg.steps
+    for cores in (1, 2):  # on two cores the TD target overlaps the flow update
+        use_cores(monkeypatch, cores)
+        updated.clear()
+        mismatched.clear()
+        training.run_refinement(cfg, dataset, task)
+        assert len(updated) == cfg.steps and mismatched == [False] * 2 * cfg.steps
 
 
 # --- checkpoints --------------------------------------------------------------
@@ -519,7 +532,7 @@ def test_td_at_gamma_zero_is_the_learned_critic_bandit(gated_setup):
     assert critic_bytes(runs[0]) == critic_bytes(runs[1])
 
 
-# --- threaded recording and the fisher score pass ---------------------------
+# --- threaded recording and per-step scores ----------------------------------
 
 def use_cores(monkeypatch, count):
     """Make the process see `count` usable cores and let `_each_step` start that many threads."""
@@ -651,11 +664,8 @@ def test_record_raises_the_lowest_failing_step_after_every_thread_ends(bimodal_s
     assert str(threaded.value) == str(serial.value) == "training step 3: injected failure"
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
-def test_score_pass_raises_the_lowest_failing_step_after_every_thread_ends(bimodal_setup,
-                                                                          monkeypatch, cores):
+def test_replayed_fisher_run_raises_its_first_failing_score_step(bimodal_setup, monkeypatch):
     task, dataset = bimodal_setup
-    use_cores(monkeypatch, cores)
     config = tiny_stream_config(steps=9)
     stream = training.BaseStream.record(config, dataset, task)
     real = training.batched_scores
@@ -666,10 +676,12 @@ def test_score_pass_raises_the_lowest_failing_step_after_every_thread_ends(bimod
         return real(field, s, a, t_eps)
 
     monkeypatch.setattr(training, "batched_scores", failing_scores)
+    seen = penalty_scores(monkeypatch)
     before = threading.active_count()
     with pytest.raises(NumericError, match=r"^training step 3: non-finite score estimate$"):
         training.run_refinement(config, dataset, task, base=stream)
     assert threading.active_count() == before
+    assert len(seen) == 3  # each step scores just before its actor step
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -704,9 +716,25 @@ def test_fisher_arm_on_a_stream_makes_one_score_pass(bimodal_setup, monkeypatch)
     stream = training.BaseStream.record(config, dataset, task)
     calls = count_score_calls(monkeypatch)
     training.run_refinement(config, dataset, task, base=stream)
-    assert calls == {0.8: 5}  # one call per step, none from the actor steps
+    assert calls == {0.8: 5}  # one call per step
     training.run_refinement(replace(config, metric="isotropic"), dataset, task, base=stream)
     assert calls == {0.8: 5}  # the isotropic arm evaluates no score
+
+
+def test_replayed_fisher_arm_holds_no_score_array_that_grows_with_steps():
+    # a score array of every step would be 8 x steps x B x d = 2 MB here
+    task = tasks.make_task("bimodal_asymmetric")
+    dataset = tasks.make_dataset(task, 256, seed=4)
+    config = small_config(seed=6, steps=2000, flow_steps=10, batch_size=64, hidden=(8, 8),
+                          eval_samples=20, log_interval=0)
+    stream = training.BaseStream.record(config, dataset, task)
+    tracemalloc.start()
+    try:
+        training.run_refinement(config, dataset, task, base=stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stream.actions.nbytes // 4
 
 
 def test_sweep_teps_makes_one_score_pass_per_arm(tmp_path, monkeypatch):
@@ -842,24 +870,24 @@ def test_nan_in_the_td_target_names_its_step(gated_chain, monkeypatch, cores, po
 def test_both_halves_end_before_the_target_error_wins(gated_chain, monkeypatch, cores):
     task, dataset = gated_chain
     use_cores(monkeypatch, cores)
-    scored = []
+    flow_halves = []
 
     def failing_target(*args):
         raise NumericError("non-finite TD target")
 
-    def failing_scores(field, s, a, t_eps):
+    def failing_loss(*args):
         time.sleep(0.05)  # the worker's failure is long known when this one comes
-        scored.append(None)
-        raise NumericError("non-finite score estimate")
+        flow_halves.append(None)
+        raise NumericError("non-finite flow loss")
 
     monkeypatch.setattr(training, "td_target", failing_target)
-    monkeypatch.setattr(training, "batched_scores", failing_scores)
+    monkeypatch.setattr(training, "flow_matching_loss", failing_loss)
     before = threading.active_count()
     with pytest.raises(NumericError, match=r"^training step 0: non-finite TD target$"):
         training.run_refinement(td_config(), dataset, task)
     assert threading.active_count() == before
     # serially the target fails first and the flow half never starts; overlapped, both end
-    assert len(scored) == (cores > 1)
+    assert len(flow_halves) == (cores > 1)
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -874,21 +902,46 @@ def test_flow_half_error_waits_for_the_target_and_precedes_the_critic_fit(gated_
         targets.append(real(*args))
         return targets[-1]
 
-    def failing_scores(field, s, a, t_eps):
-        raise NumericError("non-finite score estimate")
+    def failing_loss(*args):
+        raise NumericError("non-finite flow loss")
 
     def failing_fit(*args):
         raise NumericError("non-finite parameter after optimizer step")
 
     monkeypatch.setattr(training, "td_target", slow_target)
-    monkeypatch.setattr(training, "batched_scores", failing_scores)
+    monkeypatch.setattr(training, "flow_matching_loss", failing_loss)
     monkeypatch.setattr(training, "critic_update", failing_fit)
     before = threading.active_count()
     # the online critics fit after the flow half, so its error is the one raised
-    with pytest.raises(NumericError, match=r"^training step 0: non-finite score estimate$"):
+    with pytest.raises(NumericError, match=r"^training step 0: non-finite flow loss$"):
         training.run_refinement(td_config(), dataset, task)
     assert threading.active_count() == before
     assert len(targets) == 1  # the worker's target was done before the raise
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_td_score_error_follows_its_steps_critic_fit(gated_chain, monkeypatch, cores):
+    task, dataset = gated_chain
+    use_cores(monkeypatch, cores)
+    fits, real_fit, real_scores = [], training.critic_update, training.batched_scores
+
+    def counted_fit(*args):
+        fits.append(None)
+        return real_fit(*args)
+
+    def failing_scores(field, s, a, t_eps):
+        if len(fits) == NAN_STEP + 1:
+            raise NumericError("non-finite score estimate")
+        return real_scores(field, s, a, t_eps)
+
+    monkeypatch.setattr(training, "critic_update", counted_fit)
+    monkeypatch.setattr(training, "batched_scores", failing_scores)
+    before = threading.active_count()
+    with pytest.raises(NumericError,
+                       match=rf"^training step {NAN_STEP}: non-finite score estimate$"):
+        training.run_refinement(td_config(), dataset, task)
+    assert threading.active_count() == before
+    assert len(fits) == NAN_STEP + 1  # the failing step's critics fit before it scored
 
 
 def test_overlapped_td_step_under_thread_switching_stress(gated_chain, monkeypatch):
