@@ -664,8 +664,11 @@ def test_record_raises_the_lowest_failing_step_after_every_thread_ends(bimodal_s
     assert str(threaded.value) == str(serial.value) == "training step 3: injected failure"
 
 
-def test_replayed_fisher_run_raises_its_first_failing_score_step(bimodal_setup, monkeypatch):
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_score_pass_raises_the_lowest_failing_step_after_every_thread_ends(bimodal_setup,
+                                                                          monkeypatch, cores):
     task, dataset = bimodal_setup
+    use_cores(monkeypatch, cores)
     config = tiny_stream_config(steps=9)
     stream = training.BaseStream.record(config, dataset, task)
     real = training.batched_scores
